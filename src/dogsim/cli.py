@@ -314,9 +314,10 @@ def _summarize(result: engine.RunResult, ef: ExperimentFile) -> str:
     if result.records:
         avg = metrics.average_loss(result.records)
         final_ce = result.records[-1].consensus_error
-        events = list(result.loss_events())
-        comparator = metrics.offline_comparator(events)
-        regret = metrics.static_regret(result.records, events, comparator)
+        features, labels = result.pooled_samples()
+        gamma = result.loss_spec.gamma
+        comparator = metrics.offline_comparator(features, labels, gamma)
+        regret = metrics.static_regret(result.records, features, labels, gamma, comparator)
         lines += [
             f"average_loss={fmt17(avg)}",
             f"final_consensus_error={fmt17(final_ce)}",
@@ -324,7 +325,7 @@ def _summarize(result: engine.RunResult, ef: ExperimentFile) -> str:
         ]
         if ef.bounds is not None and result.resolved["rho"] is not None:
             g_hat, sigma_hat = metrics.estimate_gradient_bounds(result.grad_norms)
-            lipschitz = smoothness_bound((s for s, _ in events), result.loss_spec)
+            lipschitz = smoothness_bound(features, gamma)
             try:
                 bound = metrics.regret_bound(metrics.BoundParams(
                     n=result.resolved["n"], T=result.resolved["T"],

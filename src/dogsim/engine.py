@@ -26,7 +26,7 @@ import numpy as np
 from .datagen import SyntheticSpec, SyntheticStream
 from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected, NonFiniteGradient
 from .ingest import NodeStreams
-from .losses import LabeledSample, LossSpec, batch_loss_and_gradient
+from .losses import LossSpec, batch_loss_and_gradient
 from .metrics import MetricsRecord, consensus_error
 from .mixing import MixingMatrix
 
@@ -137,17 +137,15 @@ class RunResult:
     sample_features: np.ndarray | None = None  # (T, n, d) when recorded
     sample_labels: np.ndarray | None = None  # (T, n)
 
-    def loss_events(self):
-        """Yield ((sample, spec)) pairs for every recorded (node, round)."""
+    def pooled_samples(self) -> tuple:
+        """Recorded samples of every (round, node) as (T*n, d) features and
+        (T*n,) labels, round-major; views of the recorded arrays."""
         if self.sample_features is None:
             raise ValueError("run was not configured with record_samples=True")
-        rounds, n, _ = self.sample_features.shape
-        for t in range(rounds):
-            for i in range(n):
-                yield (
-                    LabeledSample(self.sample_features[t, i], int(self.sample_labels[t, i])),
-                    self.loss_spec,
-                )
+        return (
+            self.sample_features.reshape(-1, self.sample_features.shape[-1]),
+            self.sample_labels.reshape(-1),
+        )
 
 
 def _eval_grads(grad_fns: Sequence[GradFn], models: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ evaluated through softplus/sigmoid forms that stay finite for any margin
 (naive exp overflows past |margin| ~ 700). The loss kind is a closed
 enumeration; the simulator needs exactly this one.
 
-All evaluation funnels through one vectorized kernel whose outputs depend
-only on their own row, so scalar calls, batched calls, and any chunking of
-a batch across workers produce bitwise identical numbers.
+All evaluation funnels through one elementwise kernel, `softplus_sigmoid`:
+the online rounds, the offline comparator and the regret use it alike. Its
+outputs depend only on their own element, so scalar calls, batched calls,
+and any chunking of a batch across workers produce bitwise identical
+numbers.
 """
 
 from __future__ import annotations
@@ -53,21 +55,31 @@ class LossSpec:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
+def softplus_sigmoid(z: np.ndarray) -> tuple:
+    """Elementwise (softplus(z), sigmoid(z)) = (log(1 + e^z), 1 / (1 + e^-z)).
+
+    z is the negated margin -y * a.x, so softplus(z) is the logistic loss
+    and sigmoid(z) the magnitude of its derivative in the margin. Both
+    forms stay finite for any z.
+    """
+    values = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    return values, sig
+
+
 def batch_loss_and_gradient(
     x_rows: np.ndarray, features: np.ndarray, labels: np.ndarray, gamma: float
 ) -> tuple:
     """Vectorized evaluation: row i pairs model x_rows[i] with sample
     (features[i], labels[i]); returns (values (n,), gradients (n, d)).
     """
-    margins = labels * (features * x_rows).sum(axis=1)
-    z = -margins
-    values = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    z = -(labels * (features * x_rows).sum(axis=1))
+    values, sig = softplus_sigmoid(z)
     values = values + 0.5 * gamma * (x_rows * x_rows).sum(axis=1)
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
     grads = (-labels * sig)[:, None] * features + gamma * x_rows
     return values, grads
 
@@ -92,17 +104,13 @@ def gradient(x: np.ndarray, s: LabeledSample, spec: LossSpec) -> np.ndarray:
     return loss_and_gradient(x, s, spec)[1]
 
 
-def smoothness_bound(samples, spec: LossSpec) -> float:
+def smoothness_bound(features: np.ndarray, gamma: float) -> float:
     """Lipschitz constant of the gradient: 0.25 * max ||a||^2 + gamma.
 
     The logistic curvature never exceeds 1/4, so this bounds the Hessian
-    for every sample in the collection.
+    of the loss on every row of the (N, d) feature array.
     """
-    max_sq = None
-    for s in samples:
-        sq = float(s.features @ s.features)
-        if max_sq is None or sq > max_sq:
-            max_sq = sq
-    if max_sq is None:
+    features = np.asarray(features, dtype=float)
+    if features.size == 0:
         raise EmptyDataset("smoothness bound needs at least one sample")
-    return 0.25 * max_sq + spec.gamma
+    return 0.25 * float((features * features).sum(axis=1).max()) + gamma

@@ -2,8 +2,9 @@
 
 The headline performance number is the average loss (1/nT) sum_{i,t}
 f_{i,t}(x_{i,t}); regret is reported against the best fixed model in
-hindsight, found by full-batch gradient descent on the pooled empirical
-loss. Dynamic-regret comparators over a drift budget are deliberately not
+hindsight, found by damped Newton on the pooled empirical loss over the
+run's recorded samples, passed as (T*n, d) features and (T*n,) labels.
+Dynamic-regret comparators over a drift budget are deliberately not
 computed; average loss stands in for them.
 """
 
@@ -20,7 +21,7 @@ from .errors import (
     EmptyRun,
     NonConvergence,
 )
-from .losses import smoothness_bound
+from .losses import softplus_sigmoid
 
 CSV_HEADER = "t,avg_loss,consensus_error,cum_loss"
 
@@ -70,75 +71,108 @@ def consensus_error(x_rows: np.ndarray) -> float:
     return float((centered * centered).sum() / x_rows.shape[0])
 
 
-def gradient_descent(
-    grad_fn,
-    dim: int,
-    step: float,
-    grad_tol: float = 1e-8,
-    max_iters: int = 100_000,
+def _pooled_arrays(features, labels) -> tuple:
+    """Validate a pooled (N, d) feature array and its (N,) labels."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise DimensionMismatch(
+            f"features {features.shape} and labels {labels.shape} are not (N, d) and (N,)"
+        )
+    if labels.size == 0:
+        raise EmptyDataset("pooled loss needs at least one sample")
+    return features, labels
+
+
+def _pooled(features, labels, gamma_total: float, x: np.ndarray) -> tuple:
+    """Value, gradient and sigmoid terms of the pooled objective at x."""
+    values, sig = softplus_sigmoid(-labels * (features @ x))
+    value = float(values.sum()) + 0.5 * gamma_total * float(x @ x)
+    grad = features.T @ (-labels * sig) + gamma_total * x
+    return value, grad, sig
+
+
+def _separable(features: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether some w has y_e a_e.w >= 0 for every e and sum_e y_e a_e.w = 1.
+
+    Such a w lowers the unregularized loss without bound, so no finite
+    minimizer exists; otherwise one does (Albert & Anderson, 1984).
+    """
+    # Imported here: only gamma = 0 needs it, and it slows every CLI start.
+    from scipy.optimize import linprog
+
+    signed = labels[:, None] * features
+    res = linprog(
+        np.zeros(features.shape[1]),
+        A_ub=-signed, b_ub=np.zeros(labels.size),
+        A_eq=signed.sum(axis=0)[None, :], b_eq=[1.0],
+        bounds=(None, None), method="highs",
+    )
+    return res.status == 0
+
+
+def offline_comparator(
+    features, labels, gamma: float, grad_tol: float = 1e-8, max_iters: int = 100
 ) -> np.ndarray:
-    """Fixed-step descent from the origin until ||grad|| <= grad_tol.
+    """Best fixed model in hindsight over N pooled samples.
+
+    Minimizes F(x) = sum_e softplus(-y_e a_e.x) + (gamma_total / 2) ||x||^2,
+    gamma_total = gamma * N, for features (N, d) and labels (N,), by damped
+    Newton from the origin until ||grad F|| <= grad_tol. Each step is the
+    minimum-norm least-squares solution of the Newton system, so directions
+    orthogonal to every feature vector stay at zero (up to rounding; exactly
+    for a feature that is zero in every sample). The backtracking test
+    allows 16 ulps of |F| as rounding slack: near the optimum a full step
+    still shrinks the gradient by orders of magnitude while F, which is
+    large, moves by nothing or a few ulps. Unique for gamma > 0; for
+    gamma = 0 separable data have no finite minimizer and raise at once.
 
     Raises:
-        NonConvergence: iteration cap reached; carries the final norm.
+        NonConvergence: separable data with gamma = 0, a stalled line search
+            or max_iters reached; carries the gradient norm.
     """
-    x = np.zeros(dim)
+    features, labels = _pooled_arrays(features, labels)
+    gamma_total = gamma * labels.size
+    x = np.zeros(features.shape[1])
+    used = features.any(axis=0)  # coordinates no sample touches stay exactly 0
+    value, grad, sig = _pooled(features, labels, gamma_total, x)
+    if gamma_total == 0.0 and _separable(features, labels):
+        raise NonConvergence("separable data: no finite comparator", float(np.linalg.norm(grad)))
+    slack = 16.0 * np.finfo(float).eps
     for _ in range(max_iters):
-        g = grad_fn(x)
-        norm = float(np.linalg.norm(g))
+        norm = float(np.linalg.norm(grad))
         if norm <= grad_tol:
             return x
-        x = x - step * g
-    raise NonConvergence("comparator descent stalled", float(np.linalg.norm(grad_fn(x))))
+        hess = (features * (sig * (1.0 - sig))[:, None]).T @ features
+        hess[np.diag_indices_from(hess)] += gamma_total
+        step = np.zeros_like(x)
+        step[used] = np.linalg.lstsq(hess[np.ix_(used, used)], grad[used], rcond=None)[0]
+        decrease = 1e-4 * float(grad @ step)
+        t = 1.0
+        while True:
+            cand = x - t * step
+            cand_value, cand_grad, cand_sig = _pooled(features, labels, gamma_total, cand)
+            if cand_value <= value - t * decrease + slack * abs(value):
+                break
+            t *= 0.5
+            if t < 1e-12:
+                raise NonConvergence("comparator line search stalled", norm)
+        x, value, grad, sig = cand, cand_value, cand_grad, cand_sig
+    raise NonConvergence("comparator Newton did not converge", float(np.linalg.norm(grad)))
 
 
-def offline_comparator(events, grad_tol: float = 1e-8, max_iters: int = 100_000) -> np.ndarray:
-    """Best fixed model in hindsight for a set of (sample, spec) loss events.
-
-    Minimizes the summed empirical loss by full-batch gradient descent with
-    step 1/L_total where L_total is the pooled smoothness bound times the
-    event count. Unique for gamma > 0 (strong convexity).
-    """
-    events = list(events)
-    if not events:
-        raise EmptyDataset("comparator needs at least one loss event")
-    feats = np.stack([s.features for s, _ in events])
-    labels = np.array([float(s.label) for s, _ in events])
-    gammas = np.array([spec.gamma for _, spec in events])
-    gamma_total = float(gammas.sum())
-    count = len(events)
-    max_gamma_spec = max((spec for _, spec in events), key=lambda sp: sp.gamma)
-    l_total = count * smoothness_bound((s for s, _ in events), max_gamma_spec)
-
-    def grad(x):
-        z = -labels * (feats @ x)
-        sig = np.empty_like(z)
-        pos = z >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        sig[~pos] = ez / (1.0 + ez)
-        return feats.T @ (-labels * sig) + gamma_total * x
-
-    return gradient_descent(grad, feats.shape[1], 1.0 / l_total, grad_tol, max_iters)
-
-
-def static_regret(records, events, comparator: np.ndarray) -> float:
-    """Total loss of the run minus total loss of the fixed comparator."""
+def static_regret(records, features, labels, gamma: float, comparator: np.ndarray) -> float:
+    """Total loss of the run minus the pooled loss of the fixed comparator."""
     records = list(records)
     if not records:
         raise EmptyRun("regret needs at least one recorded round")
-    events = list(events)
+    features, labels = _pooled_arrays(features, labels)
     comparator = np.asarray(comparator, dtype=float)
-    feats = np.stack([s.features for s, _ in events])
-    if comparator.shape != (feats.shape[1],):
+    if comparator.shape != (features.shape[1],):
         raise DimensionMismatch(
-            f"comparator dim {comparator.shape} != feature dim {feats.shape[1]}"
+            f"comparator dim {comparator.shape} != feature dim {features.shape[1]}"
         )
-    labels = np.array([float(s.label) for s, _ in events])
-    gammas = np.array([spec.gamma for _, spec in events])
-    z = -labels * (feats @ comparator)
-    values = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    total_star = float(values.sum() + 0.5 * gammas.sum() * float(comparator @ comparator))
+    total_star = _pooled(features, labels, gamma * labels.size, comparator)[0]
     return records[-1].cum_loss - total_star
 
 

@@ -26,9 +26,6 @@ SCHEMES = (UNIFORM, MAX_DEGREE)
 #: Default tolerance for doubly-stochastic invariant checks.
 DEFAULT_TOL = 1e-9
 
-_POWER_ITERS = 10_000
-_POWER_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class MixingMatrix:
@@ -75,61 +72,23 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
 
 
 def spectral_gap(w: np.ndarray) -> float:
-    """rho = ||W - 11^T/n||_2 by power iteration on M M^T, M = W - 11^T/n.
+    """rho = ||W - 11^T/n||_2, the largest singular value, computed directly.
 
-    Runs from two deterministic start vectors (so the result never depends
-    on a lucky overlap with the dominant eigenvector) and stops at relative
-    eigenvalue tolerance 1e-10 or 10,000 iterations. Returns 0 for n = 1.
+    Exact to rounding for symmetric and asymmetric (Sinkhorn) W alike.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
     if w.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {w.shape}")
-    if n == 1:
-        return 0.0
-    m = w - 1.0 / n
-    return _operator_norm(m)
+    return float(np.linalg.norm(w - 1.0 / n, 2))
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Spectral norm ||A||_2 via the same deterministic power iteration."""
+    """Spectral norm ||A||_2 (largest singular value)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("operator_norm expects a matrix")
-    return _operator_norm(a)
-
-
-def _operator_norm(m: np.ndarray) -> float:
-    rows = m.shape[0]
-    if rows == 1:
-        return float(np.abs(m).sum()) if m.shape[1] == 1 else float(np.linalg.norm(m))
-    gram = m @ m.T
-    # Two deterministic starts: the perturbed all-ones vector converges
-    # instantly when 1 spans the top mode (plain W), while the fixed-seed
-    # Gaussian covers matrices whose top mode is orthogonal to it
-    # (W - 11^T/n has 1 in its null space).
-    ones = np.ones(rows)
-    ones[0] += 1e-3
-    seeded = np.random.Generator(
-        np.random.Philox(key=[0x9E3779B97F4A7C15, rows])
-    ).standard_normal(rows)
-    lam = max(_power_iterate(gram, ones), _power_iterate(gram, seeded))
-    return float(np.sqrt(lam))
-
-
-def _power_iterate(gram: np.ndarray, v: np.ndarray) -> float:
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_ITERS):
-        u = gram @ v
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return 0.0
-        v = u / nu
-        if abs(nu - lam) <= _POWER_RTOL * nu:
-            return nu
-        lam = nu
-    return lam
+    return float(np.linalg.norm(a, 2))
 
 
 def verify_doubly_stochastic(w: np.ndarray, tol: float = DEFAULT_TOL) -> StochasticityReport:

@@ -19,7 +19,6 @@ from dogsim import cli
 from dogsim.datagen import SyntheticSpec, SyntheticStream
 from dogsim.engine import dog_round, run_experiment
 from dogsim.losses import LabeledSample, LossSpec, gradient, loss
-from dogsim.metrics import gradient_descent
 from dogsim.mixing import build_mixing, operator_norm
 from dogsim.topology import build_topology
 
@@ -238,11 +237,12 @@ def test_criterion_09_regret_bound():
                                loss_spec=GAMMA, data=data, mixing=mixing,
                                seed=seed, record_samples=True)
         res = run_experiment(cfg)
-        events = list(res.loss_events())
-        comparator = dogsim.offline_comparator(events)
-        regrets.append(dogsim.static_regret(res.records, events, comparator))
+        features, labels = res.pooled_samples()
+        comparator = dogsim.offline_comparator(features, labels, GAMMA.gamma)
+        regrets.append(dogsim.static_regret(res.records, features, labels, GAMMA.gamma,
+                                            comparator))
         g_hat, s_hat = dogsim.estimate_gradient_bounds(res.grad_norms)
-        lipschitz = dogsim.smoothness_bound((s for s, _ in events), GAMMA)
+        lipschitz = dogsim.smoothness_bound(features, GAMMA.gamma)
         r_hat = max(r_pilot, float(comparator @ comparator))
         bounds.append(dogsim.regret_bound(dogsim.BoundParams(
             n=8, T=500, eta=eta, G=g_hat, sigma=s_hat, L=lipschitz,
@@ -299,15 +299,15 @@ def test_criterion_11_equivalences():
 
 def test_criterion_12_oracle_checks():
     start = time.perf_counter()
+    # One feature a = 1, k positive and m negative labels, gamma = 0: the
+    # pooled loss k*softplus(-x) + m*softplus(x) is least at x = log(k/m).
+    k, m = 7, 3
+    labels = np.array([1.0] * k + [-1.0] * m)
+    solution = dogsim.offline_comparator(np.ones((k + m, 1)), labels, 0.0)
+    ok = abs(float(solution[0]) - np.log(k / m)) <= 1e-8
+
     rng = np.random.default_rng(12)
-    centers = rng.standard_normal((8, 4))
-
-    def quad_grad(x):
-        return len(centers) * x - centers.sum(axis=0)
-
-    solution = gradient_descent(quad_grad, 4, step=1.0 / len(centers), grad_tol=1e-12)
-    ok = float(np.linalg.norm(solution - centers.mean(axis=0))) <= 1e-8
-
+    rng.standard_normal((8, 4))  # skipped draw, so the k-means clouds keep their values
     cloud_a = rng.uniform(-0.1, 0.1, size=(4, 2))
     cloud_b = rng.uniform(-0.1, 0.1, size=(4, 2)) + 10.0
     points = np.vstack([cloud_a, cloud_b])

@@ -279,8 +279,8 @@ def test_recorded_samples_match_pure_generator():
     cfg = RunConfig(algorithm="local_ogd", n=5, T=10, eta=0.1, loss_spec=GAMMA,
                     data=spec, mixing=_mix("ring", 5), seed=21, record_samples=True)
     res = run_experiment(cfg)
-    events = list(res.loss_events())
-    assert len(events) == 50
+    features, labels = res.pooled_samples()
+    assert features.shape == (50, 4) and labels.shape == (50,)
     from dogsim.datagen import synthetic_sample
 
     for t in range(10):

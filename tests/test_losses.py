@@ -106,12 +106,12 @@ def test_loss_dominates_regularizer():
 
 
 def test_smoothness_bound_values():
-    s2 = LabeledSample(np.array([2.0, 0.0]), 1)  # ||a||^2 = 4
-    assert smoothness_bound([s2], PLAIN) == pytest.approx(1.0)
-    zero = LabeledSample(np.zeros(2), -1)
-    assert smoothness_bound([zero], LossSpec(gamma=1e-3)) == pytest.approx(1e-3)
-    s1 = LabeledSample(np.array([1.0, 0.0]), 1)  # ||a||^2 = 1
-    assert smoothness_bound([s1, zero], LossSpec(gamma=1e-3)) == pytest.approx(0.251)
+    s2 = np.array([2.0, 0.0])  # ||a||^2 = 4
+    assert smoothness_bound(s2[None, :], PLAIN.gamma) == pytest.approx(1.0)
+    zero = np.zeros(2)
+    assert smoothness_bound(zero[None, :], 1e-3) == pytest.approx(1e-3)
+    s1 = np.array([1.0, 0.0])  # ||a||^2 = 1
+    assert smoothness_bound(np.stack([s1, zero]), 1e-3) == pytest.approx(0.251)
 
 
 def test_dimension_mismatch():
@@ -124,7 +124,7 @@ def test_dimension_mismatch():
 
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
-        smoothness_bound([], PLAIN)
+        smoothness_bound(np.empty((0, 2)), PLAIN.gamma)
 
 
 def test_invalid_sample_and_spec():

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import expit
 
+from dogsim.datagen import SyntheticSpec, SyntheticStream
 from dogsim.errors import (
     DegenerateParameters,
     DimensionMismatch,
@@ -15,7 +19,6 @@ from dogsim.metrics import (
     average_loss,
     consensus_error,
     estimate_gradient_bounds,
-    gradient_descent,
     metrics_to_csv,
     offline_comparator,
     regret_bound,
@@ -46,77 +49,133 @@ def test_consensus_error_values():
     assert consensus_error(shifted) == pytest.approx(consensus_error(x), abs=1e-9)
 
 
-def test_quadratic_descent_returns_mean_of_centers():
-    rng = np.random.default_rng(1)
-    centers = rng.standard_normal((6, 3))
-
-    def grad(x):
-        return len(centers) * x - centers.sum(axis=0)
-
-    out = gradient_descent(grad, 3, step=1.0 / len(centers), grad_tol=1e-10)
-    assert np.linalg.norm(out - centers.mean(axis=0)) <= 1e-8
-
-
-def test_gradient_descent_non_convergence():
-    with pytest.raises(NonConvergence):
-        gradient_descent(lambda x: np.ones(2), 2, step=1e-9, grad_tol=1e-12, max_iters=10)
-
-
-def _events(samples, spec):
-    return [(s, spec) for s in samples]
+def _arrays(samples):
+    return (np.stack([s.features for s in samples]),
+            np.array([float(s.label) for s in samples]))
 
 
 def test_comparator_single_repeated_sample_matches_scipy():
     spec = LossSpec(gamma=0.1)
     s = LabeledSample(np.array([1.0, -2.0]), 1)
-    events = _events([s] * 7, spec)
-    ours = offline_comparator(events)
+    samples = [s] * 7
+    ours = offline_comparator(*_arrays(samples), spec.gamma)
 
     def objective(x):
-        return sum(loss(x, smp, sp) for smp, sp in events)
+        return sum(loss(x, smp, spec) for smp in samples)
 
     reference = minimize(objective, np.zeros(2), method="BFGS", tol=1e-12).x
     assert np.linalg.norm(ours - reference) <= 1e-6
 
 
 def test_comparator_huge_regularizer_pins_origin():
-    spec = LossSpec(gamma=1e6)
     rng = np.random.default_rng(2)
-    events = _events(
-        [LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-         for _ in range(20)],
-        spec,
-    )
-    out = offline_comparator(events)
+    samples = [LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
+               for _ in range(20)]
+    out = offline_comparator(*_arrays(samples), 1e6)
     assert np.linalg.norm(out) <= 1e-3
 
 
 def test_comparator_mixed_dataset_first_order_optimality():
     rng = np.random.default_rng(3)
     spec = LossSpec(gamma=1e-2)
-    events = _events(
-        [LabeledSample(rng.standard_normal(4), 1 if rng.random() < 0.5 else -1)
-         for _ in range(100)],
-        spec,
-    )
-    out = offline_comparator(events, grad_tol=1e-9)
+    samples = [LabeledSample(rng.standard_normal(4), 1 if rng.random() < 0.5 else -1)
+               for _ in range(100)]
+    out = offline_comparator(*_arrays(samples), spec.gamma, grad_tol=1e-9)
 
     def objective(x):
-        return sum(loss(x, smp, sp) for smp, sp in events)
+        return sum(loss(x, smp, spec) for smp in samples)
 
     reference = minimize(objective, np.zeros(4), method="L-BFGS-B", tol=1e-14).x
     assert np.linalg.norm(out - reference) <= 1e-5
+
+
+def _pooled_objective(features, labels, gamma):
+    """Value and gradient of the pooled loss, written out independently."""
+    gamma_total = gamma * labels.size
+
+    def fun(x):
+        z = -labels * (features @ x)
+        value = np.logaddexp(0.0, z).sum() + 0.5 * gamma_total * (x @ x)
+        grad = features.T @ (-labels * expit(z)) + gamma_total * x
+        return value, grad
+
+    return fun
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 300),
+    dim=st.integers(1, 12),
+    gamma=st.floats(1e-6, 10.0),
+)
+def test_comparator_property_residual_and_optimality(seed, count, dim, gamma):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((count, dim)) * rng.uniform(0.1, 5.0)
+    labels = np.where(rng.random(count) < 0.5, 1.0, -1.0)
+    x = offline_comparator(features, labels, gamma)
+    fun = _pooled_objective(features, labels, gamma)
+    value, grad = fun(x)
+    assert np.linalg.norm(grad) <= 1e-8
+    reference = minimize(fun, np.zeros(dim), jac=True, method="L-BFGS-B",
+                         options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+    # F is (gamma N)-strongly convex, so a point with gradient g is within
+    # ||g||^2 / (2 gamma N) of the minimum; with a tiny gamma and a tiny F
+    # (one sample, gamma = 1e-6) that gap exceeds 1e-9 |F|.
+    gap = float(grad @ grad) / (2.0 * gamma * count)
+    assert value <= reference.fun + 1e-9 * abs(value) + gap
+
+
+@pytest.mark.parametrize("seed", [3007594413, 588811876, 3465964639, 3696874187])
+def test_comparator_desk_stream_regression(seed):
+    # Desk streams (ring n=50, T=40, dim=10, beta=0.3, gamma=1e-3) where a
+    # plain Armijo test stalls: near the optimum a full Newton step shrinks
+    # the gradient from about 1e-7 to 1e-14 but moves the objective (about
+    # 1e3) by nothing or a few ulps. The pooled data do not depend on eta.
+    stream = SyntheticStream(SyntheticSpec(dim=10, beta=0.3, n=50, seed=seed))
+    batches = [stream.round_batch(t) for t in range(1, 41)]
+    features = np.concatenate([f for f, _ in batches])
+    labels = np.concatenate([y for _, y in batches])
+    x = offline_comparator(features, labels, 1e-3)
+    fun = _pooled_objective(features, labels, 1e-3)
+    value, grad = fun(x)
+    assert np.linalg.norm(grad) <= 1e-8
+    reference = minimize(fun, np.zeros(10), jac=True, method="L-BFGS-B",
+                         options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+    assert value <= reference.fun + 1e-9 * abs(value)
+
+
+def test_comparator_separable_unregularized_raises():
+    rng = np.random.default_rng(8)
+    features = rng.standard_normal((40, 3))
+    labels = np.where(features @ np.array([1.0, -2.0, 0.5]) > 0, 1.0, -1.0)
+    with pytest.raises(NonConvergence) as info:
+        offline_comparator(features, labels, 0.0)
+    assert np.isfinite(info.value.residual) and info.value.residual > 0
+
+
+def test_comparator_unregularized_zero_column_stays_zero():
+    # A least-squares solve over all coordinates leaves rounding noise in
+    # the zero column at this size; the column must stay exactly 0.
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        features = rng.standard_normal((200, 8))
+        features[:, 2] = 0.0
+        labels = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+        x = offline_comparator(features, labels, 0.0)
+        assert x[2] == 0.0
+        assert np.linalg.norm(_pooled_objective(features, labels, 0.0)(x)[1]) <= 1e-8
 
 
 def test_static_regret_zero_for_comparator_trajectory():
     spec = LossSpec(gamma=1e-3)
     rng = np.random.default_rng(4)
     samples = [LabeledSample(rng.standard_normal(2), 1) for _ in range(10)]
-    events = _events(samples, spec)
-    comparator = offline_comparator(events)
+    features, labels = _arrays(samples)
+    comparator = offline_comparator(features, labels, spec.gamma)
     total = sum(loss(comparator, s, spec) for s in samples)
     records = [_record(1, total / 10.0, cum=total)]
-    regret = static_regret(records, events, comparator)
+    regret = static_regret(records, features, labels, spec.gamma, comparator)
     assert abs(regret) <= 1e-9 * (1.0 + abs(total))
 
 
@@ -127,32 +186,31 @@ def test_static_regret_comparator_is_optimal():
         LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
         for _ in range(40)
     ]
-    events = _events(samples, spec)
-    comparator = offline_comparator(events)
+    features, labels = _arrays(samples)
+    comparator = offline_comparator(features, labels, spec.gamma)
     records = [_record(1, 0.0, cum=123.0)]
-    base = static_regret(records, events, comparator)
+    base = static_regret(records, features, labels, spec.gamma, comparator)
     # the minimizer subtracts the smallest possible total, so regret versus
     # any other fixed point can only be smaller
     for _ in range(20):
         alt = comparator + rng.standard_normal(3) * rng.uniform(0.01, 2.0)
-        assert static_regret(records, events, alt) <= base + 1e-6
+        assert static_regret(records, features, labels, spec.gamma, alt) <= base + 1e-6
 
 
 def test_static_regret_single_event_nonnegative():
     spec = LossSpec(gamma=1e-2)
     s = LabeledSample(np.array([1.0, 1.0]), 1)
-    events = _events([s], spec)
-    comparator = offline_comparator(events)
+    features, labels = _arrays([s])
+    comparator = offline_comparator(features, labels, spec.gamma)
     x1 = np.array([0.5, -0.5])
     records = [_record(1, loss(x1, s, spec), cum=loss(x1, s, spec))]
-    assert static_regret(records, events, comparator) >= -1e-6
+    assert static_regret(records, features, labels, spec.gamma, comparator) >= -1e-6
 
 
 def test_static_regret_dimension_mismatch():
-    spec = LossSpec(gamma=0.0)
-    events = _events([LabeledSample(np.array([1.0, 2.0]), 1)], spec)
+    features, labels = _arrays([LabeledSample(np.array([1.0, 2.0]), 1)])
     with pytest.raises(DimensionMismatch):
-        static_regret([_record(1, 0.0)], events, np.zeros(3))
+        static_regret([_record(1, 0.0)], features, labels, 0.0, np.zeros(3))
 
 
 def test_estimate_gradient_bounds():

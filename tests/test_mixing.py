@@ -65,6 +65,16 @@ def test_spectral_gap_ring4_max_degree():
     assert abs(m.rho - 1.0 / 3.0) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [5, 50, 500])
+def test_spectral_gap_max_degree_ring_is_exact(n):
+    # Circulant eigenvalues (1 + 2 cos(2 pi k / n)) / 3; rho is the largest
+    # magnitude off k = 0. Power iteration read 7.9e-8 low at n = 500.
+    m = build_mixing(build_topology("ring", n), MAX_DEGREE)
+    k = np.arange(1, n)
+    exact = float(np.abs(1.0 + 2.0 * np.cos(2.0 * np.pi * k / n)).max() / 3.0)
+    assert abs(m.rho - exact) <= 1e-12
+
+
 def test_spectral_gap_single_node():
     assert spectral_gap(np.array([[1.0]])) == 0.0
 
