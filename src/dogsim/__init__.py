@@ -6,7 +6,7 @@ online objective, synthetic and LIBSVM data streams, per-round metrics,
 and closed-form regret/consensus bound checks.
 """
 
-from .datagen import SyntheticSpec, synthetic_sample
+from .datagen import SyntheticSpec, synthetic_block, synthetic_sample
 from .engine import (
     Bounds,
     NetworkState,
@@ -72,6 +72,7 @@ __all__ = [
     "spectral_gap",
     "split_stoch_adv",
     "static_regret",
+    "synthetic_block",
     "synthetic_sample",
     "verify_doubly_stochastic",
 ]

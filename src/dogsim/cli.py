@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import engine, ingest, metrics, mixing, topology
-from .datagen import SyntheticSpec, synthetic_sample
+from .datagen import SyntheticSpec, synthetic_block
 from .errors import (
     ConfigError,
     DegenerateParameters,
@@ -25,7 +25,7 @@ from .errors import (
     NonConvergence,
     SimulationError,
 )
-from .losses import LossSpec, smoothness_bound
+from .losses import LabeledSample, LossSpec, smoothness_bound
 from .metrics import fmt17
 
 _SCHEMA = {
@@ -451,9 +451,10 @@ def cmd_data(config_path, count: int, output) -> int:
         samples = []
         if ef.data_mode == SYNTHETIC:
             spec = SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
+            features, labels = synthetic_block(spec, 1, count + 1)
             for i in range(ef.n):
-                for t in range(1, count + 1):
-                    samples.append(synthetic_sample(spec, i, t))
+                for t in range(count):
+                    samples.append(LabeledSample(features[t, i], int(labels[t, i])))
         else:
             dataset = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
             streams = ingest.split_stoch_adv(

@@ -1,8 +1,24 @@
 """Deterministic synthetic data streams mixing adversarial and stochastic parts.
 
-Each (node i, round t) sample is produced from its own Philox counter
-stream keyed on (seed, stream tag) with counter block (0, 0, i, t), so any
-query order, thread schedule, or parallel split reproduces identical bits.
+Each (node i, round t) sample is drawn from Philox4x64-10 keyed on
+(seed, stream tag). Its raw 64-bit words are the outputs of the counter
+blocks (b, 0, i, t) for b = 1, 2, ..., ceil((2 dim + 1) / 4), four words per
+block in output order, truncated to 2 dim + 1 words. (Counter words are
+listed least significant first; b starts at 1 because numpy's Philox
+increments its counter before each block.) Philox is a pure function of
+(key, counter) (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+3", SC'11), so any query order, tiling, thread schedule, or parallel split
+reproduces identical bits.
+
+Two paths produce the same bits:
+    synthetic_sample   one sample through numpy's own ``np.random.Philox``;
+                       the scalar reference.
+    synthetic_block    a (rounds x nodes) block; Philox runs in numpy uint64
+                       arithmetic over all counters at once, with the
+                       64x64 -> 128-bit products built from 32-bit halves.
+                       It works in tiles of ``tile_rounds(n)`` rounds, about
+                       TILE_SAMPLES samples each, which bounds its scratch
+                       memory; the simulation loop asks for one tile at a time.
 
 Draw plan per sample, in order, all from 53-bit uniforms u = (raw >> 11) * 2^-53:
     u[0]            label: y = +1 if u[0] < 0.5 else -1
@@ -29,8 +45,20 @@ from .losses import LabeledSample
 #: Stream tag separating this generator's randomness from any other consumer.
 STREAM_TAG = 0x646F6773
 
+#: About this many (node, round) samples are generated per tile.
+TILE_SAMPLES = 4096
+
 _U53 = 2.0 ** -53
 _SHIFT = np.uint64(11)
+
+_PHILOX_ROUNDS = 10
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -49,6 +77,8 @@ class SyntheticSpec:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -70,45 +100,93 @@ def synthetic_sample(spec: SyntheticSpec, node: int, round: int) -> LabeledSampl
         raise ValueError(f"node must be in [0, {spec.n}), got {node}")
     if round < 1:
         raise ValueError(f"round must be >= 1, got {round}")
-    bg = np.random.Philox(counter=[0, 0, node, round], key=[spec.seed, STREAM_TAG])
+    key = np.array([spec.seed, STREAM_TAG], dtype=np.uint64)
+    bg = np.random.Philox(counter=[0, 0, node, round], key=key)
     u = _uniforms(bg.random_raw(2 * spec.dim + 1))
     features, y = _mix(u, spec, node, round)
     return LabeledSample(features, y)
 
 
-class SyntheticStream:
-    """Round-batched view of the same stream for the simulation hot path.
+def tile_rounds(n: int) -> int:
+    """Rounds per tile for n nodes: max(1, TILE_SAMPLES // n)."""
+    return max(1, TILE_SAMPLES // n)
 
-    Reuses a single Philox bit generator by resetting its counter per
-    (node, round), which produces bits identical to ``synthetic_sample``
-    but several times faster. Instances are not safe for concurrent use;
-    create one per run (the pure function above is safe anywhere).
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
+    """(high, low) 64-bit words of the 128-bit product m * x."""
+    m_lo, m_hi = m & _LO32, m >> _S32
+    x_lo, x_hi = x & _LO32, x >> _S32
+    lh = x_lo * m_hi
+    hl = x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _S32) + (lh & _LO32) + (hl & _LO32)
+    hi = x_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+    return hi, x * m
+
+
+def _philox(c0, c1, c2, c3, seed: int) -> np.ndarray:
+    """Philox4x64-10 of counters (c0, c1, c2, c3) under key (seed, STREAM_TAG).
+
+    The counter words broadcast against each other (ten rounds mix every
+    word into every other); returns the four output words stacked on a new
+    last axis.
     """
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((int(seed) + r * _PHILOX_W0) & _MASK64)
+        k1 = np.uint64((STREAM_TAG + r * _PHILOX_W1) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1)
+
+
+def _fill_tile(spec: SyntheticSpec, first: int, features: np.ndarray, labels: np.ndarray):
+    """Write rounds first, first+1, ... of every node into features (k, n, dim)
+    and labels (k, n)."""
+    k, n, dim = features.shape
+    width = 2 * dim + 1
+    blocks = -(-width // 4)
+    raw = _philox(
+        np.arange(1, blocks + 1, dtype=np.uint64),
+        np.uint64(0),
+        np.arange(n, dtype=np.uint64)[:, None],
+        np.arange(first, first + k, dtype=np.uint64)[:, None, None],
+        spec.seed,
+    )
+    u = _uniforms(raw.reshape(k, n, 4 * blocks)[..., :width])
+    labels[:] = np.where(u[..., 0] < 0.5, 1.0, -1.0)
+    # math.sin, not np.sin, so entries match the scalar path bit for bit
+    node_center = np.array([math.sin(i) - 0.5 for i in range(n)])
+    round_shift = np.array([0.5 * math.sin(t) for t in range(first, first + k)])
+    adv = node_center[:, None] + u[..., 1 : dim + 1]
+    gauss_u = u[..., dim + 1 :] * (1.0 - _U53) + 0.5 * _U53
+    sto = (labels + round_shift[:, None])[..., None] + ndtri(gauss_u)
+    np.add(spec.beta * adv, (1.0 - spec.beta) * sto, out=features)
+
+
+def synthetic_block(spec: SyntheticSpec, first: int, last: int) -> tuple:
+    """Samples of every node for rounds first..last-1, bitwise equal to
+    ``synthetic_sample``: (features (k, n, dim), labels (k, n)), k = last - first.
+    """
+    if first < 1:
+        raise ValueError(f"first round must be >= 1, got {first}")
+    if last < first:
+        raise ValueError(f"last round {last} is before first round {first}")
+    features = np.empty((last - first, spec.n, spec.dim))
+    labels = np.empty((last - first, spec.n))
+    step = tile_rounds(spec.n)
+    for lo in range(first, last, step):
+        hi = min(lo + step, last)
+        _fill_tile(spec, lo, features[lo - first : hi - first], labels[lo - first : hi - first])
+    return features, labels
+
+
+class SyntheticStream:
+    """One-round view of ``synthetic_block`` for callers that step by round."""
 
     def __init__(self, spec: SyntheticSpec):
         self.spec = spec
-        self._bg = np.random.Philox(key=[spec.seed, STREAM_TAG])
-        # math.sin, not np.sin, so entries match the scalar path bit for bit
-        self._node_center = np.array(
-            [math.sin(i) - 0.5 for i in range(spec.n)]
-        )
-
-    def _raw(self, node: int, round: int) -> np.ndarray:
-        st = self._bg.state
-        st["state"]["counter"][:] = (0, 0, node, round)
-        st["buffer_pos"] = 4  # discard buffered bits from the previous key
-        self._bg.state = st
-        return self._bg.random_raw(2 * self.spec.dim + 1)
 
     def round_batch(self, round: int) -> tuple:
         """All nodes' samples for one round: (features (n, dim), labels (n,))."""
-        spec = self.spec
-        dim = spec.dim
-        u = np.empty((spec.n, 2 * dim + 1))
-        for i in range(spec.n):
-            u[i] = _uniforms(self._raw(i, round))
-        labels = np.where(u[:, 0] < 0.5, 1.0, -1.0)
-        adv = self._node_center[:, None] + u[:, 1 : dim + 1]
-        gauss_u = u[:, dim + 1 :] * (1.0 - _U53) + 0.5 * _U53
-        sto = (labels + 0.5 * math.sin(round))[:, None] + ndtri(gauss_u)
-        return spec.beta * adv + (1.0 - spec.beta) * sto, labels
+        features, labels = synthetic_block(self.spec, round, round + 1)
+        return features[0], labels[0]

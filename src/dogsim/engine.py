@@ -8,7 +8,9 @@ model, metrics are recorded, and the models advance:
     cog:       x   <- x - eta * mean_i grad_i         (one shared model)
 
 Models are stacked as rows of an (n, d) array, so the gossip update is
-W @ X. Gradients are always evaluated at the round-start models, in
+W @ X. Samples reach the loop a tile of rounds at a time
+(``datagen.tile_rounds``), as (rounds, nodes, dim) arrays from either data
+source. Gradients are always evaluated at the round-start models, in
 ascending node order; worker threads only fill independent slots of a
 preallocated array, so outputs are identical for any thread count.
 """
@@ -23,7 +25,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .datagen import SyntheticSpec, SyntheticStream
+from .datagen import SyntheticSpec, synthetic_block, tile_rounds
 from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected, NonFiniteGradient
 from .ingest import NodeStreams
 from .losses import LossSpec, batch_loss_and_gradient
@@ -201,24 +203,21 @@ def auto_learning_rate(
     return math.sqrt((1.0 - rho) * (n * M * math.sqrt(R) + n * R) / denom)
 
 
-class _StreamAdapter:
-    """Uniform (features, labels) per-round access for both data sources."""
-
-    def __init__(self, data, n: int):
-        if isinstance(data, SyntheticSpec):
-            self._stream = SyntheticStream(data)
-            self._node_streams = None
+def _round_data(cfg: RunConfig, feats_log, labels_log):
+    """Yield (t, features (n, d), labels (n,)) for t = 1..T, generated or
+    stacked one tile of rounds at a time; copies each tile into the logs
+    when they are given."""
+    step = tile_rounds(cfg.n)
+    for first in range(1, cfg.T + 1, step):
+        last = min(first + step, cfg.T + 1)
+        if isinstance(cfg.data, SyntheticSpec):
+            feats, labels = synthetic_block(cfg.data, first, last)
         else:
-            self._stream = None
-            self._node_streams = data.streams
-        self.n = n
-
-    def round_batch(self, t: int) -> tuple:
-        if self._stream is not None:
-            return self._stream.round_batch(t)
-        feats = np.stack([self._node_streams[i][t - 1].features for i in range(self.n)])
-        labels = np.array([float(self._node_streams[i][t - 1].label) for i in range(self.n)])
-        return feats, labels
+            feats, labels = cfg.data.block(first, last)
+        if feats_log is not None:
+            feats_log[first - 1 : last - 1] = feats
+            labels_log[first - 1 : last - 1] = labels
+        yield from zip(range(first, last), feats, labels)
 
 
 def _resolve_eta(cfg: RunConfig) -> float:
@@ -249,7 +248,6 @@ def run_experiment(cfg: RunConfig, threads: int = 1) -> RunResult:
             stacklevel=2,
         )
 
-    stream = _StreamAdapter(cfg.data, n)
     rows = 1 if cfg.algorithm == COG else n
     x = np.zeros((rows, dim))
     w = cfg.mixing.entries if cfg.algorithm == DOG else None
@@ -265,11 +263,7 @@ def run_experiment(cfg: RunConfig, threads: int = 1) -> RunResult:
     chunks = _chunk_bounds(n, threads)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        for t in range(1, cfg.T + 1):
-            feats, labels = stream.round_batch(t)
-            if cfg.record_samples:
-                feats_log[t - 1] = feats
-                labels_log[t - 1] = labels
+        for t, feats, labels in _round_data(cfg, feats_log, labels_log):
             x_rows = np.broadcast_to(x[0], (n, dim)) if cfg.algorithm == COG else x
 
             if pool is None:

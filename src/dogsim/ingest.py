@@ -34,6 +34,15 @@ class NodeStreams:
     def n(self) -> int:
         return len(self.streams)
 
+    def block(self, first: int, last: int) -> tuple:
+        """Samples of every node for rounds first..last-1 (1-based), stacked
+        as (features (k, n, dim), labels (k, n)), k = last - first."""
+        rows = [[stream[t] for stream in self.streams] for t in range(first - 1, last - 1)]
+        features = np.array([[s.features for s in row] for row in rows], dtype=float)
+        labels = np.array([[float(s.label) for s in row] for row in rows])
+        k = last - first
+        return features.reshape(k, self.n, self.dim), labels.reshape(k, self.n)
+
 
 def parse_libsvm(text: str) -> Dataset:
     """Parse LIBSVM text: "<label> <index>:<value> ...", 1-based ascending

@@ -247,3 +247,52 @@ def test_main_dispatch(tmp_path):
     assert cli.main(["matrix", str(cfg)]) == 0
     assert cli.main(["nope"]) == 1
     assert cli.main(["--help"]) == 0
+
+
+def test_seed_outside_uint64_is_a_config_error(tmp_path, capsys):
+    for seed in ("18446744073709551616", "-1"):
+        cfg = _write(tmp_path, BASE_CONFIG.replace("seed = 42", f"seed = {seed}"))
+        assert cli.cmd_run(cfg, tmp_path / "out") == 1
+        assert cli.cmd_data(cfg, 2, tmp_path / "dump.libsvm") == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_top_uint64_seed_has_its_own_stream(tmp_path):
+    # 2^64 - 1 used to become the float key 2^64, which wraps to 0
+    def metrics(seed):
+        out = tmp_path / f"out{seed}"
+        cfg = _write(tmp_path, BASE_CONFIG.replace("seed = 42", f"seed = {seed}"))
+        assert cli.cmd_run(cfg, out) == 0
+        return (out / "metrics.csv").read_bytes()
+
+    assert metrics(2**64 - 1) != metrics(0)
+    assert metrics(2**63 + 1) != metrics(2**63 + 1000)
+
+
+@pytest.mark.parametrize("tile_samples", [None, 12])
+def test_data_dump_synthetic_matches_scalar_path(tmp_path, monkeypatch, tile_samples):
+    from dogsim import datagen
+    from dogsim.datagen import SyntheticSpec, synthetic_sample
+
+    if tile_samples is not None:
+        monkeypatch.setattr(datagen, "TILE_SAMPLES", tile_samples)  # 2-round tiles
+    outfile = tmp_path / "dump.libsvm"
+    assert cli.cmd_data(_write(tmp_path, BASE_CONFIG), 7, outfile) == 0
+    spec = SyntheticSpec(dim=4, beta=0.5, n=6, seed=42)
+    expected = [synthetic_sample(spec, i, t) for i in range(6) for t in range(1, 8)]
+    assert outfile.read_bytes() == serialize_libsvm(expected).encode()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
+    import runpy
+    import sys
+
+    out = tmp_path / "out"
+    argv = ["dogsim", "run", str(_write(tmp_path, BASE_CONFIG)), str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("dogsim", run_name="__main__")
+    assert exc.value.code == 0
+    assert len((out / "metrics.csv").read_text().splitlines()) == 31

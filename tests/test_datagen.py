@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dogsim.datagen import SyntheticSpec, SyntheticStream, synthetic_sample
+from dogsim import datagen
+from dogsim.datagen import (
+    STREAM_TAG,
+    SyntheticSpec,
+    SyntheticStream,
+    synthetic_block,
+    synthetic_sample,
+)
+
+UINT64_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def test_repeated_queries_are_bit_identical():
@@ -95,6 +106,92 @@ def test_stream_batch_matches_scalar_op_bitwise():
             assert int(labels[i]) == s.label
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=UINT64_SEEDS,
+    n=st.integers(1, 64),
+    dim=st.integers(1, 12),
+    beta=st.floats(0.0, 1.0),
+    first=st.integers(1, 2**40),
+    k=st.integers(0, 8),
+)
+def test_block_matches_scalar_bitwise(seed, n, dim, beta, first, k):
+    spec = SyntheticSpec(dim=dim, beta=beta, n=n, seed=seed)
+    feats, labels = synthetic_block(spec, first, first + k)
+    assert feats.shape == (k, n, dim) and labels.shape == (k, n)
+    for t in range(k):
+        for i in range(n):
+            s = synthetic_sample(spec, i, first + t)
+            assert np.array_equal(feats[t, i], s.features)
+            assert labels[t, i] == s.label
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=UINT64_SEEDS,
+    n=st.integers(1, 64),
+    dim=st.integers(1, 12),
+    first=st.integers(1, 2**40),
+    length=st.integers(0, 200),
+    data=st.data(),
+)
+def test_block_split_anywhere_is_bitwise_identical(seed, n, dim, first, length, data):
+    # lengths up to 200 rounds also cross the block's own tile boundaries
+    # (tile_rounds(n) >= 64 here)
+    spec = SyntheticSpec(dim=dim, beta=0.3, n=n, seed=seed)
+    cuts = data.draw(st.lists(st.integers(first, first + length), max_size=5))
+    bounds = [first, *sorted(cuts), first + length]
+    pieces = [synthetic_block(spec, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    whole_feats, whole_labels = synthetic_block(spec, first, first + length)
+    assert np.concatenate([f for f, _ in pieces]).tobytes() == whole_feats.tobytes()
+    assert np.concatenate([y for _, y in pieces]).tobytes() == whole_labels.tobytes()
+
+
+def test_tile_rounds_covers_about_tile_samples():
+    assert datagen.tile_rounds(50) == datagen.TILE_SAMPLES // 50
+    assert datagen.tile_rounds(500) == 8
+    assert datagen.tile_rounds(10**6) == 1
+
+
+def test_block_tiles_internally(monkeypatch):
+    spec = SyntheticSpec(dim=3, beta=0.5, n=5, seed=4)
+    whole = synthetic_block(spec, 3, 20)
+    monkeypatch.setattr(datagen, "TILE_SAMPLES", 12)  # 2 rounds per tile
+    tiled = synthetic_block(spec, 3, 20)
+    assert whole[0].tobytes() == tiled[0].tobytes()
+    assert whole[1].tobytes() == tiled[1].tobytes()
+
+
+def test_seed_outside_uint64_is_rejected():
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError, match="seed"):
+            SyntheticSpec(dim=3, beta=0.5, n=4, seed=seed)
+    SyntheticSpec(dim=3, beta=0.5, n=4, seed=2**64 - 1)
+
+
+def test_seeds_above_2_63_do_not_alias():
+    # A key list holding an int >= 2^63 used to become float64, so these
+    # seeds shared one key (and 2^64 - 1 collided with 0).
+    def first_sample(seed):
+        return synthetic_sample(SyntheticSpec(dim=4, beta=0.5, n=2, seed=seed), 1, 1).features
+
+    for a, b in ((2**63 + 1, 2**63 + 1000), (2**64 - 1, 0), (2**63, 2**63 + 1)):
+        assert not np.array_equal(first_sample(a), first_sample(b))
+
+
+def test_counter_layout_matches_docstring():
+    # Block b of sample (i, t) is Philox4x64-10 at counter (b, 0, i, t) under
+    # key (seed, STREAM_TAG). numpy increments the counter before each block,
+    # so a generator started at (1, 0, i, t) returns block 2 first.
+    seed, i, t = 2**64 - 3, 3, 9
+    spec = SyntheticSpec(dim=5, beta=1.0, n=4, seed=seed)
+    key = np.array([seed, STREAM_TAG], dtype=np.uint64)
+    bg = np.random.Philox(counter=[1, 0, i, t], key=key)
+    u = (bg.random_raw(4) >> np.uint64(11)) * 2.0**-53  # words 4..7 of the sample
+    feats, _ = synthetic_block(spec, t, t + 1)
+    assert np.array_equal(feats[0, i, 3:5], (math.sin(i) - 0.5) + u[:2])
+
+
 def test_argument_validation():
     spec = SyntheticSpec(dim=3, beta=0.5, n=4, seed=0)
     with pytest.raises(ValueError):
@@ -107,3 +204,7 @@ def test_argument_validation():
         SyntheticSpec(dim=0, beta=0.5, n=4, seed=0)
     with pytest.raises(ValueError):
         SyntheticSpec(dim=3, beta=1.5, n=4, seed=0)
+    with pytest.raises(ValueError):
+        synthetic_block(spec, 0, 2)
+    with pytest.raises(ValueError):
+        synthetic_block(spec, 5, 4)

@@ -275,19 +275,49 @@ def test_node_streams_data_source():
 
 
 def test_recorded_samples_match_pure_generator():
-    spec = SyntheticSpec(dim=4, beta=0.3, n=5, seed=21)
-    cfg = RunConfig(algorithm="local_ogd", n=5, T=10, eta=0.1, loss_spec=GAMMA,
-                    data=spec, mixing=_mix("ring", 5), seed=21, record_samples=True)
-    res = run_experiment(cfg)
-    features, labels = res.pooled_samples()
-    assert features.shape == (50, 4) and labels.shape == (50,)
     from dogsim.datagen import synthetic_sample
 
-    for t in range(10):
-        for i in range(5):
-            s = synthetic_sample(spec, i, t + 1)
-            assert np.array_equal(res.sample_features[t, i], s.features)
-            assert int(res.sample_labels[t, i]) == s.label
+    # n=600 gives 6-round tiles, so its T=20 takes four, the last one short
+    for n, T, dim in ((5, 10, 4), (600, 20, 3)):
+        spec = SyntheticSpec(dim=dim, beta=0.3, n=n, seed=21)
+        cfg = RunConfig(algorithm="local_ogd", n=n, T=T, eta=0.1, loss_spec=GAMMA,
+                        data=spec, seed=21, record_samples=True)
+        res = run_experiment(cfg)
+        features, labels = res.pooled_samples()
+        assert features.shape == (T * n, dim) and labels.shape == (T * n,)
+        for t in range(T):
+            for i in range(n):
+                s = synthetic_sample(spec, i, t + 1)
+                assert np.array_equal(res.sample_features[t, i], s.features)
+                assert int(res.sample_labels[t, i]) == s.label
+
+
+def test_node_streams_block_matches_streams(monkeypatch):
+    from dogsim import datagen
+
+    rng = np.random.default_rng(3)
+    streams = NodeStreams(
+        tuple(
+            tuple(LabeledSample(rng.standard_normal(2), 1 if rng.random() < 0.5 else -1)
+                  for _ in range(9))
+            for _ in range(3)
+        ),
+        dim=2,
+    )
+    feats, labels = streams.block(2, 6)
+    assert feats.shape == (4, 3, 2) and labels.shape == (4, 3)
+    for t in range(4):
+        for i in range(3):
+            assert np.array_equal(feats[t, i], streams.streams[i][t + 1].features)
+            assert labels[t, i] == streams.streams[i][t + 1].label
+    cfg = RunConfig(algorithm="dog", n=3, T=9, eta=0.1, loss_spec=GAMMA, data=streams,
+                    mixing=_mix("ring", 3), seed=0, record_samples=True)
+    whole = run_experiment(cfg)
+    monkeypatch.setattr(datagen, "TILE_SAMPLES", 6)  # 2-round tiles
+    tiled = run_experiment(cfg)
+    assert metrics_to_csv(whole.records) == metrics_to_csv(tiled.records)
+    assert whole.sample_features.tobytes() == tiled.sample_features.tobytes()
+    assert whole.sample_labels.tobytes() == tiled.sample_labels.tobytes()
 
 
 def test_across_horizon_consensus_decay():
