@@ -275,9 +275,17 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
+def _check_threads(threads: int):
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+
+
 def cmd_run(config_path, outdir, threads: int = 1) -> int:
-    """Run one experiment; writes metrics.csv, resolved.cfg, summary.txt."""
+    """Run one experiment; writes metrics.csv, resolved.cfg, summary.txt.
+
+    `threads` is validated and otherwise unused."""
     try:
+        _check_threads(threads)
         ef = load_config(config_path)
         cfg, mix = build_run(ef, record_samples=True)
     except OSError as exc:
@@ -288,12 +296,12 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
         return 1
 
     try:
-        result = engine.run_experiment(cfg, threads=threads)
+        result = engine.run_experiment(cfg)
         summary = _summarize(result, ef)
-    except DivergenceDetected as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergence as exc:
+    except DegenerateParameters as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (DivergenceDetected, NonConvergence) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 
@@ -374,8 +382,11 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
 
 
 def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) -> int:
-    """Run one experiment per axis value; writes per-cell metrics and a summary."""
+    """Run one experiment per axis value; writes per-cell metrics and a summary.
+
+    `threads` is validated and otherwise unused."""
     try:
+        _check_threads(threads)
         ef = load_config(config_path)
         if not values:
             raise ConfigError("sweep needs at least one axis value")
@@ -391,8 +402,8 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
     for name, value, alg, cell_ef in cells:
         try:
             cfg, _ = build_run(cell_ef)
-            result = engine.run_experiment(cfg, threads=threads)
-        except ConfigError as exc:
+            result = engine.run_experiment(cfg)
+        except (ConfigError, DegenerateParameters) as exc:
             print(f"sweep cell {name} config error: {exc}", file=sys.stderr)
             return 1
         except DivergenceDetected as exc:
@@ -479,6 +490,9 @@ def cmd_data(config_path, count: int, output) -> int:
     return 0
 
 
+_THREADS_HELP = "kept for compatibility: must be >= 1, otherwise ignored (runs are single-threaded)"
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dogsim",
@@ -489,8 +503,7 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("config")
     run.add_argument("outdir")
-    run.add_argument("--threads", type=int, default=1,
-                     help="gradient workers; never changes outputs")
+    run.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     sweep = sub.add_parser("sweep", help="run an axis sweep")
     sweep.add_argument("config")
@@ -498,7 +511,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", required=True, choices=("beta", "nodes", "topology"))
     sweep.add_argument("--values", required=True,
                        help="comma-separated axis values")
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     matrix = sub.add_parser("matrix", help="print the mixing matrix and rho")
     matrix.add_argument("config")

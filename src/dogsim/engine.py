@@ -10,16 +10,15 @@ model, metrics are recorded, and the models advance:
 Models are stacked as rows of an (n, d) array, so the gossip update is
 W @ X. Samples reach the loop a tile of rounds at a time
 (``datagen.tile_rounds``), as (rounds, nodes, dim) arrays from either data
-source. Gradients are always evaluated at the round-start models, in
-ascending node order; worker threads only fill independent slots of a
-preallocated array, so outputs are identical for any thread count.
+source. Gradients are always evaluated at the round-start models, all
+nodes in one batched kernel call. The run loop and the single-round
+helpers share one step function, so there is one copy of each update rule.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -163,9 +162,13 @@ def _eval_grads(grad_fns: Sequence[GradFn], models: np.ndarray) -> np.ndarray:
     return grads
 
 
-def _mix_step(models: np.ndarray, w: np.ndarray | None, grads: np.ndarray, eta: float) -> np.ndarray:
-    mixed = models if w is None else w @ models
-    return mixed - eta * grads
+def _step(algorithm: str, x: np.ndarray, w: np.ndarray | None, grads: np.ndarray, eta: float) -> np.ndarray:
+    """Advance round-start models x (one row for cog) by their gradients."""
+    if algorithm == DOG:
+        return w @ x - eta * grads
+    if algorithm == LOCAL_OGD:
+        return x - eta * grads
+    return x - eta * grads.mean(axis=0, keepdims=True)
 
 
 def dog_round(state: NetworkState, mixing: MixingMatrix, grad_fns: Sequence[GradFn], eta: float) -> NetworkState:
@@ -175,20 +178,20 @@ def dog_round(state: NetworkState, mixing: MixingMatrix, grad_fns: Sequence[Grad
             f"mixing matrix is {mixing.n}x{mixing.n} but state has {state.models.shape[0]} nodes"
         )
     grads = _eval_grads(grad_fns, state.models)
-    return NetworkState(_mix_step(state.models, mixing.entries, grads, eta), state.round + 1)
+    return NetworkState(_step(DOG, state.models, mixing.entries, grads, eta), state.round + 1)
 
 
 def local_ogd_round(state: NetworkState, grad_fns: Sequence[GradFn], eta: float) -> NetworkState:
     """Independent gradient step per node, no communication."""
     grads = _eval_grads(grad_fns, state.models)
-    return NetworkState(_mix_step(state.models, None, grads, eta), state.round + 1)
+    return NetworkState(_step(LOCAL_OGD, state.models, None, grads, eta), state.round + 1)
 
 
 def cog_round(x: np.ndarray, grad_fns: Sequence[GradFn], eta: float) -> np.ndarray:
     """Centralized baseline: one shared model stepped by the mean gradient."""
     x = np.asarray(x, dtype=float)
     grads = _eval_grads(list(grad_fns), np.broadcast_to(x, (len(grad_fns), x.shape[0])))
-    return x - eta * grads.mean(axis=0)
+    return _step(COG, x[None, :], None, grads, eta)[0]
 
 
 def auto_learning_rate(
@@ -227,17 +230,12 @@ def _resolve_eta(cfg: RunConfig) -> float:
     return auto_learning_rate(cfg.n, cfg.T, b.G, b.sigma, b.R, b.M, cfg.mixing.rho)
 
 
-def run_experiment(cfg: RunConfig, threads: int = 1) -> RunResult:
+def run_experiment(cfg: RunConfig) -> RunResult:
     """Run T rounds from all-zero models; deterministic for a fixed config.
-
-    `threads` only controls how gradient slots are filled; it never changes
-    any output byte.
 
     Raises:
         DivergenceDetected: a model entry became non-finite, named by round.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n, dim = cfg.n, cfg.dim
     eta = _resolve_eta(cfg)
     rho = cfg.mixing.rho if cfg.mixing is not None else None
@@ -254,49 +252,24 @@ def run_experiment(cfg: RunConfig, threads: int = 1) -> RunResult:
 
     records = []
     grad_norms = np.empty((cfg.T, n))
-    values = np.empty(n)
-    grads = np.empty((n, dim))
     feats_log = np.empty((cfg.T, n, dim)) if cfg.record_samples else None
     labels_log = np.empty((cfg.T, n)) if cfg.record_samples else None
     cum = 0.0
 
-    chunks = _chunk_bounds(n, threads)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for t, feats, labels in _round_data(cfg, feats_log, labels_log):
-            x_rows = np.broadcast_to(x[0], (n, dim)) if cfg.algorithm == COG else x
+    for t, feats, labels in _round_data(cfg, feats_log, labels_log):
+        x_rows = np.broadcast_to(x[0], (n, dim)) if cfg.algorithm == COG else x
+        values, grads = batch_loss_and_gradient(x_rows, feats, labels, cfg.loss_spec.gamma)
 
-            if pool is None:
-                values[:], grads[:] = batch_loss_and_gradient(
-                    x_rows, feats, labels, cfg.loss_spec.gamma
-                )
-            else:
-                futures = [
-                    pool.submit(_fill_chunk, values, grads, x_rows, feats, labels,
-                                cfg.loss_spec.gamma, lo, hi)
-                    for lo, hi in chunks
-                ]
-                for f in futures:
-                    f.result()
+        ce = 0.0 if cfg.algorithm == COG else consensus_error(x)
+        cum += float(values.sum())
+        records.append(MetricsRecord(t, float(values.mean()), ce, cum))
+        grad_norms[t - 1] = np.sqrt((grads * grads).sum(axis=1))
 
-            ce = 0.0 if cfg.algorithm == COG else consensus_error(x)
-            cum += float(values.sum())
-            records.append(MetricsRecord(t, float(values.mean()), ce, cum))
-            grad_norms[t - 1] = np.sqrt((grads * grads).sum(axis=1))
-
-            if cfg.algorithm == DOG:
-                x = _mix_step(x, w, grads, eta)
-            elif cfg.algorithm == LOCAL_OGD:
-                x = _mix_step(x, None, grads, eta)
-            else:
-                x = x - eta * grads.mean(axis=0, keepdims=True)
-            if cfg.project_radius is not None:
-                x = _project_rows(x, cfg.project_radius)
-            if not np.isfinite(x).all():
-                raise DivergenceDetected(t)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        x = _step(cfg.algorithm, x, w, grads, eta)
+        if cfg.project_radius is not None:
+            x = _project_rows(x, cfg.project_radius)
+        if not np.isfinite(x).all():
+            raise DivergenceDetected(t)
 
     resolved = {
         "algorithm": cfg.algorithm,
@@ -318,17 +291,6 @@ def run_experiment(cfg: RunConfig, threads: int = 1) -> RunResult:
         sample_features=feats_log,
         sample_labels=labels_log,
     )
-
-
-def _fill_chunk(values, grads, x_rows, feats, labels, gamma, lo, hi):
-    values[lo:hi], grads[lo:hi] = batch_loss_and_gradient(
-        x_rows[lo:hi], feats[lo:hi], labels[lo:hi], gamma
-    )
-
-
-def _chunk_bounds(n: int, threads: int) -> list:
-    bounds = np.linspace(0, n, min(threads, n) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def _project_rows(x: np.ndarray, radius: float) -> np.ndarray:

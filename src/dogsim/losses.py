@@ -10,9 +10,8 @@ enumeration; the simulator needs exactly this one.
 
 All evaluation funnels through one elementwise kernel, `softplus_sigmoid`:
 the online rounds, the offline comparator and the regret use it alike. Its
-outputs depend only on their own element, so scalar calls, batched calls,
-and any chunking of a batch across workers produce bitwise identical
-numbers.
+outputs depend only on their own element, so scalar and batched calls
+produce bitwise identical numbers.
 """
 
 from __future__ import annotations

@@ -58,15 +58,15 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown mixing scheme {scheme!r}")
-    deg = g.degrees()
+    i, j = g.edge_array().T
+    deg = np.bincount(np.concatenate([i, j]), minlength=g.n)
     if scheme == UNIFORM:
         off = 1.0 / g.n
     else:
         off = 1.0 / (int(deg.max(initial=0)) + 1)
     w = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        w[i, j] = off
-        w[j, i] = off
+    w[i, j] = off
+    w[j, i] = off
     np.fill_diagonal(w, 1.0 - deg * off)
     return MixingMatrix(g.n, w, spectral_gap(w))
 

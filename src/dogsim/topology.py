@@ -8,6 +8,7 @@ Graphs are plain immutable values: a node count and a set of canonical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -42,13 +43,15 @@ class Graph:
             canonical.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(canonical))
 
+    def edge_array(self) -> np.ndarray:
+        """Edges as an (m, 2) integer array of (i, j) rows, in set order."""
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                           count=2 * len(self.edges))
+        return flat.reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
         """Neighbor count per node (self excluded)."""
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edge_array().ravel(), minlength=self.n)
 
     def neighbors(self, node: int) -> list:
         return sorted(

@@ -90,6 +90,45 @@ def test_run_determinism_across_invocations_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+_SUBCOMMANDS = {
+    "run": [],
+    "sweep": ["--axis", "nodes", "--values", "4,6"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_is_config_error(tmp_path, capsys, command, threads):
+    cfg = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    argv = [command, str(cfg), str(out), *_SUBCOMMANDS[command], "--threads", threads]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "threads" in err
+    assert not out.exists()
+
+
+_AUTO = BASE_CONFIG.replace("eta = 0.2", "eta = auto")
+_DEGENERATE_AUTO_ETA = {
+    # the identity W has rho = 1 up to rounding; the step size needs rho < 1
+    "disconnected": _AUTO.replace("kind = ring", "kind = disconnected")
+    + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n",
+    # the step size divides by n T G^2 + T sigma^2
+    "zero_gradient_bounds": _AUTO + "\n[bounds]\nG = 0\nsigma = 0\nR = 1\nM = 0\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("case", sorted(_DEGENERATE_AUTO_ETA))
+def test_degenerate_auto_eta_is_config_error(tmp_path, capsys, command, case):
+    cfg = _write(tmp_path, _DEGENERATE_AUTO_ETA[case])
+    out = tmp_path / "out"
+    assert cli.main([command, str(cfg), str(out), *_SUBCOMMANDS[command]]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_resolved_config_roundtrips(tmp_path):
     cfg = _write(tmp_path, BASE_CONFIG)
     first = tmp_path / "first"

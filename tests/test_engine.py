@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dogsim.datagen import SyntheticSpec, SyntheticStream
+from dogsim.datagen import SyntheticSpec, SyntheticStream, synthetic_block
 from dogsim.engine import (
     Bounds,
     NetworkState,
@@ -171,12 +173,34 @@ def test_run_is_deterministic():
     assert all(x <= y for x, y in zip(cums, cums[1:]))
 
 
-def test_thread_count_never_changes_results():
-    baseline = run_experiment(_synthetic_cfg("dog", n=7, T=40))
-    for threads in (2, 3, 8):
-        alt = run_experiment(_synthetic_cfg("dog", n=7, T=40), threads=threads)
-        assert metrics_to_csv(alt.records) == metrics_to_csv(baseline.records)
-        assert np.array_equal(alt.final_state.models, baseline.final_state.models)
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(["dog", "local_ogd", "cog"]),
+    n=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    T=st.integers(0, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T, seed):
+    spec = SyntheticSpec(dim=dim, beta=0.5, n=n, seed=seed)
+    mixing = _mix("ring", n)
+    cfg = RunConfig(algorithm=algorithm, n=n, T=T, eta=0.3, loss_spec=GAMMA,
+                    data=spec, mixing=mixing, seed=seed)
+    feats, labels = synthetic_block(spec, 1, T + 1)
+    state = NetworkState(np.zeros((n, dim)))
+    x = np.zeros(dim)
+    for t in range(T):
+        fns = _grad_fns([LabeledSample(feats[t, i], int(labels[t, i])) for i in range(n)])
+        if algorithm == "dog":
+            state = dog_round(state, mixing, fns, 0.3)
+        elif algorithm == "local_ogd":
+            state = local_ogd_round(state, fns, 0.3)
+        else:
+            x = cog_round(x, fns, 0.3)
+    expected = x[None, :] if algorithm == "cog" else state.models
+    final = run_experiment(cfg).final_state.models
+    assert final.shape == expected.shape
+    assert final.tobytes() == expected.tobytes()
 
 
 def test_average_iterate_identity_over_run():

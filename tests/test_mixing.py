@@ -43,6 +43,25 @@ def test_max_degree_scheme_ring4():
 
 
 @pytest.mark.parametrize("scheme", [UNIFORM, MAX_DEGREE])
+@pytest.mark.parametrize("kind, n, k, p", [
+    ("complete", 1, 0, 0.0), ("complete", 2, 0, 0.0), ("complete", 40, 0, 0.0),
+    ("ring", 2, 0, 0.0), ("ring", 9, 0, 0.0), ("disconnected", 3, 0, 0.0),
+    ("watts_strogatz", 30, 4, 0.3), ("random_k", 12, 3, 0.0),
+])
+def test_matrix_matches_per_edge_definition(kind, n, k, p, scheme):
+    g = build_topology(kind, n, seed=5, k=k, p=p)
+    deg = [len(g.neighbors(i)) for i in range(n)]
+    off = 1.0 / n if scheme == UNIFORM else 1.0 / (max(deg) + 1)
+    expected = np.zeros((n, n))
+    for i, j in g.edges:
+        expected[i, j] = expected[j, i] = off
+    for i in range(n):
+        expected[i, i] = 1.0 - deg[i] * off
+    assert g.degrees().tolist() == deg
+    assert np.array_equal(build_mixing(g, scheme).entries, expected)
+
+
+@pytest.mark.parametrize("scheme", [UNIFORM, MAX_DEGREE])
 def test_disconnected_is_identity(scheme):
     m = build_mixing(build_topology("disconnected", 5), scheme)
     assert np.array_equal(m.entries, np.eye(5))
