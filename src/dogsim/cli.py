@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import engine, ingest, metrics, mixing, topology
-from .datagen import SyntheticSpec, synthetic_block
+from .datagen import SyntheticSpec
 from .errors import (
     ConfigError,
     DegenerateParameters,
@@ -25,7 +25,7 @@ from .errors import (
     NonConvergence,
     SimulationError,
 )
-from .losses import LabeledSample, LossSpec, smoothness_bound
+from .losses import LossSpec, smoothness_bound
 from .metrics import fmt17
 
 _SCHEMA = {
@@ -201,32 +201,36 @@ def build_graph(ef: ExperimentFile) -> topology.Graph:
         raise ConfigError(str(exc))
 
 
+def build_data(ef: ExperimentFile, rounds: int):
+    """The config's data source for `rounds` rounds: the synthetic stream, or
+    the LIBSVM file parsed, normalized and split into node streams. Both
+    hand out samples through ``block(first, last)``."""
+    if ef.data_mode == SYNTHETIC:
+        return SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
+    dataset = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
+    return ingest.split_stoch_adv(dataset, ef.stochastic_fraction, ef.n, rounds, seed=ef.seed)
+
+
 def build_run(ef: ExperimentFile, record_samples: bool = False):
-    """Assemble (RunConfig, MixingMatrix) from a validated config."""
+    """Assemble (RunConfig, MixingMatrix) from a validated config, with its
+    step size resolved, so that every config error surfaces here."""
     graph = build_graph(ef)
     try:
         mix = mixing.build_mixing(graph, ef.scheme)
-        spec = LossSpec(gamma=ef.gamma)
-        if ef.data_mode == SYNTHETIC:
-            data = SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
-        else:
-            dataset = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
-            data = ingest.split_stoch_adv(
-                dataset, ef.stochastic_fraction, ef.n, ef.T, seed=ef.seed
-            )
         cfg = engine.RunConfig(
             algorithm=ef.algorithm,
             n=ef.n,
             T=ef.T,
             eta=ef.eta,
-            loss_spec=spec,
-            data=data,
+            loss_spec=LossSpec(gamma=ef.gamma),
+            data=build_data(ef, ef.T),
             mixing=mix,
             bounds=ef.bounds,
             seed=ef.seed,
             project_radius=ef.project_radius,
             record_samples=record_samples,
         )
+        engine.resolve_eta(cfg)
     except (ValueError, SimulationError) as exc:
         if isinstance(exc, (DivergenceDetected, NonConvergence)):
             raise
@@ -298,9 +302,6 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
     try:
         result = engine.run_experiment(cfg)
         summary = _summarize(result, ef)
-    except DegenerateParameters as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (DivergenceDetected, NonConvergence) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
@@ -398,14 +399,22 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    rows = []
+    # Build every cell before running any, so a config error writes nothing.
+    built = []
     for name, value, alg, cell_ef in cells:
         try:
-            cfg, _ = build_run(cell_ef)
-            result = engine.run_experiment(cfg)
-        except (ConfigError, DegenerateParameters) as exc:
+            built.append((name, value, alg, build_run(cell_ef)[0]))
+        except OSError as exc:
+            print(f"sweep cell {name} error: {exc}", file=sys.stderr)
+            return 3
+        except ConfigError as exc:
             print(f"sweep cell {name} config error: {exc}", file=sys.stderr)
             return 1
+
+    rows = []
+    for name, value, alg, cfg in built:
+        try:
+            result = engine.run_experiment(cfg)
         except DivergenceDetected as exc:
             print(f"sweep cell {name} runtime error: {exc}", file=sys.stderr)
             return 2
@@ -459,31 +468,16 @@ def cmd_data(config_path, count: int, output) -> int:
         ef = load_config(config_path)
         if count < 0:
             raise ConfigError(f"count must be >= 0, got {count}")
-        samples = []
-        if ef.data_mode == SYNTHETIC:
-            spec = SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
-            features, labels = synthetic_block(spec, 1, count + 1)
-            for i in range(ef.n):
-                for t in range(count):
-                    samples.append(LabeledSample(features[t, i], int(labels[t, i])))
-        else:
-            dataset = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
-            streams = ingest.split_stoch_adv(
-                dataset, ef.stochastic_fraction, ef.n, count, seed=ef.seed
-            )
-            for node_stream in streams.streams:
-                samples.extend(node_stream)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        features, labels = build_data(ef, count).block(1, count + 1)
     except (ValueError, SimulationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    node_major = features.transpose(1, 0, 2).reshape(-1, features.shape[-1])
     try:
-        _write_text(Path(output), ingest.serialize_libsvm(samples))
+        _write_text(Path(output), ingest.serialize_libsvm(node_major, labels.T.reshape(-1)))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -80,6 +80,10 @@ class SyntheticSpec:
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
+    def block(self, first: int, last: int) -> tuple:
+        """Samples of every node for rounds first..last-1; see ``synthetic_block``."""
+        return synthetic_block(self, first, last)
+
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> _SHIFT) * _U53

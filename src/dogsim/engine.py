@@ -9,10 +9,13 @@ model, metrics are recorded, and the models advance:
 
 Models are stacked as rows of an (n, d) array, so the gossip update is
 W @ X. Samples reach the loop a tile of rounds at a time
-(``datagen.tile_rounds``), as (rounds, nodes, dim) arrays from either data
-source. Gradients are always evaluated at the round-start models, all
-nodes in one batched kernel call. The run loop and the single-round
-helpers share one step function, so there is one copy of each update rule.
+(``datagen.tile_rounds``) through the ``block(first, last)`` method that
+both data sources share: ``SyntheticSpec`` generates the tile and
+``NodeStreams`` fancy-indexes it out of its dataset, either way as
+(rounds, nodes, dim) features and (rounds, nodes) labels. Gradients are
+always evaluated at the round-start models, all nodes in one batched
+kernel call. The run loop and the single-round helpers share one step
+function, so there is one copy of each update rule.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .datagen import SyntheticSpec, synthetic_block, tile_rounds
+from .datagen import SyntheticSpec, tile_rounds
 from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected, NonFiniteGradient
 from .ingest import NodeStreams
 from .losses import LossSpec, batch_loss_and_gradient
@@ -108,12 +111,10 @@ class RunConfig:
         data_n = self.data.n
         if data_n != self.n:
             raise DimensionMismatch(f"data source has n={data_n}, config n={self.n}")
-        if isinstance(self.data, NodeStreams):
-            shortest = min((len(s) for s in self.data.streams), default=0)
-            if shortest < self.T:
-                raise DimensionMismatch(
-                    f"node streams provide {shortest} rounds, config T={self.T}"
-                )
+        if isinstance(self.data, NodeStreams) and self.data.rounds < self.T:
+            raise DimensionMismatch(
+                f"node streams provide {self.data.rounds} rounds, config T={self.T}"
+            )
         if self.eta == AUTO and self.bounds is None:
             raise ValueError("eta='auto' requires bounds (G, sigma, R, M)")
         if self.eta == AUTO and self.mixing is None:
@@ -207,23 +208,26 @@ def auto_learning_rate(
 
 
 def _round_data(cfg: RunConfig, feats_log, labels_log):
-    """Yield (t, features (n, d), labels (n,)) for t = 1..T, generated or
-    stacked one tile of rounds at a time; copies each tile into the logs
+    """Yield (t, features (n, d), labels (n,)) for t = 1..T, read from the
+    data source one tile of rounds at a time; copies each tile into the logs
     when they are given."""
     step = tile_rounds(cfg.n)
     for first in range(1, cfg.T + 1, step):
         last = min(first + step, cfg.T + 1)
-        if isinstance(cfg.data, SyntheticSpec):
-            feats, labels = synthetic_block(cfg.data, first, last)
-        else:
-            feats, labels = cfg.data.block(first, last)
+        feats, labels = cfg.data.block(first, last)
         if feats_log is not None:
             feats_log[first - 1 : last - 1] = feats
             labels_log[first - 1 : last - 1] = labels
         yield from zip(range(first, last), feats, labels)
 
 
-def _resolve_eta(cfg: RunConfig) -> float:
+def resolve_eta(cfg: RunConfig) -> float:
+    """The run's step size: cfg.eta, or the closed form for eta='auto'.
+
+    Raises:
+        DegenerateParameters: the closed form has no value (rho >= 1, or
+            G = sigma = 0).
+    """
     if cfg.eta != AUTO:
         return float(cfg.eta)
     b = cfg.bounds
@@ -237,7 +241,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         DivergenceDetected: a model entry became non-finite, named by round.
     """
     n, dim = cfg.n, cfg.dim
-    eta = _resolve_eta(cfg)
+    eta = resolve_eta(cfg)
     rho = cfg.mixing.rho if cfg.mixing is not None else None
     if cfg.algorithm == DOG and rho is not None and rho >= 1.0 - 1e-12:
         warnings.warn(

@@ -1,55 +1,73 @@
 """LIBSVM parsing, normalization, and per-node stream assembly.
 
-Real datasets are consumed as LIBSVM text, densified, normalized to zero
-mean / unit population variance per coordinate, and split into one ordered
-stream per node with a configurable stochastic fraction: the stochastic
-share is dealt uniformly at random, the remainder is clustered and each
-cluster pinned to one node (the per-node "adversarial" share).
+Real datasets are consumed as LIBSVM text and held as arrays: a `Dataset`
+is dense features (m, d) and labels (m,) in {-1.0, +1.0}. Features are
+normalized to zero mean / unit population variance per coordinate, then
+split into one ordered stream per node with a configurable stochastic
+fraction: the stochastic share is dealt uniformly at random, the remainder
+is clustered and each cluster pinned to one node (the per-node
+"adversarial" share). The streams are an (n, T) array of row indices into
+the one dataset, so a tile of rounds is one fancy index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDataset, InsufficientData, ParseError, TooFewPoints
-from .losses import LabeledSample
 
 
 @dataclass(frozen=True)
 class Dataset:
-    samples: tuple
-    dim: int
+    """m labeled rows: features (m, d) float64 and labels (m,) of +-1.0."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
 class NodeStreams:
-    """One ordered sample stream per node, consumed one sample per round."""
+    """One ordered sample stream per node: node i sees row index[i, t - 1]
+    of `dataset` in round t (1-based)."""
 
-    streams: tuple  # tuple of per-node tuples of LabeledSample
-    dim: int
+    dataset: Dataset
+    index: np.ndarray  # (n, rounds) int
 
     @property
     def n(self) -> int:
-        return len(self.streams)
+        return self.index.shape[0]
+
+    @property
+    def rounds(self) -> int:
+        return self.index.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.dataset.dim
 
     def block(self, first: int, last: int) -> tuple:
-        """Samples of every node for rounds first..last-1 (1-based), stacked
-        as (features (k, n, dim), labels (k, n)), k = last - first."""
-        rows = [[stream[t] for stream in self.streams] for t in range(first - 1, last - 1)]
-        features = np.array([[s.features for s in row] for row in rows], dtype=float)
-        labels = np.array([[float(s.label) for s in row] for row in rows])
-        k = last - first
-        return features.reshape(k, self.n, self.dim), labels.reshape(k, self.n)
+        """Samples of every node for rounds first..last-1 (1-based), as
+        (features (k, n, dim), labels (k, n)), k = last - first."""
+        rows = self.index[:, first - 1 : last - 1].T
+        return self.dataset.features[rows], self.dataset.labels[rows]
 
 
 def parse_libsvm(text: str) -> Dataset:
     """Parse LIBSVM text: "<label> <index>:<value> ...", 1-based ascending
-    indices. Labels +1/1 map to +1; -1 and 0 map to -1. Blank lines and
-    lines starting with '#' are skipped.
+    indices, finite values. Labels +1/1 map to +1; -1 and 0 map to -1. Blank
+    lines and lines starting with '#' are skipped; d is the largest index.
     """
-    rows = []
+    labels, rows, cols, vals = [], [], [], []
     dim = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -61,12 +79,12 @@ def parse_libsvm(text: str) -> Dataset:
         except ValueError:
             raise ParseError(f"unparseable label {tokens[0]!r}", lineno)
         if raw == 1.0:
-            label = 1
+            labels.append(1.0)
         elif raw in (-1.0, 0.0):
-            label = -1
+            labels.append(-1.0)
         else:
             raise ParseError(f"label must be +1, 1, -1, or 0, got {tokens[0]!r}", lineno)
-        pairs = []
+        row = len(labels) - 1
         prev = 0
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")
@@ -81,27 +99,24 @@ def parse_libsvm(text: str) -> Dataset:
                 raise ParseError(f"index must be >= 1, got {idx}", lineno)
             if idx <= prev:
                 raise ParseError(f"indices not ascending at {tok!r}", lineno)
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite value in {tok!r}", lineno)
             prev = idx
-            pairs.append((idx, val))
+            rows.append(row)
+            cols.append(idx - 1)
+            vals.append(val)
         dim = max(dim, prev)
-        rows.append((label, pairs))
-    samples = []
-    for label, pairs in rows:
-        feats = np.zeros(dim)
-        for idx, val in pairs:
-            feats[idx - 1] = val
-        samples.append(LabeledSample(feats, label))
-    return Dataset(tuple(samples), dim)
+    features = np.zeros((len(labels), dim))
+    features[rows, cols] = vals
+    return Dataset(features, np.array(labels))
 
 
-def serialize_libsvm(samples) -> str:
-    """Render samples as LIBSVM text, 17 significant digits, zeros omitted."""
+def serialize_libsvm(features, labels) -> str:
+    """Render rows as LIBSVM text, 17 significant digits, zeros omitted."""
     lines = []
-    for s in samples:
-        parts = ["+1" if s.label == 1 else "-1"]
-        for idx, val in enumerate(s.features, start=1):
-            if val != 0.0:
-                parts.append("%d:%.17g" % (idx, val))
+    for label, row in zip(np.asarray(labels).tolist(), np.asarray(features).tolist()):
+        parts = ["+1" if label == 1 else "-1"]
+        parts += ["%d:%.17g" % (j, v) for j, v in enumerate(row, start=1) if v != 0.0]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -112,19 +127,15 @@ def normalize(d: Dataset) -> Dataset:
     Zero-variance coordinates are left at zero after centering. Idempotent
     within floating tolerance.
     """
-    if not d.samples:
+    if not len(d):
         raise EmptyDataset("cannot normalize an empty dataset")
-    mat = np.stack([s.features for s in d.samples])
-    mean = mat.mean(axis=0)
-    std = mat.std(axis=0)  # population (ddof=0)
-    centered = mat - mean
+    mean = d.features.mean(axis=0)
+    std = d.features.std(axis=0)  # population (ddof=0)
+    centered = d.features - mean
     nonzero = std > 0
     centered[:, nonzero] /= std[nonzero]
     centered[:, ~nonzero] = 0.0
-    samples = tuple(
-        LabeledSample(centered[i], d.samples[i].label) for i in range(len(d.samples))
-    )
-    return Dataset(samples, d.dim)
+    return Dataset(centered, d.labels)
 
 
 def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
@@ -192,7 +203,7 @@ def split_stoch_adv(
         raise ValueError(f"fraction must be in [0, 1], got {stochastic_fraction}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total = len(d.samples)
+    total = len(d)
     if total < n * rounds:
         raise InsufficientData(
             f"need at least n*T = {n * rounds} samples, dataset has {total}"
@@ -201,40 +212,26 @@ def split_stoch_adv(
     rng_shuffle, kmeans_ss = [np.random.default_rng(s) for s in ss.spawn(2)]
     order = rng_shuffle.permutation(total)
     cut = int(np.floor(stochastic_fraction * total))
+    stoch_idx, adv_idx = order[:cut], order[cut:]
 
-    stoch_lists = [[] for _ in range(n)]
-    for pos, idx in enumerate(order[:cut]):
-        stoch_lists[pos % n].append(d.samples[idx])
-
-    adv_lists = [[] for _ in range(n)]
-    adv_idx = order[cut:]
+    assign = np.empty(0, dtype=int)
     if len(adv_idx):
         clusters = min(n, len(adv_idx))
-        pts = np.stack([d.samples[i].features for i in adv_idx])
-        assign = kmeans(pts, clusters, seed=int(kmeans_ss.integers(0, 2**63)))
-        for sample_i, cluster in zip(adv_idx, assign):
-            adv_lists[cluster].append(d.samples[sample_i])
+        seed_k = int(kmeans_ss.integers(0, 2**63))
+        assign = np.asarray(kmeans(d.features[adv_idx], clusters, seed=seed_k))
 
-    streams = []
+    index = np.empty((n, rounds), dtype=np.intp)
     for i in range(n):
-        merged = _interleave(stoch_lists[i], adv_lists[i])
-        if not merged and rounds > 0:
+        merged = _interleave(stoch_idx[i::n], adv_idx[assign == i])
+        if not len(merged) and rounds > 0:
             raise InsufficientData(f"node {i} received no samples")
-        stream = [merged[t % len(merged)] for t in range(rounds)]
-        streams.append(tuple(stream))
-    return NodeStreams(tuple(streams), d.dim)
+        index[i] = np.resize(merged, rounds)
+    return NodeStreams(d, index)
 
 
-def _interleave(first: list, second: list) -> list:
-    """Merge two lists so each advances proportionally to its length."""
-    out = []
-    i = j = 0
+def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Merge two arrays so each advances proportionally to its length:
+    first[i] precedes second[j] iff (i + 1) / len(first) <= (j + 1) / len(second)."""
     a, b = len(first), len(second)
-    while i < a or j < b:
-        if j >= b or (i < a and (i + 1) * b <= (j + 1) * a):
-            out.append(first[i])
-            i += 1
-        else:
-            out.append(second[j])
-            j += 1
-    return out
+    keys = np.concatenate(((np.arange(a) + 1) * b, (np.arange(b) + 1) * a))
+    return np.concatenate((first, second))[np.argsort(keys, kind="stable")]

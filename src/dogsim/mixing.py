@@ -83,14 +83,6 @@ def spectral_gap(w: np.ndarray) -> float:
     return float(np.linalg.norm(w - 1.0 / n, 2))
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Spectral norm ||A||_2 (largest singular value)."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("operator_norm expects a matrix")
-    return float(np.linalg.norm(a, 2))
-
-
 def verify_doubly_stochastic(w: np.ndarray, tol: float = DEFAULT_TOL) -> StochasticityReport:
     """Check non-negativity and unit row/column sums within tol."""
     w = np.asarray(w, dtype=float)

@@ -53,11 +53,6 @@ class Graph:
         """Neighbor count per node (self excluded)."""
         return np.bincount(self.edge_array().ravel(), minlength=self.n)
 
-    def neighbors(self, node: int) -> list:
-        return sorted(
-            j if i == node else i for i, j in self.edges if node in (i, j)
-        )
-
 
 def build_topology(kind: str, n: int, seed: int = 0, k: int = 0, p: float = 0.0) -> Graph:
     """Build one of the supported topologies, deterministically for a fixed seed.
@@ -170,22 +165,3 @@ def is_connected(g: Graph) -> bool:
                 stack.append(v)
     return len(seen) == g.n
 
-
-def to_edge_list_text(g: Graph) -> str:
-    """Serialize as the edge-list text format: "n=<count>" then "i j" lines."""
-    lines = [f"n={g.n}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list_text(text: str) -> Graph:
-    """Parse the edge-list text format produced by :func:`to_edge_list_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("edge-list text must start with an 'n=<count>' line")
-    n = int(lines[0][2:])
-    edges = set()
-    for ln in lines[1:]:
-        i, j = ln.split()
-        edges.add((int(i), int(j)))
-    return Graph(n, frozenset(edges))

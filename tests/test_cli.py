@@ -4,7 +4,6 @@ import pytest
 from dogsim import cli
 from dogsim.errors import ConfigError
 from dogsim.ingest import parse_libsvm, serialize_libsvm
-from dogsim.losses import LabeledSample
 
 BASE_CONFIG = """\
 [network]
@@ -195,6 +194,27 @@ def test_sweep_failing_cell_is_named(tmp_path, capsys):
     assert "beta_0.5_dog" in capsys.readouterr().err
 
 
+def test_sweep_config_error_in_a_later_cell_writes_nothing(tmp_path, capsys):
+    # the ring cell is valid; the disconnected cell has rho >= 1, where
+    # eta = auto has no value, so the sweep must fail before running any cell
+    text = _AUTO + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n"
+    out = tmp_path / "out"
+    argv = ["sweep", str(_write(tmp_path, text)), str(out),
+            "--axis", "topology", "--values", "ring,disconnected"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "topology_disconnected config error" in err
+    assert not out.exists()
+
+
+def test_sweep_missing_data_file_is_an_io_error(tmp_path, capsys):
+    text = BASE_CONFIG.replace("beta = 0.5\ndim = 4", "file = absent.libsvm\nstochastic_fraction = 0.5")
+    out = tmp_path / "out"
+    assert cli.cmd_sweep(_write(tmp_path, text), "nodes", ["2", "3"], out) == 3
+    assert "absent.libsvm" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_matrix_prints_rho_and_rows(tmp_path, capsys):
     text = BASE_CONFIG.replace("n = 6", "n = 4")
     assert cli.cmd_matrix(_write(tmp_path, text)) == 0
@@ -221,13 +241,13 @@ def test_data_dump_synthetic_intervals(tmp_path):
     outfile = tmp_path / "dump.libsvm"
     assert cli.cmd_data(_write(tmp_path, text), 10, outfile) == 0
     parsed = parse_libsvm(outfile.read_text())
-    assert len(parsed.samples) == 60  # 10 per node, 6 nodes
+    assert len(parsed) == 60  # 10 per node, 6 nodes
     import math
 
-    for idx, s in enumerate(parsed.samples):
+    for idx, row in enumerate(parsed.features):
         node = idx // 10
         lo, hi = math.sin(node) - 0.5, math.sin(node) + 0.5
-        present = s.features[s.features != 0.0]
+        present = row[row != 0.0]
         assert (present >= lo - 1e-12).all() and (present <= hi + 1e-12).all()
 
 
@@ -245,18 +265,28 @@ def test_data_dump_unwritable_path(tmp_path):
 
 def test_file_data_mode_end_to_end(tmp_path):
     rng = np.random.default_rng(0)
-    samples = [
-        LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-        for _ in range(120)
-    ]
+    features = rng.standard_normal((120, 3))
+    labels = np.where(rng.random(120) < 0.5, 1.0, -1.0)
     data_path = tmp_path / "data.libsvm"
-    data_path.write_text(serialize_libsvm(samples))
+    data_path.write_text(serialize_libsvm(features, labels))
     cfg_text = BASE_CONFIG.replace(
         "beta = 0.5\ndim = 4", f"file = {data_path}\nstochastic_fraction = 0.8"
     ).replace("n = 6", "n = 3").replace("T = 30", "T = 20")
     out = tmp_path / "out"
     assert cli.cmd_run(_write(tmp_path, cfg_text), out) == 0
     assert len((out / "metrics.csv").read_text().splitlines()) == 21
+
+
+def test_non_finite_file_value_is_a_config_error_with_its_line(tmp_path, capsys):
+    data_path = tmp_path / "data.libsvm"
+    data_path.write_text("+1 1:0.5 2:1\n-1 1:nan\n")
+    cfg = _write(tmp_path, BASE_CONFIG.replace(
+        "beta = 0.5\ndim = 4", f"file = {data_path}\nstochastic_fraction = 0.5"))
+    assert cli.cmd_run(cfg, tmp_path / "out") == 1
+    assert cli.cmd_data(cfg, 1, tmp_path / "dump.libsvm") == 1
+    err = capsys.readouterr().err
+    assert err.count("config error: line 2:") == 2 and "1:nan" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_section_and_duplicates(tmp_path, capsys):
@@ -321,7 +351,9 @@ def test_data_dump_synthetic_matches_scalar_path(tmp_path, monkeypatch, tile_sam
     assert cli.cmd_data(_write(tmp_path, BASE_CONFIG), 7, outfile) == 0
     spec = SyntheticSpec(dim=4, beta=0.5, n=6, seed=42)
     expected = [synthetic_sample(spec, i, t) for i in range(6) for t in range(1, 8)]
-    assert outfile.read_bytes() == serialize_libsvm(expected).encode()
+    features = np.array([s.features for s in expected])
+    labels = np.array([s.label for s in expected])
+    assert outfile.read_bytes() == serialize_libsvm(features, labels).encode()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
@@ -335,3 +367,73 @@ def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
         runpy.run_module("dogsim", run_name="__main__")
     assert exc.value.code == 0
     assert len((out / "metrics.csv").read_text().splitlines()) == 31
+
+
+FILE_CONFIG = """\
+[network]
+kind = ring
+n = 5
+
+[algorithm]
+kind = dog
+eta = auto
+T = 24
+seed = 11
+
+[loss]
+gamma = 0.001
+
+[data]
+file = data.libsvm
+stochastic_fraction = 0.5
+
+[bounds]
+G = 2.0
+sigma = 1.0
+R = 1.0
+M = 0.0
+"""
+
+
+def _pinned_libsvm_text() -> str:
+    """150 rows in 6 columns from three clouds: labels in every accepted
+    spelling, omitted zeros, an all-zero column 3, a comment and a blank."""
+    rng = np.random.default_rng(2024)
+    centers = np.array([[0.0, 2.0, 0.0, -1.0, 0.5, 3.0],
+                        [4.0, -1.0, 0.0, 2.0, -2.0, 0.0],
+                        [-3.0, 0.5, 0.0, 0.0, 1.0, -2.5]])
+    spellings = ("+1", "1", "-1", "0")
+    lines = ["# pinned file-data input", ""]
+    for row in range(150):
+        feats = centers[row % 3] + rng.standard_normal(6)
+        feats[2] = 0.0
+        feats[rng.random(6) < 0.2] = 0.0
+        parts = [spellings[int(rng.integers(0, 4))]]
+        parts += ["%d:%.17g" % (j + 1, v) for j, v in enumerate(feats) if v != 0.0]
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+#: sha256 of the outputs of FILE_CONFIG on _pinned_libsvm_text(); any change
+#: to parsing, normalization, the stochastic/adversarial split or the order in
+#: which the loop reads file samples moves them.
+PINNED_FILE_DIGESTS = {
+    "metrics.csv": "87f610b5e378e43941cd58c94bb897eb17bc3d328eebae468c154500d6410719",
+    "resolved.cfg": "9054bb61ee134266bb088bcc13cd0712449215aceff1056c6f79caacbeeedcf1",
+    "summary.txt": "ea5841613240404192654b32c7b66d07870b665754738deca36749ac2b4d9871",
+    "data": "a7b1ed1dd02214d535811b85da58c8952587043b0232b60dff3e7cf2fd6ed080",
+}
+
+
+def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
+    cfg = _write(tmp_path, FILE_CONFIG)
+    assert cli.main(["run", str(cfg), "out"]) == 0
+    assert cli.main(["data", str(cfg), "9", "dump.libsvm"]) == 0
+    paths = {name: tmp_path / "out" / name for name in ("metrics.csv", "resolved.cfg", "summary.txt")}
+    paths["data"] = tmp_path / "dump.libsvm"
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == PINNED_FILE_DIGESTS

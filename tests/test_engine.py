@@ -22,7 +22,7 @@ from dogsim.errors import (
     DivergenceDetected,
     NonFiniteGradient,
 )
-from dogsim.ingest import NodeStreams
+from dogsim.ingest import Dataset, NodeStreams
 from dogsim.losses import LabeledSample, LossSpec, gradient
 from dogsim.metrics import metrics_to_csv
 from dogsim.mixing import build_mixing
@@ -280,16 +280,16 @@ def test_projection_keeps_models_inside_ball():
     assert (norms <= 0.2 + 1e-12).all()
 
 
+def _node_streams(rng, n, rounds, dim):
+    """Streams over a fresh dataset of n * rounds rows, node-major."""
+    dataset = Dataset(rng.standard_normal((n * rounds, dim)),
+                      np.where(rng.random(n * rounds) < 0.5, 1.0, -1.0))
+    return NodeStreams(dataset, np.arange(n * rounds).reshape(n, rounds))
+
+
 def test_node_streams_data_source():
     rng = np.random.default_rng(6)
-    streams = NodeStreams(
-        tuple(
-            tuple(LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-                  for _ in range(20))
-            for _ in range(4)
-        ),
-        dim=3,
-    )
+    streams = _node_streams(rng, 4, 20, 3)
     cfg = RunConfig(algorithm="dog", n=4, T=20, eta=0.1, loss_spec=GAMMA,
                     data=streams, mixing=_mix("ring", 4), seed=0)
     a = run_experiment(cfg)
@@ -316,24 +316,29 @@ def test_recorded_samples_match_pure_generator():
                 assert int(res.sample_labels[t, i]) == s.label
 
 
+def test_short_node_streams_are_rejected():
+    streams = _node_streams(np.random.default_rng(1), 3, 5, 2)
+    with pytest.raises(DimensionMismatch, match="5 rounds"):
+        RunConfig(algorithm="local_ogd", n=3, T=6, eta=0.1, loss_spec=GAMMA, data=streams)
+
+
+def test_both_data_sources_share_the_block_interface():
+    spec = SyntheticSpec(dim=3, beta=0.4, n=4, seed=9)
+    for got, want in zip(spec.block(3, 8), synthetic_block(spec, 3, 8)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_node_streams_block_matches_streams(monkeypatch):
     from dogsim import datagen
 
     rng = np.random.default_rng(3)
-    streams = NodeStreams(
-        tuple(
-            tuple(LabeledSample(rng.standard_normal(2), 1 if rng.random() < 0.5 else -1)
-                  for _ in range(9))
-            for _ in range(3)
-        ),
-        dim=2,
-    )
+    streams = _node_streams(rng, 3, 9, 2)
     feats, labels = streams.block(2, 6)
     assert feats.shape == (4, 3, 2) and labels.shape == (4, 3)
     for t in range(4):
         for i in range(3):
-            assert np.array_equal(feats[t, i], streams.streams[i][t + 1].features)
-            assert labels[t, i] == streams.streams[i][t + 1].label
+            assert np.array_equal(feats[t, i], streams.dataset.features[9 * i + t + 1])
+            assert labels[t, i] == streams.dataset.labels[9 * i + t + 1]
     cfg = RunConfig(algorithm="dog", n=3, T=9, eta=0.1, loss_spec=GAMMA, data=streams,
                     mixing=_mix("ring", 3), seed=0, record_samples=True)
     whole = run_experiment(cfg)

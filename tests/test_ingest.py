@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dogsim.errors import EmptyDataset, InsufficientData, ParseError, TooFewPoints
 from dogsim.ingest import (
@@ -12,7 +14,6 @@ from dogsim.ingest import (
     serialize_libsvm,
     split_stoch_adv,
 )
-from dogsim.losses import LabeledSample
 
 
 def brute_force_two_clusters(points):
@@ -34,14 +35,15 @@ def brute_force_two_clusters(points):
 def test_parse_basic_line():
     d = parse_libsvm("+1 1:0.5 3:-2\n")
     assert d.dim == 3
-    assert d.samples[0].label == 1
-    assert np.array_equal(d.samples[0].features, [0.5, 0.0, -2.0])
+    assert d.labels.tolist() == [1.0]
+    assert d.features.dtype == np.float64
+    assert np.array_equal(d.features, [[0.5, 0.0, -2.0]])
 
 
 def test_parse_zero_label_maps_to_negative():
     d = parse_libsvm("0 2:1\n")
-    assert d.samples[0].label == -1
-    assert np.array_equal(d.samples[0].features, [0.0, 1.0])
+    assert d.labels.tolist() == [-1.0]
+    assert np.array_equal(d.features, [[0.0, 1.0]])
 
 
 def test_parse_rejects_non_ascending_indices():
@@ -53,7 +55,8 @@ def test_parse_rejects_non_ascending_indices():
 def test_parse_skips_blanks_and_comments():
     text = "# header\n\n+1 1:1\n\n# tail\n-1 1:-1\n"
     d = parse_libsvm(text)
-    assert [s.label for s in d.samples] == [1, -1]
+    assert d.labels.tolist() == [1.0, -1.0]
+    assert d.features.shape == (2, 1)
 
 
 def test_parse_error_carries_line_number():
@@ -68,48 +71,79 @@ def test_parse_error_carries_line_number():
         parse_libsvm("+1 0:1\n")
 
 
+@pytest.mark.parametrize("token", ["1:nan", "1:inf", "1:1e400"])
+def test_parse_rejects_non_finite_value_with_line(token):
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(f"+1 1:1\n# comment\n-1 {token}\n")
+    assert err.value.line == 3
+    assert token in str(err.value)
+
+
 def test_serialize_parse_roundtrip():
     rng = np.random.default_rng(0)
     feats = rng.standard_normal((20, 5))
     feats[3, 4] = 1.25  # keep the last column occupied so dim survives
-    labels = [1 if rng.random() < 0.5 else -1 for _ in range(20)]
-    d = Dataset(tuple(LabeledSample(f, y) for f, y in zip(feats, labels)), 5)
-    back = parse_libsvm(serialize_libsvm(d.samples))
-    assert back.dim == d.dim
-    for a, b in zip(back.samples, d.samples):
-        assert a.label == b.label
-        assert np.array_equal(a.features, b.features)
+    labels = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+    back = parse_libsvm(serialize_libsvm(feats, labels))
+    assert back.dim == 5
+    assert np.array_equal(back.labels, labels)
+    assert np.array_equal(back.features, feats)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(0, 12),
+    dim=st.integers(0, 6),
+    data=st.data(),
+)
+def test_serialize_parse_roundtrip_is_bitwise(rows, dim, data):
+    cell = st.one_of(st.just(0.0), st.just(-0.0), _finite)
+    feats = np.array(
+        data.draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                           min_size=rows, max_size=rows)),
+        dtype=float,
+    ).reshape(rows, dim)
+    labels = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                         min_size=rows, max_size=rows)))
+    back = parse_libsvm(serialize_libsvm(feats, labels))
+    # zeros are omitted, so trailing all-zero columns do not survive
+    occupied = np.flatnonzero((feats != 0.0).any(axis=0))
+    kept = feats[:, : occupied[-1] + 1] if len(occupied) else feats[:, :0]
+    assert back.features.shape == kept.shape
+    assert back.features.tobytes() == (kept + 0.0).tobytes()  # -0.0 parses as +0.0
+    assert back.labels.tobytes() == labels.tobytes()
 
 
 def test_normalize_two_point_column():
-    d = Dataset((LabeledSample(np.array([1.0]), 1), LabeledSample(np.array([3.0]), -1)), 1)
+    d = Dataset(np.array([[1.0], [3.0]]), np.array([1.0, -1.0]))
     out = normalize(d)
-    assert np.allclose([s.features[0] for s in out.samples], [-1.0, 1.0], atol=1e-12)
+    assert np.allclose(out.features[:, 0], [-1.0, 1.0], atol=1e-12)
+    assert out.labels is d.labels
 
 
 def test_normalize_constant_column_zeroed():
-    d = Dataset(tuple(LabeledSample(np.array([5.0, i * 1.0]), 1) for i in range(3)), 2)
+    d = Dataset(np.array([[5.0, i * 1.0] for i in range(3)]), np.ones(3))
     out = normalize(d)
-    assert all(s.features[0] == 0.0 for s in out.samples)
+    assert (out.features[:, 0] == 0.0).all()
 
 
 def test_normalize_moments_and_idempotence():
     rng = np.random.default_rng(1)
-    d = Dataset(
-        tuple(LabeledSample(rng.normal(3.0, 2.5, size=4), 1) for _ in range(50)), 4
-    )
+    d = Dataset(rng.normal(3.0, 2.5, size=(50, 4)), np.ones(50))
     once = normalize(d)
-    mat = np.stack([s.features for s in once.samples])
+    mat = once.features
     assert np.abs(mat.mean(axis=0)).max() <= 1e-9
     assert np.abs(mat.std(axis=0) - 1.0).max() <= 1e-9
     twice = normalize(once)
-    mat2 = np.stack([s.features for s in twice.samples])
-    assert np.abs(mat2 - mat).max() <= 1e-9
+    assert np.abs(twice.features - mat).max() <= 1e-9
 
 
 def test_normalize_empty_rejected():
     with pytest.raises(EmptyDataset):
-        normalize(Dataset((), 0))
+        normalize(Dataset(np.empty((0, 0)), np.empty(0)))
 
 
 def test_kmeans_recovers_separated_clouds():
@@ -142,34 +176,33 @@ def test_kmeans_deterministic():
 
 def _toy_dataset(count, dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    samples = tuple(
-        LabeledSample(rng.standard_normal(dim), 1 if rng.random() < 0.5 else -1)
-        for _ in range(count)
-    )
-    return Dataset(samples, dim)
+    return Dataset(rng.standard_normal((count, dim)), np.where(rng.random(count) < 0.5, 1.0, -1.0))
+
+
+def _node_rows(streams, i):
+    """Node i's stream as a (rounds, dim) feature array."""
+    return streams.block(1, streams.rounds + 1)[0][:, i]
 
 
 def test_split_fully_stochastic_is_uniform_deal():
     d = _toy_dataset(40)
     streams = split_stoch_adv(d, 1.0, n=4, rounds=10, seed=7)
     assert streams.n == 4
-    assert all(len(s) == 10 for s in streams.streams)
+    assert streams.index.shape == (4, 10)
     # disjoint cover of the dataset: every sample lands on exactly one node
-    seen = [tuple(s.features) for node in streams.streams for s in node]
+    seen = [tuple(row) for i in range(4) for row in _node_rows(streams, i)]
     assert len(set(seen)) == 40
+    assert sorted(streams.index.ravel().tolist()) == list(range(40))
 
 
 def test_split_fully_adversarial_pins_clusters_to_nodes():
     rng = np.random.default_rng(2)
     centers = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
-    samples = []
-    for c in range(3):
-        for _ in range(6):
-            samples.append(LabeledSample(centers[c] + rng.uniform(-0.1, 0.1, 2), 1))
-    d = Dataset(tuple(samples), 2)
+    points = np.array([centers[c] + rng.uniform(-0.1, 0.1, 2) for c in range(3) for _ in range(6)])
+    d = Dataset(points, np.ones(18))
     streams = split_stoch_adv(d, 0.0, n=3, rounds=6, seed=1)
-    for node_stream in streams.streams:
-        feats = np.stack([s.features for s in node_stream])
+    for i in range(3):
+        feats = _node_rows(streams, i)
         spread = feats.max(axis=0) - feats.min(axis=0)
         assert (spread <= 1.0).all()  # every node sees exactly one cloud
 
@@ -178,10 +211,7 @@ def test_split_deterministic():
     d = _toy_dataset(60, seed=3)
     a = split_stoch_adv(d, 0.5, n=5, rounds=12, seed=9)
     b = split_stoch_adv(d, 0.5, n=5, rounds=12, seed=9)
-    for sa, sb in zip(a.streams, b.streams):
-        for x, y in zip(sa, sb):
-            assert x.label == y.label
-            assert np.array_equal(x.features, y.features)
+    assert np.array_equal(a.index, b.index)
 
 
 def test_split_cycles_when_node_allocation_is_short():
@@ -189,24 +219,46 @@ def test_split_cycles_when_node_allocation_is_short():
     # so its node must cycle to fill 4 rounds.
     rng = np.random.default_rng(4)
     clouds = [(np.array([0.0, 0.0]), 10), (np.array([40.0, 0.0]), 6), (np.array([0.0, 40.0]), 2)]
-    samples = tuple(
-        LabeledSample(center + rng.uniform(-0.1, 0.1, 2), 1)
-        for center, count in clouds
-        for _ in range(count)
-    )
-    streams = split_stoch_adv(Dataset(samples, 2), 0.0, n=3, rounds=4, seed=1)
-    assert all(len(s) == 4 for s in streams.streams)
-    sizes = []
-    for node_stream in streams.streams:
-        distinct = {tuple(s.features) for s in node_stream}
-        sizes.append(len(distinct))
+    points = np.array([center + rng.uniform(-0.1, 0.1, 2) for center, count in clouds for _ in range(count)])
+    streams = split_stoch_adv(Dataset(points, np.ones(18)), 0.0, n=3, rounds=4, seed=1)
+    assert streams.index.shape == (3, 4)
+    nodes = [_node_rows(streams, i) for i in range(3)]
+    sizes = [len({tuple(row) for row in feats}) for feats in nodes]
     assert min(sizes) == 2  # the two-sample cluster repeats with period 2
-    short = [s for s in streams.streams if len({tuple(x.features) for x in s}) == 2][0]
-    assert np.array_equal(short[0].features, short[2].features)
-    assert np.array_equal(short[1].features, short[3].features)
+    short = nodes[sizes.index(2)]
+    assert np.array_equal(short[0], short[2])
+    assert np.array_equal(short[1], short[3])
 
 
 def test_split_insufficient_data():
     d = _toy_dataset(10)
     with pytest.raises(InsufficientData):
         split_stoch_adv(d, 0.5, n=3, rounds=4, seed=0)
+
+
+def test_split_matches_per_sample_reference():
+    # the deal, the clusters and the interleave, rebuilt one sample at a time
+    d = _toy_dataset(97, dim=4, seed=12)
+    n, rounds, fraction, seed = 5, 14, 0.4, 3
+    streams = split_stoch_adv(d, fraction, n=n, rounds=rounds, seed=seed)
+    rng_shuffle, kmeans_ss = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    order = rng_shuffle.permutation(97).tolist()
+    cut = int(np.floor(fraction * 97))
+    stoch = [[] for _ in range(n)]
+    for pos, idx in enumerate(order[:cut]):
+        stoch[pos % n].append(idx)
+    adv = [[] for _ in range(n)]
+    assign = kmeans(d.features[order[cut:]], n, seed=int(kmeans_ss.integers(0, 2**63)))
+    for idx, c in zip(order[cut:], assign):
+        adv[c].append(idx)
+    for i in range(n):
+        merged, a, b, j, k = [], len(stoch[i]), len(adv[i]), 0, 0
+        while j < a or k < b:
+            if k >= b or (j < a and (j + 1) * b <= (k + 1) * a):
+                merged.append(stoch[i][j])
+                j += 1
+            else:
+                merged.append(adv[i][k])
+                k += 1
+        assert streams.index[i].tolist() == [merged[t % len(merged)] for t in range(rounds)]
+

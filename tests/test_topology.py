@@ -4,9 +4,7 @@ import pytest
 from dogsim.topology import (
     Graph,
     build_topology,
-    from_edge_list_text,
     is_connected,
-    to_edge_list_text,
 )
 
 
@@ -93,22 +91,7 @@ def test_graph_invariants_enforced():
     assert g.edges == frozenset({(0, 1)})
 
 
-def test_edge_list_text_format():
-    g = build_topology("ring", 4)
-    text = to_edge_list_text(g)
-    assert text == "n=4\n0 1\n0 3\n1 2\n2 3\n"
-    assert from_edge_list_text(text).edges == g.edges
-
-
-def test_edge_list_roundtrip_random():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        n = int(rng.integers(2, 12))
-        g = build_topology("random_k", n, seed=int(rng.integers(0, 100)), k=1)
-        assert from_edge_list_text(to_edge_list_text(g)) == g
-
-
 def test_neighbors_and_degrees():
     g = build_topology("ring", 5)
-    assert g.neighbors(0) == [1, 4]
+    assert {e for e in g.edges if 0 in e} == {(0, 1), (0, 4)}
     assert g.degrees().tolist() == [2, 2, 2, 2, 2]
