@@ -201,19 +201,27 @@ def build_graph(ef: ExperimentFile) -> topology.Graph:
         raise ConfigError(str(exc))
 
 
-def build_data(ef: ExperimentFile, rounds: int):
+def build_data(ef: ExperimentFile, rounds: int, datasets: dict | None = None):
     """The config's data source for `rounds` rounds: the synthetic stream, or
     the LIBSVM file parsed, normalized and split into node streams. Both
-    hand out samples through ``block(first, last)``."""
+    hand out samples through ``block(first, last)``.
+
+    `datasets` maps a file path to its normalized `Dataset`; a file found
+    there is not read again, and one parsed here is added to it."""
     if ef.data_mode == SYNTHETIC:
         return SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
-    dataset = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
-    return ingest.split_stoch_adv(dataset, ef.stochastic_fraction, ef.n, rounds, seed=ef.seed)
+    datasets = {} if datasets is None else datasets
+    if ef.file not in datasets:
+        datasets[ef.file] = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
+    return ingest.split_stoch_adv(
+        datasets[ef.file], ef.stochastic_fraction, ef.n, rounds, seed=ef.seed
+    )
 
 
-def build_run(ef: ExperimentFile, record_samples: bool = False):
+def build_run(ef: ExperimentFile, record_samples: bool = False, datasets: dict | None = None):
     """Assemble (RunConfig, MixingMatrix) from a validated config, with its
-    step size resolved, so that every config error surfaces here."""
+    step size resolved, so that every config error surfaces here. `datasets`
+    is passed to `build_data`."""
     graph = build_graph(ef)
     try:
         mix = mixing.build_mixing(graph, ef.scheme)
@@ -223,7 +231,7 @@ def build_run(ef: ExperimentFile, record_samples: bool = False):
             T=ef.T,
             eta=ef.eta,
             loss_spec=LossSpec(gamma=ef.gamma),
-            data=build_data(ef, ef.T),
+            data=build_data(ef, ef.T, datasets),
             mixing=mix,
             bounds=ef.bounds,
             seed=ef.seed,
@@ -350,13 +358,21 @@ def _summarize(result: engine.RunResult, ef: ExperimentFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_number(convert, text: str, value: str):
+    """convert(text), where text is all or part of the sweep value `value`."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"invalid sweep value {value!r}")
+
+
 def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
-    """Yield (cell_name, config) pairs for one sweep axis."""
+    """Yield (cell_name, value, algorithm, config) for one sweep axis."""
     if axis == "beta":
         if ef.data_mode != SYNTHETIC:
             raise ConfigError("beta sweep requires synthetic data")
         for value in values:
-            beta = float(value)
+            beta = _sweep_number(float, value, value)
             for alg in (engine.DOG, engine.LOCAL_OGD):
                 yield (
                     f"beta_{value}_{alg}",
@@ -366,7 +382,7 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
                 )
     elif axis == "nodes":
         for value in values:
-            n = int(value)
+            n = _sweep_number(int, value, value)
             yield f"nodes_{value}", value, ef.algorithm, replace(ef, n=n)
     elif axis == "topology":
         for value in values:
@@ -375,7 +391,7 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
                 raise ConfigError(f"unknown topology {kind!r} in sweep values")
             patched = replace(ef, kind=kind, algorithm=engine.DOG)
             if p_raw:
-                patched = replace(patched, p=float(p_raw))
+                patched = replace(patched, p=_sweep_number(float, p_raw, value))
             name = f"topology_{value.replace(':', '_p')}"
             yield name, value, engine.DOG, patched
     else:
@@ -400,10 +416,11 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
         return 1
 
     # Build every cell before running any, so a config error writes nothing.
-    built = []
+    # The cells share one parse of the data file.
+    built, datasets = [], {}
     for name, value, alg, cell_ef in cells:
         try:
-            built.append((name, value, alg, build_run(cell_ef)[0]))
+            built.append((name, value, alg, build_run(cell_ef, datasets=datasets)[0]))
         except OSError as exc:
             print(f"sweep cell {name} error: {exc}", file=sys.stderr)
             return 3

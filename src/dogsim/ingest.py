@@ -22,10 +22,17 @@ from .errors import EmptyDataset, InsufficientData, ParseError, TooFewPoints
 
 @dataclass(frozen=True)
 class Dataset:
-    """m labeled rows: features (m, d) float64 and labels (m,) of +-1.0."""
+    """m labeled rows: features (m, d) float64 and labels (m,) of +-1.0.
+
+    Both arrays are made read-only, because the cells of a sweep share one
+    parsed dataset."""
 
     features: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self):
+        self.features.setflags(write=False)
+        self.labels.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -141,9 +148,13 @@ def normalize(d: Dataset) -> Dataset:
 def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
     """Lloyd's algorithm with k-means++ seeding; returns cluster ids.
 
-    Stops when assignments stabilize or max_iters is reached. An empty
-    cluster is re-seeded with the point currently farthest from its own
-    centroid.
+    Seeding keeps each point's squared distance to its nearest centroid so
+    far and folds in only the newest one, O(m*k*d) in all. Every distance,
+    in seeding and in Lloyd's steps, is the exact ``((p - c) ** 2).sum()``
+    computed one centroid at a time, so argmin ties break the same way as
+    with a full (m, k, d) broadcast. Stops when assignments stabilize or
+    max_iters is reached. An empty cluster is re-seeded with the point
+    currently farthest from its own centroid.
     """
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
@@ -156,10 +167,9 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
     centroids = np.empty((k, pts.shape[1]))
     first = int(rng.integers(0, m))
     centroids[0] = pts[first]
+    d2 = np.full(m, np.inf)
     for c in range(1, k):
-        d2 = np.min(
-            ((pts[:, None, :] - centroids[None, :c, :]) ** 2).sum(axis=2), axis=1
-        )
+        d2 = np.minimum(d2, ((pts - centroids[c - 1]) ** 2).sum(axis=1))
         total = d2.sum()
         if total == 0:
             centroids[c] = pts[int(rng.integers(0, m))]
@@ -168,8 +178,10 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
         centroids[c] = pts[int(np.searchsorted(np.cumsum(d2), r))]
 
     assign = np.full(m, -1, dtype=int)
+    d2 = np.empty((m, k))
     for _ in range(max_iters):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        for c in range(k):
+            d2[:, c] = ((pts - centroids[c]) ** 2).sum(axis=1)
         new_assign = d2.argmin(axis=1)
         if np.array_equal(new_assign, assign):
             break

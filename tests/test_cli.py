@@ -207,6 +207,20 @@ def test_sweep_config_error_in_a_later_cell_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values, bad", [
+    ("nodes", "10,abc", "abc"),
+    ("beta", "0.3,zz", "zz"),
+    ("topology", "ring,watts_strogatz:x", "watts_strogatz:x"),
+])
+def test_sweep_malformed_value_is_a_config_error(tmp_path, capsys, axis, values, bad):
+    cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), str(out), "--axis", axis, "--values", values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(bad) in err
+    assert not out.exists()
+
+
 def test_sweep_missing_data_file_is_an_io_error(tmp_path, capsys):
     text = BASE_CONFIG.replace("beta = 0.5\ndim = 4", "file = absent.libsvm\nstochastic_fraction = 0.5")
     out = tmp_path / "out"
@@ -437,3 +451,59 @@ def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
     paths["data"] = tmp_path / "dump.libsvm"
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == PINNED_FILE_DIGESTS
+
+
+#: sha256 of a nodes sweep 2,4,6 of FILE_CONFIG on _pinned_libsvm_text(),
+#: recorded when every cell still parsed the file for itself; sharing one
+#: parse across the cells must not move them.
+PINNED_SWEEP_DIGESTS = {
+    "nodes_2/metrics.csv": "79c83c7ac605a3b66dc9c2ef0422717025fce38d758bd7ba4665a6e95bbbf0b9",
+    "nodes_4/metrics.csv": "36ec73f8c3df5d9d7e6dadce87a1778418a684cc762bf84a7e44d5f4919506bf",
+    "nodes_6/metrics.csv": "2fb86f809eb7f18c3f66247f45dc20bd024b7d80381c93ce9a26b599303bb8e3",
+    "sweep_summary.csv": "7b5a36afc42e72879dd6bdb564376a2a43041365aa0a154195dd46b3445780a1",
+}
+_SWEEP_NODES = (2, 4, 6)
+
+
+def _file_sweep(tmp_path, monkeypatch, out="sweep"):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
+    cfg = _write(tmp_path, FILE_CONFIG)
+    values = ",".join(str(n) for n in _SWEEP_NODES)
+    return cli.main(["sweep", str(cfg), out, "--axis", "nodes", "--values", values])
+
+
+def test_file_data_sweep_bytes_are_pinned(tmp_path, monkeypatch):
+    import hashlib
+
+    assert _file_sweep(tmp_path, monkeypatch) == 0
+    digests = {name: hashlib.sha256((tmp_path / "sweep" / name).read_bytes()).hexdigest()
+               for name in PINNED_SWEEP_DIGESTS}
+    assert digests == PINNED_SWEEP_DIGESTS
+
+
+def test_file_data_sweep_cells_match_single_runs(tmp_path, monkeypatch):
+    assert _file_sweep(tmp_path, monkeypatch) == 0
+    for n in _SWEEP_NODES:
+        cfg = _write(tmp_path, FILE_CONFIG.replace("n = 5", f"n = {n}"), f"n{n}.cfg")
+        assert cli.main(["run", str(cfg), f"run_{n}"]) == 0
+        single = (tmp_path / f"run_{n}" / "metrics.csv").read_bytes()
+        assert (tmp_path / "sweep" / f"nodes_{n}" / "metrics.csv").read_bytes() == single
+
+
+def test_sweep_parses_its_data_file_once_per_invocation(tmp_path, monkeypatch):
+    from dogsim import ingest
+
+    calls = []
+    original = ingest.parse_libsvm
+
+    def counting(text):
+        calls.append(len(text))
+        return original(text)
+
+    monkeypatch.setattr(ingest, "parse_libsvm", counting)
+    assert _file_sweep(tmp_path, monkeypatch, out="first") == 0
+    assert len(calls) == 1
+    # nothing outlives a main() call: the next sweep reads the file again
+    assert _file_sweep(tmp_path, monkeypatch, out="second") == 0
+    assert len(calls) == 2

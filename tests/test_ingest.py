@@ -146,6 +146,15 @@ def test_normalize_empty_rejected():
         normalize(Dataset(np.empty((0, 0)), np.empty(0)))
 
 
+def test_dataset_arrays_are_read_only():
+    d = parse_libsvm("+1 1:0.5\n-1 2:1\n")
+    for dataset in (d, normalize(d)):
+        with pytest.raises(ValueError):
+            dataset.features[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            dataset.labels[0] = -1.0
+
+
 def test_kmeans_recovers_separated_clouds():
     rng = np.random.default_rng(5)
     cloud_a = rng.uniform(-0.1, 0.1, size=(4, 2))
@@ -172,6 +181,64 @@ def test_kmeans_deterministic():
     rng = np.random.default_rng(8)
     points = rng.standard_normal((30, 3))
     assert kmeans(points, 4, seed=11) == kmeans(points, 4, seed=11)
+
+
+def _kmeans_broadcast_reference(points, k, max_iters=100, seed=0):
+    """k-means++ seeding and Lloyd's steps with every point-to-centroid
+    distance taken at once over an (m, k, d) broadcast."""
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[int(rng.integers(0, m))]
+    for c in range(1, k):
+        d2 = np.min(((pts[:, None, :] - centroids[None, :c, :]) ** 2).sum(axis=2), axis=1)
+        total = d2.sum()
+        if total == 0:
+            centroids[c] = pts[int(rng.integers(0, m))]
+            continue
+        r = rng.random() * total
+        centroids[c] = pts[int(np.searchsorted(np.cumsum(d2), r))]
+    assign = np.full(m, -1, dtype=int)
+    for _ in range(max_iters):
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = pts[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                dist_own = ((pts - centroids[assign]) ** 2).sum(axis=1)
+                centroids[c] = pts[int(dist_own.argmax())]
+    return [int(c) for c in assign]
+
+
+def _kmeans_points(kind, m, d, rng):
+    if kind == "gaussian":
+        return rng.standard_normal((m, d))
+    if kind == "grid":  # few distinct integer coordinates: many exact ties
+        return rng.integers(-1, 2, size=(m, d)).astype(float)
+    # duplicated rows: at most 3 distinct points, so seeding can run out of
+    # positive distances and Lloyd's steps can empty a cluster
+    distinct = rng.standard_normal((int(rng.integers(1, 4)), d))
+    return distinct[rng.integers(0, len(distinct), size=m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "grid", "duplicates"]),
+    m=st.integers(1, 80),
+    d=st.integers(1, 20),
+    data=st.data(),
+)
+def test_kmeans_matches_broadcast_reference(kind, m, d, data):
+    k = data.draw(st.integers(1, m), label="k")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    points = _kmeans_points(kind, m, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    assert kmeans(points, k, seed=seed) == _kmeans_broadcast_reference(points, k, seed=seed)
 
 
 def _toy_dataset(count, dim=3, seed=0):
