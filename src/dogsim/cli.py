@@ -391,6 +391,8 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
                 raise ConfigError(f"unknown topology {kind!r} in sweep values")
             patched = replace(ef, kind=kind, algorithm=engine.DOG)
             if p_raw:
+                if kind != topology.WATTS_STROGATZ:
+                    raise ConfigError(f"topology {value!r} takes no ':p' suffix; only watts_strogatz reads p")
                 patched = replace(patched, p=_sweep_number(float, p_raw, value))
             name = f"topology_{value.replace(':', '_p')}"
             yield name, value, engine.DOG, patched

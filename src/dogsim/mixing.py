@@ -58,8 +58,8 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown mixing scheme {scheme!r}")
-    i, j = g.edge_array().T
-    deg = np.bincount(np.concatenate([i, j]), minlength=g.n)
+    i, j = g.edges.T
+    deg = g.degrees()
     if scheme == UNIFORM:
         off = 1.0 / g.n
     else:

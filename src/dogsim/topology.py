@@ -1,14 +1,14 @@
 """Undirected communication graphs for the gossip network.
 
-Graphs are plain immutable values: a node count and a set of canonical
-(i, j) edge pairs with i < j. Generators are pure functions of
-(kind, n, seed) so repeated calls always reproduce the same graph.
+Graphs are plain immutable values: a node count and one read-only (m, 2)
+integer array of (i, j) edge rows with i < j, sorted and without repeats.
+Generators are pure functions of (kind, n, seed) so repeated calls always
+reproduce the same graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,37 +21,50 @@ WATTS_STROGATZ = "watts_strogatz"
 KINDS = (RING, COMPLETE, DISCONNECTED, RANDOM_K, WATTS_STROGATZ)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on nodes 0..n-1.
 
-    Invariants: no self-loops, no duplicate edges, endpoints in [0, n).
+    `edges` may be given as any (m, 2) array or sequence of (i, j) pairs, in
+    either orientation and with repeats. It is stored canonically: a
+    read-only, C-contiguous (m, 2) intp array of rows with i < j, sorted by
+    (i, j) and unique. Invariants: no self-loops, endpoints in [0, n).
+    Graphs compare by identity; compare `edges` with np.array_equal.
     """
 
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: np.ndarray = ()
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be >= 1, got {self.n}")
-        canonical = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            canonical.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(canonical))
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) integer array of (i, j) rows, in set order."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
-                           count=2 * len(self.edges))
-        return flat.reshape(-1, 2)
+        e = np.asarray(self.edges, dtype=np.intp)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be (i, j) pairs, got an array of shape {e.shape}")
+        lo = np.minimum(e[:, 0], e[:, 1])
+        hi = np.maximum(e[:, 0], e[:, 1])
+        loops = lo == hi
+        if loops.any():
+            raise ValueError(f"self-loop on node {lo[loops.argmax()]}")
+        outside = (lo < 0) | (hi >= self.n)
+        if outside.any():
+            i, j = e[outside.argmax()]
+            raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+        # One key per undirected edge; sorting the keys sorts the rows by (i, j).
+        key = lo * self.n + hi
+        key.sort()
+        first = np.ones(key.shape, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+        canonical = np.stack(np.divmod(key, self.n), axis=1)
+        canonical.setflags(write=False)
+        object.__setattr__(self, "edges", canonical)
 
     def degrees(self) -> np.ndarray:
         """Neighbor count per node (self excluded)."""
-        return np.bincount(self.edge_array().ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 def build_topology(kind: str, n: int, seed: int = 0, k: int = 0, p: float = 0.0) -> Graph:
@@ -71,9 +84,9 @@ def build_topology(kind: str, n: int, seed: int = 0, k: int = 0, p: float = 0.0)
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if kind == RING:
-        return Graph(n, frozenset(_ring_edges(n)))
+        return Graph(n, _ring_edges(n))
     if kind == COMPLETE:
-        return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
     if kind == DISCONNECTED:
         return Graph(n)
     if kind == RANDOM_K:
@@ -92,27 +105,30 @@ def _check_k(k: int, n: int):
         raise ValueError(f"k must satisfy 0 <= k < n, got k={k}, n={n}")
 
 
-def _ring_edges(n: int) -> set:
+def _ring_edges(n: int) -> np.ndarray:
     if n == 1:
-        return set()
+        return np.empty((0, 2), dtype=np.intp)
     if n == 2:
-        return {(0, 1)}
-    return {(i, (i + 1) % n) for i in range(n)}
+        return np.array([[0, 1]], dtype=np.intp)
+    i = np.arange(n)
+    return np.stack((i, (i + 1) % n), axis=1)
 
 
 def _random_k(n: int, k: int, seed: int) -> Graph:
-    # Each node picks k distinct partners; the undirected union can give
+    # Each node picks k distinct partners among the other n - 1 nodes: draw
+    # positions in 0..n-2 and skip over i. The undirected union can give
     # degrees above k but never below.
     rng = np.random.default_rng(seed)
-    edges = set()
+    partners = np.empty((n, k), dtype=np.intp)
     for i in range(n):
-        others = [j for j in range(n) if j != i]
-        for j in rng.choice(others, size=k, replace=False):
-            edges.add((min(i, int(j)), max(i, int(j))))
-    return Graph(n, frozenset(edges))
+        j = rng.choice(n - 1, size=k, replace=False)
+        partners[i] = j + (j >= i)
+    return Graph(n, np.stack((np.repeat(np.arange(n), k), partners.ravel()), axis=1))
 
 
 def _watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
+    # The rewiring works on a set of tuples because its RNG draw order
+    # fixes the graph; Graph turns the set into the edge array once.
     rng = np.random.default_rng(seed)
     half = k // 2
     edges = set()
@@ -144,24 +160,15 @@ def _watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
                 edges.discard(edge)
                 edges.add(candidate)
                 break
-    return Graph(n, frozenset(edges))
+    return Graph(n, list(edges))
 
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component (n == 1 counts)."""
-    if g.n == 1:
-        return True
-    adj = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
+    i, j = g.edges.T
+    adjacency = coo_matrix((np.ones(len(i)), (i, j)), shape=(g.n, g.n))
+    count, _ = connected_components(adjacency, directed=False)
+    return count == 1

@@ -221,6 +221,95 @@ def test_sweep_malformed_value_is_a_config_error(tmp_path, capsys, axis, values,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["ring:0.5", "complete:7", "random_k:0", "disconnected:1"])
+def test_sweep_p_suffix_on_a_kind_without_p_is_a_config_error(tmp_path, capsys, bad):
+    cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))
+    out = tmp_path / "out"
+    argv = ["sweep", str(cfg), str(out), "--axis", "topology", "--values", f"watts_strogatz:0.5,{bad}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(bad) in err
+    assert not out.exists()
+
+
+TOPOLOGY_CONFIG = """\
+[network]
+kind = ring
+n = 40
+k = 4
+p = 0.2
+scheme = max_degree
+
+[algorithm]
+kind = dog
+eta = 0.1
+T = 15
+seed = 8
+
+[loss]
+gamma = 0.001
+
+[data]
+beta = 0.5
+dim = 3
+"""
+_TOPOLOGY_VALUES = ("ring", "watts_strogatz:0.5", "complete", "random_k", "disconnected")
+
+#: sha256 of a topology sweep of TOPOLOGY_CONFIG over _TOPOLOGY_VALUES, of
+#: `dogsim run` on each value, and of `dogsim matrix` stdout for a complete
+#: graph under the uniform scheme and a watts_strogatz graph under max_degree.
+#: Recorded when Graph still held a frozenset of edge tuples; the edge-array
+#: representation must not move a byte.
+PINNED_TOPOLOGY_DIGESTS = {
+    "matrix_complete": "09b71baafee9d03011bf03efcd2e03ad8f3fcacc31c9abda52b9a82e5faa8455",
+    "matrix_watts_strogatz": "873515b891d1cecbcb7e0d1012425d404694ab4a62c16e372e0dfd50db13ab6b",
+    "sweep_summary.csv": "441927a13915ef49ed3f9229e18a0985db677c98963535917b335fdae0d1b801",
+    "topology_complete/metrics.csv": "eb07cce216c3c040505e2bb72b0955004c128a5de52c550ad033013b0fffc21f",
+    "topology_complete/resolved.cfg": "d31b38a8876b8d103028797214d266ddeecc3aec2d4b061a90e63501f0c6cdde",
+    "topology_disconnected/metrics.csv": "ebe81867d9a833dcfef4488ced407dea5a7616f8bc5df7bdc30368086cfec813",
+    "topology_disconnected/resolved.cfg": "fe79646e832360cdc960f32058466694024fcc4050a1f12f5a0b735ba7b3ea48",
+    "topology_random_k/metrics.csv": "dcdbc45e368395c6500e964d30379d939a21615e2eb3439fbccf0ac8b164ed42",
+    "topology_random_k/resolved.cfg": "7587509acc231348299ad4fc2c954bbfe5c939b87b8e3f218328397c03fdbfd2",
+    "topology_ring/metrics.csv": "9410c7c10619c52885e03dad37d682c4a21450dff59f569ec3d8c98acdb3b6c4",
+    "topology_ring/resolved.cfg": "df1cd36f91a9512b3dfb60374086e6093ca5e07f203083d26e14d51d9b4fa987",
+    "topology_watts_strogatz_p0.5/metrics.csv": "c6121b62b901f2b11ea8b0ada6ba2edbe64e92de1b69c3599a0fef754e0d7c1b",
+    "topology_watts_strogatz_p0.5/resolved.cfg": "502256247d4bc721688c9accbd0609c9ee5f704cbeb171b3882aed453ffa4f51",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the disconnected cell has rho = 1
+def test_topology_sweep_bytes_are_pinned(tmp_path, capsys):
+    import hashlib
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    cfg = _write(tmp_path, TOPOLOGY_CONFIG)
+    sweep = tmp_path / "sweep"
+    argv = ["sweep", str(cfg), str(sweep), "--axis", "topology", "--values", ",".join(_TOPOLOGY_VALUES)]
+    assert cli.main(argv) == 0
+    digests = {"sweep_summary.csv": digest(sweep / "sweep_summary.csv")}
+    for value in _TOPOLOGY_VALUES:
+        kind, _, p = value.partition(":")
+        cell = f"topology_{value.replace(':', '_p')}"
+        digests[f"{cell}/metrics.csv"] = digest(sweep / cell / "metrics.csv")
+        text = TOPOLOGY_CONFIG.replace("kind = ring", f"kind = {kind}")
+        if p:
+            text = text.replace("p = 0.2", f"p = {p}")
+        run_cfg = _write(tmp_path, text, f"{cell}.cfg")
+        assert cli.main(["run", str(run_cfg), str(tmp_path / cell)]) == 0
+        digests[f"{cell}/resolved.cfg"] = digest(tmp_path / cell / "resolved.cfg")
+        assert (tmp_path / cell / "metrics.csv").read_bytes() == (sweep / cell / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    for kind, scheme in (("complete", "uniform"), ("watts_strogatz", "max_degree")):
+        text = TOPOLOGY_CONFIG.replace("kind = ring", f"kind = {kind}")
+        text = text.replace("scheme = max_degree", f"scheme = {scheme}")
+        assert cli.main(["matrix", str(_write(tmp_path, text, f"m_{kind}.cfg"))]) == 0
+        out = capsys.readouterr().out
+        digests[f"matrix_{kind}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == PINNED_TOPOLOGY_DIGESTS
+
+
 def test_sweep_missing_data_file_is_an_io_error(tmp_path, capsys):
     text = BASE_CONFIG.replace("beta = 0.5\ndim = 4", "file = absent.libsvm\nstochastic_fraction = 0.5")
     out = tmp_path / "out"

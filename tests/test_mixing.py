@@ -49,10 +49,11 @@ def test_max_degree_scheme_ring4():
 ])
 def test_matrix_matches_per_edge_definition(kind, n, k, p, scheme):
     g = build_topology(kind, n, seed=5, k=k, p=p)
-    deg = [sum(i in e for e in g.edges) for i in range(n)]
+    edges = {(int(i), int(j)) for i, j in g.edges}
+    deg = [sum(i in e for e in edges) for i in range(n)]
     off = 1.0 / n if scheme == UNIFORM else 1.0 / (max(deg) + 1)
     expected = np.zeros((n, n))
-    for i, j in g.edges:
+    for i, j in edges:
         expected[i, j] = expected[j, i] = off
     for i in range(n):
         expected[i, i] = 1.0 - deg[i] * off
@@ -119,9 +120,10 @@ def test_schemes_produce_symmetric_matrices():
 def test_zero_pattern_respects_graph():
     g = build_topology("random_k", 9, seed=3, k=2)
     w = build_mixing(g, MAX_DEGREE).entries
+    edges = {(int(i), int(j)) for i, j in g.edges}
     for i in range(9):
         for j in range(9):
-            if i != j and (min(i, j), max(i, j)) not in g.edges:
+            if i != j and (min(i, j), max(i, j)) not in edges:
                 assert w[i, j] == 0.0
 
 

@@ -1,37 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dogsim.mixing import SCHEMES, UNIFORM, build_mixing, spectral_gap
 from dogsim.topology import (
+    KINDS,
     Graph,
     build_topology,
     is_connected,
 )
 
 
+def _edge_set(g):
+    return {(int(i), int(j)) for i, j in g.edges}
+
+
 def test_ring_four_nodes():
     g = build_topology("ring", 4, seed=0)
-    assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    assert _edge_set(g) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 
 def test_disconnected_has_no_edges():
     g = build_topology("disconnected", 5, seed=0)
-    assert g.edges == frozenset()
+    assert g.edges.shape == (0, 2)
 
 
 def test_complete_three_nodes():
     g = build_topology("complete", 3, seed=0)
-    assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_watts_strogatz_zero_rewiring_is_ring():
     ws = build_topology("watts_strogatz", 6, seed=7, k=2, p=0.0)
     ring = build_topology("ring", 6, seed=7)
-    assert ws.edges == ring.edges
+    assert np.array_equal(ws.edges, ring.edges)
 
 
 def test_ring_small_sizes():
-    assert build_topology("ring", 1).edges == frozenset()
-    assert build_topology("ring", 2).edges == frozenset({(0, 1)})
+    assert build_topology("ring", 1).edges.shape == (0, 2)
+    assert build_topology("ring", 2).edges.tolist() == [[0, 1]]
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -42,10 +50,10 @@ def test_generators_are_pure_functions_of_seed(kind, kwargs):
     for seed in (0, 1, 99):
         a = build_topology(kind, 12, seed=seed, **kwargs)
         b = build_topology(kind, 12, seed=seed, **kwargs)
-        assert a.edges == b.edges
-    assert (
-        build_topology(kind, 12, seed=0, **kwargs).edges
-        != build_topology(kind, 12, seed=123456, **kwargs).edges
+        assert np.array_equal(a.edges, b.edges)
+    assert not np.array_equal(
+        build_topology(kind, 12, seed=0, **kwargs).edges,
+        build_topology(kind, 12, seed=123456, **kwargs).edges,
     )
 
 
@@ -66,7 +74,7 @@ def test_is_connected():
     assert is_connected(build_topology("ring", 4))
     assert not is_connected(build_topology("disconnected", 3))
     assert is_connected(build_topology("disconnected", 1))
-    two_components = Graph(4, frozenset({(0, 1), (2, 3)}))
+    two_components = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(two_components)
 
 
@@ -82,16 +90,142 @@ def test_rejects_bad_parameters():
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(0, 3)}))
+    with pytest.raises(ValueError, match=r"self-loop on node 1\b"):
+        Graph(3, [(0, 2), (1, 1)])
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
+        Graph(3, [(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range for n=3"):
+        Graph(3, np.array([[-1, 2]]))
+    with pytest.raises(ValueError, match=r"\(i, j\) pairs"):
+        Graph(3, [(0, 1, 2)])
     # duplicate orientations collapse to one canonical edge
-    g = Graph(3, frozenset({(0, 1), (1, 0)}))
-    assert g.edges == frozenset({(0, 1)})
+    g = Graph(3, [(0, 1), (1, 0)])
+    assert g.edges.tolist() == [[0, 1]]
+
+
+def test_edges_are_a_read_only_copy():
+    given_edges = np.array([[2, 0], [1, 0]])
+    g = Graph(3, given_edges)
+    given_edges[0] = (1, 2)
+    assert g.edges.tolist() == [[0, 1], [0, 2]]
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 2
 
 
 def test_neighbors_and_degrees():
     g = build_topology("ring", 5)
-    assert {e for e in g.edges if 0 in e} == {(0, 1), (0, 4)}
+    assert {e for e in _edge_set(g) if 0 in e} == {(0, 1), (0, 4)}
     assert g.degrees().tolist() == [2, 2, 2, 2, 2]
+
+
+def _reference_build_topology(kind, n, seed=0, k=0, p=0.0):
+    """The generators as they were when a graph was a frozenset of (i, j)
+    tuples with i < j, built in Python loops."""
+    if kind == "ring":
+        if n == 1:
+            return frozenset()
+        if n == 2:
+            return frozenset({(0, 1)})
+        return frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
+    if kind == "complete":
+        return frozenset((i, j) for i in range(n) for j in range(i + 1, n))
+    if kind == "disconnected":
+        return frozenset()
+    rng = np.random.default_rng(seed)
+    edges = set()
+    if kind == "random_k":
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            for j in rng.choice(others, size=k, replace=False):
+                edges.add((min(i, int(j)), max(i, int(j))))
+        return frozenset(edges)
+    assert kind == "watts_strogatz"
+    half = k // 2
+    for i in range(n):
+        for d in range(1, half + 1):
+            j = (i + d) % n
+            if i != j:
+                edges.add((min(i, j), max(i, j)))
+    for d in range(1, half + 1):
+        for i in range(n):
+            j = (i + d) % n
+            if i == j:
+                continue
+            edge = (min(i, j), max(i, j))
+            if edge not in edges:
+                continue
+            if rng.random() >= p:
+                continue
+            for _ in range(n):
+                w = int(rng.integers(0, n))
+                if w == i:
+                    continue
+                candidate = (min(i, w), max(i, w))
+                if candidate in edges:
+                    continue
+                edges.discard(edge)
+                edges.add(candidate)
+                break
+    return frozenset(edges)
+
+
+def _reference_is_connected(n, edges):
+    """Depth-first search over adjacency lists."""
+    if n == 1:
+        return True
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
+
+
+@st.composite
+def _topology_args(draw):
+    kind = draw(st.sampled_from(KINDS), label="kind")
+    n = draw(st.integers(1, 60), label="n")
+    seed = draw(st.integers(0, 2**64 - 1), label="seed")
+    k = draw(st.integers(0, n - 1), label="k")
+    p = draw(st.floats(0.0, 1.0), label="p")
+    return kind, n, seed, k, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_topology_args())
+def test_generators_equal_the_frozenset_reference(args):
+    kind, n, seed, k, p = args
+    g = build_topology(kind, n, seed=seed, k=k, p=p)
+    reference = _reference_build_topology(kind, n, seed=seed, k=k, p=p)
+    expected = np.array(sorted(reference), dtype=np.intp).reshape(-1, 2)
+    assert g.edges.dtype == np.intp
+    assert g.edges.shape == (len(reference), 2)
+    assert g.edges.flags.c_contiguous and not g.edges.flags.writeable
+    assert np.array_equal(g.edges, expected)
+    degrees = [sum(i in e for e in reference) for i in range(n)]
+    assert g.degrees().tolist() == degrees
+    assert is_connected(g) == _reference_is_connected(n, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_topology_args(), st.sampled_from(SCHEMES))
+def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
+    kind, n, seed, k, p = args
+    reference = _reference_build_topology(kind, n, seed=seed, k=k, p=p)
+    deg = [sum(i in e for e in reference) for i in range(n)]
+    off = 1.0 / n if scheme == UNIFORM else 1.0 / (max(deg) + 1)
+    expected = np.zeros((n, n))
+    for i, j in reference:
+        expected[i, j] = expected[j, i] = off
+    for i in range(n):
+        expected[i, i] = 1.0 - deg[i] * off
+    m = build_mixing(build_topology(kind, n, seed=seed, k=k, p=p), scheme)
+    assert m.entries.tobytes() == expected.tobytes()
+    assert m.rho == spectral_gap(expected)
