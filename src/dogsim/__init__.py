@@ -7,19 +7,9 @@ and closed-form regret/consensus bound checks.
 """
 
 from .datagen import SyntheticSpec, synthetic_block, synthetic_sample
-from .engine import (
-    Bounds,
-    NetworkState,
-    RunConfig,
-    RunResult,
-    auto_learning_rate,
-    cog_round,
-    dog_round,
-    local_ogd_round,
-    run_experiment,
-)
+from .engine import Bounds, RunConfig, RunResult, auto_learning_rate, run_experiment
 from .ingest import Dataset, NodeStreams, kmeans, normalize, parse_libsvm, split_stoch_adv
-from .losses import LabeledSample, LossSpec, gradient, loss, smoothness_bound
+from .losses import LossSpec, smoothness_bound
 from .metrics import (
     BoundParams,
     MetricsRecord,
@@ -40,11 +30,9 @@ __all__ = [
     "BoundParams",
     "Dataset",
     "Graph",
-    "LabeledSample",
     "LossSpec",
     "MetricsRecord",
     "MixingMatrix",
-    "NetworkState",
     "NodeStreams",
     "RunConfig",
     "RunResult",
@@ -53,15 +41,10 @@ __all__ = [
     "average_loss",
     "build_mixing",
     "build_topology",
-    "cog_round",
     "consensus_error",
-    "dog_round",
     "estimate_gradient_bounds",
-    "gradient",
     "is_connected",
     "kmeans",
-    "local_ogd_round",
-    "loss",
     "normalize",
     "offline_comparator",
     "parse_libsvm",

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .losses import LabeledSample
-
 #: Stream tag separating this generator's randomness from any other consumer.
 STREAM_TAG = 0x646F6773
 
@@ -89,17 +87,9 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> _SHIFT) * _U53
 
 
-def _mix(u: np.ndarray, spec: SyntheticSpec, node: int, round: int) -> tuple:
-    dim = spec.dim
-    y = 1 if u[..., 0] < 0.5 else -1
-    adv = (math.sin(node) - 0.5) + u[..., 1 : dim + 1]
-    gauss_u = u[..., dim + 1 :] * (1.0 - _U53) + 0.5 * _U53
-    sto = (y + 0.5 * math.sin(round)) + ndtri(gauss_u)
-    return spec.beta * adv + (1.0 - spec.beta) * sto, y
-
-
-def synthetic_sample(spec: SyntheticSpec, node: int, round: int) -> LabeledSample:
-    """Sample for (node, round), a pure function of (spec.seed, node, round)."""
+def synthetic_sample(spec: SyntheticSpec, node: int, round: int) -> tuple:
+    """Sample for (node, round) as (features (dim,), label +1 or -1), a pure
+    function of (spec.seed, node, round)."""
     if not 0 <= node < spec.n:
         raise ValueError(f"node must be in [0, {spec.n}), got {node}")
     if round < 1:
@@ -107,8 +97,11 @@ def synthetic_sample(spec: SyntheticSpec, node: int, round: int) -> LabeledSampl
     key = np.array([spec.seed, STREAM_TAG], dtype=np.uint64)
     bg = np.random.Philox(counter=[0, 0, node, round], key=key)
     u = _uniforms(bg.random_raw(2 * spec.dim + 1))
-    features, y = _mix(u, spec, node, round)
-    return LabeledSample(features, y)
+    y = 1 if u[0] < 0.5 else -1
+    adv = (math.sin(node) - 0.5) + u[1 : spec.dim + 1]
+    gauss_u = u[spec.dim + 1 :] * (1.0 - _U53) + 0.5 * _U53
+    sto = (y + 0.5 * math.sin(round)) + ndtri(gauss_u)
+    return spec.beta * adv + (1.0 - spec.beta) * sto, y
 
 
 def tile_rounds(n: int) -> int:

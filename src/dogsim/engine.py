@@ -14,8 +14,7 @@ both data sources share: ``SyntheticSpec`` generates the tile and
 ``NodeStreams`` fancy-indexes it out of its dataset, either way as
 (rounds, nodes, dim) features and (rounds, nodes) labels. Gradients are
 always evaluated at the round-start models, all nodes in one batched
-kernel call. The run loop and the single-round helpers share one step
-function, so there is one copy of each update rule.
+kernel call.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .datagen import SyntheticSpec, tile_rounds
-from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected, NonFiniteGradient
+from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected
 from .ingest import NodeStreams
 from .losses import LossSpec, batch_loss_and_gradient
 from .metrics import MetricsRecord, consensus_error
@@ -40,26 +39,6 @@ LOCAL_OGD = "local_ogd"
 ALGORITHMS = (DOG, COG, LOCAL_OGD)
 
 AUTO = "auto"
-
-GradFn = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """Stacked per-node models (row i = node i) at the start of `round`."""
-
-    models: np.ndarray
-    round: int = 1
-
-    def __post_init__(self):
-        models = np.asarray(self.models, dtype=float)
-        models.setflags(write=False)
-        object.__setattr__(self, "models", models)
-
-    @property
-    def mean_model(self) -> np.ndarray:
-        return self.models.mean(axis=0)
-
 
 @dataclass(frozen=True)
 class Bounds:
@@ -132,7 +111,7 @@ class RunResult:
     """Immutable artifact of one run."""
 
     records: tuple
-    final_state: NetworkState
+    final_models: np.ndarray  # (n, d); (1, d) for cog
     resolved: dict
     grad_norms: np.ndarray  # (T, n)
     loss_spec: LossSpec
@@ -150,19 +129,6 @@ class RunResult:
         )
 
 
-def _eval_grads(grad_fns: Sequence[GradFn], models: np.ndarray) -> np.ndarray:
-    if len(grad_fns) != models.shape[0]:
-        raise DimensionMismatch(
-            f"{len(grad_fns)} gradient closures for {models.shape[0]} nodes"
-        )
-    grads = np.stack([np.asarray(fn(models[i]), dtype=float) for i, fn in enumerate(grad_fns)])
-    if grads.shape != models.shape:
-        raise DimensionMismatch(f"gradients shape {grads.shape} != models {models.shape}")
-    if not np.isfinite(grads).all():
-        raise NonFiniteGradient("gradient evaluation produced a non-finite entry")
-    return grads
-
-
 def _step(algorithm: str, x: np.ndarray, w: np.ndarray | None, grads: np.ndarray, eta: float) -> np.ndarray:
     """Advance round-start models x (one row for cog) by their gradients."""
     if algorithm == DOG:
@@ -170,29 +136,6 @@ def _step(algorithm: str, x: np.ndarray, w: np.ndarray | None, grads: np.ndarray
     if algorithm == LOCAL_OGD:
         return x - eta * grads
     return x - eta * grads.mean(axis=0, keepdims=True)
-
-
-def dog_round(state: NetworkState, mixing: MixingMatrix, grad_fns: Sequence[GradFn], eta: float) -> NetworkState:
-    """One gossip-and-step round; gradients are taken at the pre-mix models."""
-    if mixing.n != state.models.shape[0]:
-        raise DimensionMismatch(
-            f"mixing matrix is {mixing.n}x{mixing.n} but state has {state.models.shape[0]} nodes"
-        )
-    grads = _eval_grads(grad_fns, state.models)
-    return NetworkState(_step(DOG, state.models, mixing.entries, grads, eta), state.round + 1)
-
-
-def local_ogd_round(state: NetworkState, grad_fns: Sequence[GradFn], eta: float) -> NetworkState:
-    """Independent gradient step per node, no communication."""
-    grads = _eval_grads(grad_fns, state.models)
-    return NetworkState(_step(LOCAL_OGD, state.models, None, grads, eta), state.round + 1)
-
-
-def cog_round(x: np.ndarray, grad_fns: Sequence[GradFn], eta: float) -> np.ndarray:
-    """Centralized baseline: one shared model stepped by the mean gradient."""
-    x = np.asarray(x, dtype=float)
-    grads = _eval_grads(list(grad_fns), np.broadcast_to(x, (len(grad_fns), x.shape[0])))
-    return _step(COG, x[None, :], None, grads, eta)[0]
 
 
 def auto_learning_rate(
@@ -288,7 +231,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     }
     return RunResult(
         records=tuple(records),
-        final_state=NetworkState(x, cfg.T + 1),
+        final_models=x,
         resolved=resolved,
         grad_norms=grad_norms,
         loss_spec=cfg.loss_spec,

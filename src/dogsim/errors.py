@@ -44,10 +44,6 @@ class DegenerateParameters(SimulationError):
     """Bound or learning-rate formula evaluated outside its valid domain."""
 
 
-class NonFiniteGradient(SimulationError):
-    """A gradient evaluation produced NaN or infinity."""
-
-
 class DivergenceDetected(SimulationError):
     """A model entry became non-finite during a run; `round` is 1-based."""
 

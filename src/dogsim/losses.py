@@ -5,8 +5,7 @@ The loss of model x on a sample (a, y) is
     f(x) = log(1 + exp(-y * a.x)) + (gamma / 2) * ||x||^2
 
 evaluated through softplus/sigmoid forms that stay finite for any margin
-(naive exp overflows past |margin| ~ 700). The loss kind is a closed
-enumeration; the simulator needs exactly this one.
+(naive exp overflows past |margin| ~ 700).
 
 All evaluation funnels through one elementwise kernel, `softplus_sigmoid`:
 the online rounds, the offline comparator and the regret use it alike. Its
@@ -20,36 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset
-
-REGULARIZED_LOGISTIC = "regularized_logistic"
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """Feature vector with a binary label in {-1, +1}."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.label}")
-        feats = np.asarray(self.features, dtype=float)
-        if not np.isfinite(feats).all():
-            raise ValueError("features must be finite")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
+from .errors import EmptyDataset
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    kind: str = REGULARIZED_LOGISTIC
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.kind != REGULARIZED_LOGISTIC:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
@@ -81,26 +58,6 @@ def batch_loss_and_gradient(
     values = values + 0.5 * gamma * (x_rows * x_rows).sum(axis=1)
     grads = (-labels * sig)[:, None] * features + gamma * x_rows
     return values, grads
-
-
-def loss_and_gradient(x: np.ndarray, s: LabeledSample, spec: LossSpec) -> tuple:
-    """Loss value and gradient of the regularized logistic loss at x."""
-    x = np.asarray(x, dtype=float)
-    a = s.features
-    if x.shape != a.shape:
-        raise DimensionMismatch(f"model dim {x.shape} != feature dim {a.shape}")
-    values, grads = batch_loss_and_gradient(
-        x[None, :], a[None, :], np.array([float(s.label)]), spec.gamma
-    )
-    return float(values[0]), grads[0]
-
-
-def loss(x: np.ndarray, s: LabeledSample, spec: LossSpec) -> float:
-    return loss_and_gradient(x, s, spec)[0]
-
-
-def gradient(x: np.ndarray, s: LabeledSample, spec: LossSpec) -> np.ndarray:
-    return loss_and_gradient(x, s, spec)[1]
 
 
 def smoothness_bound(features: np.ndarray, gamma: float) -> float:

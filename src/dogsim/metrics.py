@@ -4,8 +4,10 @@ The headline performance number is the average loss (1/nT) sum_{i,t}
 f_{i,t}(x_{i,t}); regret is reported against the best fixed model in
 hindsight, found by damped Newton on the pooled empirical loss over the
 run's recorded samples, passed as (T*n, d) features and (T*n,) labels.
-Dynamic-regret comparators over a drift budget are deliberately not
-computed; average loss stands in for them.
+`regret_bound` is the paper's a-priori bound on dynamic regret against
+comparator sequences of path length at most M. No dynamic comparator is
+computed: the summary sets the bound beside the static regret, whose fixed
+comparator has path length 0, so the bound holds there for any M >= 0.
 """
 
 from __future__ import annotations
@@ -199,7 +201,9 @@ def estimate_gradient_bounds(grad_norms: np.ndarray) -> tuple:
 
 
 def regret_bound(p: BoundParams) -> float:
-    """Closed-form a-priori bound on the dynamic regret of the gossip method.
+    """Closed-form a-priori bound on the dynamic regret of the gossip method
+    against comparator sequences of path length at most M (R bounds the
+    comparators' squared norm); it also bounds static regret, for any M >= 0.
 
     With c0 = 2L(G^2+s^2)/(1-rho)^2, c1 = 4L^2(G^2+s^2)/(1-rho)^2 and
     c2 = 2 + 1/(1-rho):

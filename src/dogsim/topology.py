@@ -28,7 +28,7 @@ class Graph:
     `edges` may be given as any (m, 2) array or sequence of (i, j) pairs, in
     either orientation and with repeats. It is stored canonically: a
     read-only, C-contiguous (m, 2) intp array of rows with i < j, sorted by
-    (i, j) and unique. Invariants: no self-loops, endpoints in [0, n).
+    (i, j) and unique. Invariants: integer endpoints in [0, n), no self-loops.
     Graphs compare by identity; compare `edges` with np.array_equal.
     """
 
@@ -38,11 +38,18 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be >= 1, got {self.n}")
-        e = np.asarray(self.edges, dtype=np.intp)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError(f"edges must be (i, j) pairs, got an array of shape {e.shape}")
+        raw = np.asarray(self.edges)
+        if raw.size == 0:
+            raw = raw.reshape(0, 2)
+        if raw.ndim != 2 or raw.shape[1] != 2:
+            raise ValueError(f"edges must be (i, j) pairs, got an array of shape {raw.shape}")
+        with np.errstate(invalid="ignore"):
+            e = raw.astype(np.intp, copy=False)
+        if not np.issubdtype(raw.dtype, np.integer):
+            fractional = (e != raw).any(axis=1)
+            if fractional.any():
+                i, j = raw[fractional.argmax()]
+                raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
         lo = np.minimum(e[:, 0], e[:, 1])
         hi = np.maximum(e[:, 0], e[:, 1])
         loops = lo == hi

@@ -17,8 +17,8 @@ import numpy as np
 import dogsim
 from dogsim import cli
 from dogsim.datagen import SyntheticSpec, SyntheticStream
-from dogsim.engine import dog_round, run_experiment
-from dogsim.losses import LabeledSample, LossSpec, gradient, loss
+from dogsim.engine import DOG, _step, run_experiment
+from dogsim.losses import LossSpec, batch_loss_and_gradient
 from dogsim.mixing import build_mixing
 from dogsim.topology import build_topology
 
@@ -104,17 +104,16 @@ def test_criterion_02_average_iterate_identity():
     spec = SyntheticSpec(dim=10, beta=0.5, n=8, seed=42)
     mixing = _mix("ring", 8)
     stream = SyntheticStream(spec)
-    state = dogsim.NetworkState(np.zeros((8, 10)))
+    x = np.zeros((8, 10))
     ok = True
     for t in range(1, 501):
-        samples = [LabeledSample(f, int(y)) for f, y in zip(*stream.round_batch(t))]
-        grads = np.stack([gradient(state.models[i], samples[i], GAMMA) for i in range(8)])
-        fns = [lambda x, s=s: gradient(x, s, GAMMA) for s in samples]
-        nxt = dog_round(state, mixing, fns, ETA)
-        expected = state.models.mean(axis=0) - ETA * grads.mean(axis=0)
-        err = np.linalg.norm(nxt.models.mean(axis=0) - expected)
-        ok &= err <= 1e-9 * (1.0 + np.linalg.norm(state.models.mean(axis=0)))
-        state = nxt
+        feats, labels = stream.round_batch(t)
+        grads = batch_loss_and_gradient(x, feats, labels, GAMMA.gamma)[1]
+        nxt = _step(DOG, x, mixing.entries, grads, ETA)
+        expected = x.mean(axis=0) - ETA * grads.mean(axis=0)
+        err = np.linalg.norm(nxt.mean(axis=0) - expected)
+        ok &= err <= 1e-9 * (1.0 + np.linalg.norm(x.mean(axis=0)))
+        x = nxt
     _report(2, "average-iterate identity", ok, time.perf_counter() - start, 5)
 
 
@@ -135,14 +134,19 @@ def test_criterion_04_gradient_correctness():
     for _ in range(100):
         d = int(rng.integers(1, 9))
         x = rng.standard_normal(d) * rng.uniform(0.1, 5.0)
-        s = LabeledSample(rng.standard_normal(d), 1 if rng.random() < 0.5 else -1)
-        spec = LossSpec(gamma=float(rng.uniform(0.0, 0.1)))
-        analytic = gradient(x, s, spec)
+        a = rng.standard_normal((1, d))
+        y = np.array([1.0 if rng.random() < 0.5 else -1.0])
+        gamma = float(rng.uniform(0.0, 0.1))
+
+        def loss(v):
+            return batch_loss_and_gradient(v[None, :], a, y, gamma)[0][0]
+
+        analytic = batch_loss_and_gradient(x[None, :], a, y, gamma)[1][0]
         fd = np.zeros(d)
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1e-6
-            fd[i] = (loss(x + e, s, spec) - loss(x - e, s, spec)) / 2e-6
+            fd[i] = (loss(x + e) - loss(x - e)) / 2e-6
         ok &= np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5
     _report(4, "gradient correctness", ok, time.perf_counter() - start, 1)
 
@@ -230,7 +234,7 @@ def test_criterion_09_regret_bound():
         pilot = run_experiment(pilot_cfg)
         g_pilot, s_pilot = dogsim.estimate_gradient_bounds(pilot.grad_norms)
         r_pilot = max(1.0, 4.0 * float(
-            (pilot.final_state.models.mean(axis=0) ** 2).sum()))
+            (pilot.final_models.mean(axis=0) ** 2).sum()))
         eta = dogsim.auto_learning_rate(8, 500, g_pilot, s_pilot, r_pilot, 0.0,
                                         mixing.rho)
         cfg = dogsim.RunConfig(algorithm="dog", n=8, T=500, eta=eta,
@@ -281,7 +285,7 @@ def test_criterion_11_equivalences():
     local = run_experiment(dogsim.RunConfig(
         algorithm="local_ogd", n=6, T=200, eta=ETA, loss_spec=GAMMA,
         data=data, seed=42))
-    ok = float(np.abs(dog.final_state.models - local.final_state.models).max()) <= 1e-12
+    ok = float(np.abs(dog.final_models - local.final_models).max()) <= 1e-12
     ok &= all(abs(a.cum_loss - b.cum_loss) <= 1e-12
               for a, b in zip(dog.records, local.records))
 
@@ -291,7 +295,7 @@ def test_criterion_11_equivalences():
         res = run_experiment(dogsim.RunConfig(
             algorithm=alg, n=1, T=200, eta=ETA, loss_spec=GAMMA,
             data=single, mixing=_mix("ring", 1), seed=7))
-        finals[alg] = res.final_state.models
+        finals[alg] = res.final_models
     ok &= float(np.abs(finals["dog"] - finals["cog"]).max()) <= 1e-12
     ok &= float(np.abs(finals["dog"] - finals["local_ogd"]).max()) <= 1e-12
     _report(11, "algorithm equivalences", ok, time.perf_counter() - start, 5)

@@ -454,8 +454,8 @@ def test_data_dump_synthetic_matches_scalar_path(tmp_path, monkeypatch, tile_sam
     assert cli.cmd_data(_write(tmp_path, BASE_CONFIG), 7, outfile) == 0
     spec = SyntheticSpec(dim=4, beta=0.5, n=6, seed=42)
     expected = [synthetic_sample(spec, i, t) for i in range(6) for t in range(1, 8)]
-    features = np.array([s.features for s in expected])
-    labels = np.array([s.label for s in expected])
+    features = np.array([f for f, _ in expected])
+    labels = np.array([y for _, y in expected])
     assert outfile.read_bytes() == serialize_libsvm(features, labels).encode()
 
 
@@ -596,3 +596,71 @@ def test_sweep_parses_its_data_file_once_per_invocation(tmp_path, monkeypatch):
     # nothing outlives a main() call: the next sweep reads the file again
     assert _file_sweep(tmp_path, monkeypatch, out="second") == 0
     assert len(calls) == 2
+
+
+RUN_CONFIG = """\
+[network]
+kind = ring
+n = 7
+scheme = max_degree
+
+[algorithm]
+kind = dog
+eta = auto
+T = 40
+seed = 5
+
+[loss]
+gamma = 0.002
+
+[data]
+beta = 0.4
+dim = 3
+
+[bounds]
+G = 2.0
+sigma = 1.0
+R = 1.0
+M = 0.5
+"""
+
+#: sha256 of `dogsim run` outputs of RUN_CONFIG under each algorithm, and of
+#: its `cog` variant on a LIBSVM file of 90 rows in 4 columns written by the
+#: test. Recorded before the closure-based round helpers and the
+#: single-sample loss wrappers were deleted; summary.txt carries the
+#: comparator, the static regret and the regret bound.
+PINNED_RUN_DIGESTS = {
+    "dog/metrics.csv": "6e2a8edcf6740e4cedc4416e02f371c130d7f85740254f023b7eada22d80b128",
+    "dog/resolved.cfg": "fdb52c35c646fb1262b2221336192e916078755e4898a0b3970a71351a083296",
+    "dog/summary.txt": "b803c84ad32080847c72bd844e2387574342dd11a72f409ea31fff4d14426034",
+    "cog/metrics.csv": "8f42d62747a9801d15fadf076eaae17406b0d6b23b4860c0f3a3d17a0cc49c04",
+    "cog/resolved.cfg": "6e8a51c1d0889bd0046218e04855263a6b49b5e70321104820a49d4faf06bc12",
+    "cog/summary.txt": "c0586ee47a6e0e1c533bb080d0443a4e399f2eb4b61cc10aa778b876e3305fde",
+    "local_ogd/metrics.csv": "a4af678abbbfebe57ec396beb833223bc34df1b43772a1591658f97535ec52e4",
+    "local_ogd/resolved.cfg": "b510438c32b357d26ffde25b3cf961f5f38b2e78400a75f5456781c57d1e4134",
+    "local_ogd/summary.txt": "497a4d06505fa6d61df20b2f7c26bdf54bdbef6c91a01f986728f56bdb298738",
+    "file_cog/metrics.csv": "7c499becb143aa58d1809113015f7cf2d65d23df61a46b26e707d66a4b12ec12",
+    "file_cog/resolved.cfg": "b534c98f0d2901714d875c073055119284903f61a0af26bd31a0d867d18f3514",
+    "file_cog/summary.txt": "671dcb5d597c711c960cd7f25de0585f1461902d51fb134cb9f975a7e4bddc25",
+}
+
+
+def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(77)
+    features = rng.standard_normal((90, 4)) + np.array([1.0, -0.5, 0.0, 2.0])
+    labels = np.where(rng.random(90) < 0.5, 1.0, -1.0)
+    (tmp_path / "run.libsvm").write_text(serialize_libsvm(features, labels))
+    texts = {alg: RUN_CONFIG.replace("kind = dog", f"kind = {alg}")
+             for alg in ("dog", "cog", "local_ogd")}
+    texts["file_cog"] = texts["cog"].replace(
+        "beta = 0.4\ndim = 3", "file = run.libsvm\nstochastic_fraction = 0.6"
+    ).replace("T = 40", "T = 12")
+    digests = {}
+    for name, text in texts.items():
+        assert cli.main(["run", str(_write(tmp_path, text, f"{name}.cfg")), name]) == 0
+        for out in ("metrics.csv", "resolved.cfg", "summary.txt"):
+            digests[f"{name}/{out}"] = hashlib.sha256((tmp_path / name / out).read_bytes()).hexdigest()
+    assert digests == PINNED_RUN_DIGESTS

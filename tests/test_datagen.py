@@ -19,10 +19,10 @@ UINT64_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 def test_repeated_queries_are_bit_identical():
     spec = SyntheticSpec(dim=10, beta=0.5, n=8, seed=123)
-    a = synthetic_sample(spec, 3, 17)
-    b = synthetic_sample(spec, 3, 17)
-    assert a.label == b.label
-    assert np.array_equal(a.features, b.features)
+    a_features, a_label = synthetic_sample(spec, 3, 17)
+    b_features, b_label = synthetic_sample(spec, 3, 17)
+    assert a_label == b_label
+    assert np.array_equal(a_features, b_features)
 
 
 def test_query_order_does_not_matter():
@@ -31,8 +31,8 @@ def test_query_order_does_not_matter():
     first = {key: synthetic_sample(spec, *key) for key in forward}
     second = {key: synthetic_sample(spec, *key) for key in reversed(forward)}
     for key in forward:
-        assert first[key].label == second[key].label
-        assert np.array_equal(first[key].features, second[key].features)
+        assert first[key][1] == second[key][1]
+        assert np.array_equal(first[key][0], second[key][0])
 
 
 def test_streams_do_not_share_randomness():
@@ -43,8 +43,8 @@ def test_streams_do_not_share_randomness():
         for other in (3, 7, 9):
             synthetic_sample(spec, other, t)
     interleaved = [synthetic_sample(spec, 0, t) for t in range(1, 20)]
-    for a, b in zip(alone, interleaved):
-        assert np.array_equal(a.features, b.features)
+    for (a, _), (b, _) in zip(alone, interleaved):
+        assert np.array_equal(a, b)
 
 
 def test_pure_adversarial_stays_in_node_interval():
@@ -52,8 +52,8 @@ def test_pure_adversarial_stays_in_node_interval():
     for i in range(12):
         lo, hi = math.sin(i) - 0.5, math.sin(i) + 0.5
         for t in (1, 2, 50, 999):
-            s = synthetic_sample(spec, i, t)
-            assert (s.features >= lo).all() and (s.features <= hi).all()
+            features, _ = synthetic_sample(spec, i, t)
+            assert (features >= lo).all() and (features <= hi).all()
 
 
 def test_pure_stochastic_label_conditional_mean():
@@ -63,9 +63,9 @@ def test_pure_stochastic_label_conditional_mean():
     t = 355
     feats = []
     for i in range(spec.n):
-        s = synthetic_sample(spec, i, t)
-        if s.label == 1:
-            feats.append(s.features)
+        features, label = synthetic_sample(spec, i, t)
+        if label == 1:
+            feats.append(features)
         if len(feats) == 10000:
             break
     assert len(feats) == 10000
@@ -75,7 +75,7 @@ def test_pure_stochastic_label_conditional_mean():
 
 def test_label_balance():
     spec = SyntheticSpec(dim=2, beta=0.5, n=10000, seed=2)
-    labels = [synthetic_sample(spec, i, 1).label for i in range(10000)]
+    labels = [synthetic_sample(spec, i, 1)[1] for i in range(10000)]
     frac = sum(1 for y in labels if y == 1) / len(labels)
     assert abs(frac - 0.5) <= 0.02
 
@@ -87,12 +87,11 @@ def test_mix_is_exactly_linear_in_beta():
     for beta in (0.1, 0.3, 0.9):
         mixed = SyntheticSpec(beta=beta, **base)
         for (i, t) in [(0, 1), (2, 9), (3, 1000)]:
-            adv = synthetic_sample(pure_adv, i, t)
-            sto = synthetic_sample(pure_sto, i, t)
-            mix = synthetic_sample(mixed, i, t)
-            assert mix.label == adv.label == sto.label
-            expected = beta * adv.features + (1.0 - beta) * sto.features
-            assert np.array_equal(mix.features, expected)
+            adv, adv_label = synthetic_sample(pure_adv, i, t)
+            sto, sto_label = synthetic_sample(pure_sto, i, t)
+            mix, mix_label = synthetic_sample(mixed, i, t)
+            assert mix_label == adv_label == sto_label
+            assert np.array_equal(mix, beta * adv + (1.0 - beta) * sto)
 
 
 def test_stream_batch_matches_scalar_op_bitwise():
@@ -101,9 +100,9 @@ def test_stream_batch_matches_scalar_op_bitwise():
     for t in (1, 7, 123):
         feats, labels = stream.round_batch(t)
         for i in range(spec.n):
-            s = synthetic_sample(spec, i, t)
-            assert np.array_equal(feats[i], s.features)
-            assert int(labels[i]) == s.label
+            features, label = synthetic_sample(spec, i, t)
+            assert np.array_equal(feats[i], features)
+            assert int(labels[i]) == label
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,9 +120,9 @@ def test_block_matches_scalar_bitwise(seed, n, dim, beta, first, k):
     assert feats.shape == (k, n, dim) and labels.shape == (k, n)
     for t in range(k):
         for i in range(n):
-            s = synthetic_sample(spec, i, first + t)
-            assert np.array_equal(feats[t, i], s.features)
-            assert labels[t, i] == s.label
+            features, label = synthetic_sample(spec, i, first + t)
+            assert np.array_equal(feats[t, i], features)
+            assert labels[t, i] == label
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +172,7 @@ def test_seeds_above_2_63_do_not_alias():
     # A key list holding an int >= 2^63 used to become float64, so these
     # seeds shared one key (and 2^64 - 1 collided with 0).
     def first_sample(seed):
-        return synthetic_sample(SyntheticSpec(dim=4, beta=0.5, n=2, seed=seed), 1, 1).features
+        return synthetic_sample(SyntheticSpec(dim=4, beta=0.5, n=2, seed=seed), 1, 1)[0]
 
     for a, b in ((2**63 + 1, 2**63 + 1000), (2**64 - 1, 0), (2**63, 2**63 + 1)):
         assert not np.array_equal(first_sample(a), first_sample(b))

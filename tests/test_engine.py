@@ -7,23 +7,18 @@ from hypothesis import strategies as st
 
 from dogsim.datagen import SyntheticSpec, SyntheticStream, synthetic_block
 from dogsim.engine import (
+    COG,
+    DOG,
+    LOCAL_OGD,
     Bounds,
-    NetworkState,
     RunConfig,
+    _step,
     auto_learning_rate,
-    cog_round,
-    dog_round,
-    local_ogd_round,
     run_experiment,
 )
-from dogsim.errors import (
-    DegenerateParameters,
-    DimensionMismatch,
-    DivergenceDetected,
-    NonFiniteGradient,
-)
+from dogsim.errors import DegenerateParameters, DimensionMismatch, DivergenceDetected
 from dogsim.ingest import Dataset, NodeStreams
-from dogsim.losses import LabeledSample, LossSpec, gradient
+from dogsim.losses import LossSpec, batch_loss_and_gradient
 from dogsim.metrics import metrics_to_csv
 from dogsim.mixing import build_mixing
 from dogsim.topology import build_topology
@@ -50,42 +45,32 @@ def _synthetic_cfg(algorithm, n=6, T=50, eta=0.1, beta=0.5, seed=42, **kwargs):
     )
 
 
-def _grad_fns(samples, spec=GAMMA):
-    return [lambda x, s=s: gradient(x, s, spec) for s in samples]
-
-
-def _round_samples(spec, t):
-    return [
-        LabeledSample(f, int(y))
-        for f, y in zip(*SyntheticStream(spec).round_batch(t))
-    ]
+def _grads(x_rows, features, labels):
+    return batch_loss_and_gradient(x_rows, features, np.asarray(labels, dtype=float), GAMMA.gamma)[1]
 
 
 def test_dog_round_with_identity_equals_local_round():
     rng = np.random.default_rng(0)
-    state = NetworkState(rng.standard_normal((5, 3)))
-    samples = [LabeledSample(rng.standard_normal(3), 1) for _ in range(5)]
-    with_mix = dog_round(state, _identity_mixing(5), _grad_fns(samples), 0.2)
-    without = local_ogd_round(state, _grad_fns(samples), 0.2)
-    assert np.array_equal(with_mix.models, without.models)
-    assert with_mix.round == without.round == 2
+    x = rng.standard_normal((5, 3))
+    grads = _grads(x, rng.standard_normal((5, 3)), np.ones(5))
+    with_mix = _step(DOG, x, _identity_mixing(5).entries, grads, 0.2)
+    without = _step(LOCAL_OGD, x, None, grads, 0.2)
+    assert np.array_equal(with_mix, without)
 
 
 def test_dog_round_zero_gradients_is_pure_consensus():
     rng = np.random.default_rng(1)
-    state = NetworkState(rng.standard_normal((4, 2)))
+    x = rng.standard_normal((4, 2))
     mixing = _mix("ring", 4)
-    zeros = [lambda x: np.zeros(2)] * 4
-    out = dog_round(state, mixing, zeros, 0.5)
-    assert np.allclose(out.models, mixing.entries @ state.models, atol=0)
+    out = _step(DOG, x, mixing.entries, np.zeros((4, 2)), 0.5)
+    assert np.allclose(out, mixing.entries @ x, atol=0)
 
 
 def test_dog_round_single_node_is_plain_step():
-    state = NetworkState(np.array([[1.0, -2.0]]))
-    s = LabeledSample(np.array([0.5, 0.5]), -1)
-    out = dog_round(state, _mix("ring", 1), _grad_fns([s]), 0.3)
-    expected = state.models[0] - 0.3 * gradient(state.models[0], s, GAMMA)
-    assert np.allclose(out.models[0], expected, atol=0)
+    x = np.array([[1.0, -2.0]])
+    grads = _grads(x, np.array([[0.5, 0.5]]), [-1.0])
+    out = _step(DOG, x, _mix("ring", 1).entries, grads, 0.3)
+    assert np.allclose(out[0], x[0] - 0.3 * grads[0], atol=0)
 
 
 def test_dog_round_preserves_row_mean_update():
@@ -93,51 +78,40 @@ def test_dog_round_preserves_row_mean_update():
     rng = np.random.default_rng(2)
     for kind, scheme in [("ring", "uniform"), ("complete", "max_degree"), ("random_k", "max_degree")]:
         mixing = _mix(kind, 6, scheme=scheme, k=2, seed=3)
-        state = NetworkState(rng.standard_normal((6, 3)))
-        samples = [
-            LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-            for _ in range(6)
-        ]
-        grads = np.stack([gradient(state.models[i], samples[i], GAMMA) for i in range(6)])
-        out = dog_round(state, mixing, _grad_fns(samples), 0.1)
-        expected = state.models.mean(axis=0) - 0.1 * grads.mean(axis=0)
-        err = np.linalg.norm(out.models.mean(axis=0) - expected)
-        assert err <= 1e-9 * (1.0 + np.linalg.norm(state.models.mean(axis=0)))
+        x = rng.standard_normal((6, 3))
+        feats, labels = np.empty((6, 3)), np.empty(6)
+        for i in range(6):
+            feats[i] = rng.standard_normal(3)
+            labels[i] = 1.0 if rng.random() < 0.5 else -1.0
+        grads = _grads(x, feats, labels)
+        out = _step(DOG, x, mixing.entries, grads, 0.1)
+        expected = x.mean(axis=0) - 0.1 * grads.mean(axis=0)
+        err = np.linalg.norm(out.mean(axis=0) - expected)
+        assert err <= 1e-9 * (1.0 + np.linalg.norm(x.mean(axis=0)))
 
 
 def test_equal_gradients_on_complete_graph_reach_consensus_immediately():
     # From zero models with identical gradients, J/n averaging keeps all
     # rows equal, so consensus error vanishes from round 2 on.
-    mixing = _mix("complete", 3, scheme="uniform")
-    state = NetworkState(np.zeros((3, 2)))
-    shared = LabeledSample(np.array([1.0, 2.0]), 1)
-    fns = _grad_fns([shared, shared, shared])
-    nxt = dog_round(state, mixing, fns, 0.1)
-    assert np.ptp(nxt.models, axis=0).max() == 0.0
-    nxt2 = dog_round(nxt, mixing, fns, 0.1)
-    assert np.ptp(nxt2.models, axis=0).max() == 0.0
+    w = _mix("complete", 3, scheme="uniform").entries
+    feats, labels = np.tile([1.0, 2.0], (3, 1)), np.ones(3)
+    nxt = _step(DOG, np.zeros((3, 2)), w, _grads(np.zeros((3, 2)), feats, labels), 0.1)
+    assert np.ptp(nxt, axis=0).max() == 0.0
+    nxt2 = _step(DOG, nxt, w, _grads(nxt, feats, labels), 0.1)
+    assert np.ptp(nxt2, axis=0).max() == 0.0
 
 
 def test_cog_round_cases():
-    s = LabeledSample(np.array([1.0, -1.0]), 1)
-    x = np.array([0.3, 0.6])
-    one = cog_round(x, _grad_fns([s]), 0.2)
-    assert np.allclose(one, x - 0.2 * gradient(x, s, GAMMA), atol=0)
+    a, y = np.array([[1.0, -1.0]]), [1.0]
+    x = np.array([[0.3, 0.6]])
+    one = _step(COG, x, None, _grads(x, a, y), 0.2)
+    assert np.allclose(one, x - 0.2 * _grads(x, a, y), atol=0)
     # identical losses across nodes degenerate to the one-node step
-    many = cog_round(x, _grad_fns([s, s, s]), 0.2)
+    three = np.repeat(x, 3, axis=0)
+    many = _step(COG, x, None, _grads(three, np.repeat(a, 3, axis=0), [1.0] * 3), 0.2)
     assert np.allclose(many, one, atol=1e-15)
-    unchanged = cog_round(x, [lambda v: np.zeros(2)] * 3, 0.2)
+    unchanged = _step(COG, x, None, np.zeros((3, 2)), 0.2)
     assert np.array_equal(unchanged, x)
-
-
-def test_round_ops_reject_bad_input():
-    state = NetworkState(np.zeros((3, 2)))
-    with pytest.raises(DimensionMismatch):
-        dog_round(state, _mix("ring", 4), [lambda x: x] * 3, 0.1)
-    with pytest.raises(DimensionMismatch):
-        local_ogd_round(state, [lambda x: x] * 2, 0.1)
-    with pytest.raises(NonFiniteGradient):
-        local_ogd_round(state, [lambda x: np.array([np.nan, 0.0])] * 3, 0.1)
 
 
 def test_auto_learning_rate_closed_form():
@@ -160,17 +134,43 @@ def test_auto_learning_rate_degenerate():
 def test_run_zero_rounds():
     res = run_experiment(_synthetic_cfg("dog", T=0))
     assert res.records == ()
-    assert np.array_equal(res.final_state.models, np.zeros((6, 4)))
+    assert np.array_equal(res.final_models, np.zeros((6, 4)))
 
 
 def test_run_is_deterministic():
     a = run_experiment(_synthetic_cfg("dog"))
     b = run_experiment(_synthetic_cfg("dog"))
     assert metrics_to_csv(a.records) == metrics_to_csv(b.records)
-    assert np.array_equal(a.final_state.models, b.final_state.models)
+    assert np.array_equal(a.final_models, b.final_models)
     # non-negative losses make the running total monotone
     cums = [r.cum_loss for r in a.records]
     assert all(x <= y for x, y in zip(cums, cums[1:]))
+
+
+def _reference_run(algorithm, w, feats, labels, eta, radius):
+    """The README's three update rules from zero models, one kernel call per
+    node per round, each row then projected onto the ball of `radius`."""
+    T, n, dim = feats.shape
+    x = np.zeros((1 if algorithm == "cog" else n, dim))
+    for t in range(T):
+        grads = np.empty((n, dim))
+        for i in range(n):
+            row = x[0] if algorithm == "cog" else x[i]
+            grads[i] = batch_loss_and_gradient(
+                row[None, :], feats[t, i][None, :], labels[t, i : i + 1], GAMMA.gamma
+            )[1][0]
+        if algorithm == "dog":
+            x = w @ x - eta * grads
+        elif algorithm == "local_ogd":
+            x = x - eta * grads
+        else:
+            x = x - eta * grads.mean(axis=0, keepdims=True)
+        if radius is not None:
+            for i in range(x.shape[0]):
+                norm = np.sqrt((x[i] * x[i]).sum())
+                if norm > radius:
+                    x[i] = x[i] * (radius / norm)
+    return x
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,25 +180,16 @@ def test_run_is_deterministic():
     dim=st.integers(1, 6),
     T=st.integers(0, 30),
     seed=st.integers(0, 2**64 - 1),
+    project_radius=st.one_of(st.none(), st.floats(1e-3, 10.0)),
 )
-def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T, seed):
+def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T, seed, project_radius):
     spec = SyntheticSpec(dim=dim, beta=0.5, n=n, seed=seed)
     mixing = _mix("ring", n)
     cfg = RunConfig(algorithm=algorithm, n=n, T=T, eta=0.3, loss_spec=GAMMA,
-                    data=spec, mixing=mixing, seed=seed)
+                    data=spec, mixing=mixing, seed=seed, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
-    state = NetworkState(np.zeros((n, dim)))
-    x = np.zeros(dim)
-    for t in range(T):
-        fns = _grad_fns([LabeledSample(feats[t, i], int(labels[t, i])) for i in range(n)])
-        if algorithm == "dog":
-            state = dog_round(state, mixing, fns, 0.3)
-        elif algorithm == "local_ogd":
-            state = local_ogd_round(state, fns, 0.3)
-        else:
-            x = cog_round(x, fns, 0.3)
-    expected = x[None, :] if algorithm == "cog" else state.models
-    final = run_experiment(cfg).final_state.models
+    expected = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
+    final = run_experiment(cfg).final_models
     assert final.shape == expected.shape
     assert final.tobytes() == expected.tobytes()
 
@@ -206,20 +197,17 @@ def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T,
 def test_average_iterate_identity_over_run():
     # x_bar_{t+1} = x_bar_t - eta * mean gradient, on every round
     spec = SyntheticSpec(dim=4, beta=0.5, n=8, seed=11)
-    mixing = _mix("ring", 8)
+    w = _mix("ring", 8).entries
     stream = SyntheticStream(spec)
-    state = NetworkState(np.zeros((8, 4)))
+    x = np.zeros((8, 4))
     eta = 0.15
     for t in range(1, 501):
-        samples = [
-            LabeledSample(f, int(y)) for f, y in zip(*stream.round_batch(t))
-        ]
-        grads = np.stack([gradient(state.models[i], samples[i], GAMMA) for i in range(8)])
-        nxt = dog_round(state, mixing, _grad_fns(samples), eta)
-        expected = state.models.mean(axis=0) - eta * grads.mean(axis=0)
-        err = np.linalg.norm(nxt.models.mean(axis=0) - expected)
-        assert err <= 1e-9 * (1.0 + np.linalg.norm(state.models.mean(axis=0)))
-        state = nxt
+        grads = _grads(x, *stream.round_batch(t))
+        nxt = _step(DOG, x, w, grads, eta)
+        expected = x.mean(axis=0) - eta * grads.mean(axis=0)
+        err = np.linalg.norm(nxt.mean(axis=0) - expected)
+        assert err <= 1e-9 * (1.0 + np.linalg.norm(x.mean(axis=0)))
+        x = nxt
 
 
 def test_dog_identity_mixing_equals_local_ogd_run():
@@ -228,7 +216,7 @@ def test_dog_identity_mixing_equals_local_ogd_run():
         warnings.simplefilter("ignore")
         dog = run_experiment(_synthetic_cfg("dog", n=5, mixing=mixing))
     local = run_experiment(_synthetic_cfg("local_ogd", n=5, mixing=mixing))
-    assert np.abs(dog.final_state.models - local.final_state.models).max() <= 1e-12
+    assert np.abs(dog.final_models - local.final_models).max() <= 1e-12
     for a, b in zip(dog.records, local.records):
         assert abs(a.avg_loss - b.avg_loss) <= 1e-12
         assert abs(a.cum_loss - b.cum_loss) <= 1e-12
@@ -239,7 +227,7 @@ def test_single_node_all_algorithms_agree():
     for alg in ("dog", "cog", "local_ogd"):
         results[alg] = run_experiment(_synthetic_cfg(alg, n=1, T=60, mixing=_mix("ring", 1)))
     for alg in ("cog", "local_ogd"):
-        diff = np.abs(results["dog"].final_state.models - results[alg].final_state.models)
+        diff = np.abs(results["dog"].final_models - results[alg].final_models)
         assert diff.max() <= 1e-12
         for a, b in zip(results["dog"].records, results[alg].records):
             assert abs(a.cum_loss - b.cum_loss) <= 1e-12
@@ -276,7 +264,7 @@ def test_projection_keeps_models_inside_ball():
     cfg = _synthetic_cfg("dog", n=5, T=80, eta=0.5, mixing=_mix("ring", 5),
                          project_radius=0.2)
     res = run_experiment(cfg)
-    norms = np.linalg.norm(res.final_state.models, axis=1)
+    norms = np.linalg.norm(res.final_models, axis=1)
     assert (norms <= 0.2 + 1e-12).all()
 
 
@@ -311,9 +299,9 @@ def test_recorded_samples_match_pure_generator():
         assert features.shape == (T * n, dim) and labels.shape == (T * n,)
         for t in range(T):
             for i in range(n):
-                s = synthetic_sample(spec, i, t + 1)
-                assert np.array_equal(res.sample_features[t, i], s.features)
-                assert int(res.sample_labels[t, i]) == s.label
+                features, label = synthetic_sample(spec, i, t + 1)
+                assert np.array_equal(res.sample_features[t, i], features)
+                assert int(res.sample_labels[t, i]) == label
 
 
 def test_short_node_streams_are_rejected():

@@ -3,39 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from dogsim.errors import DimensionMismatch, EmptyDataset
-from dogsim.losses import (
-    LabeledSample,
-    LossSpec,
-    batch_loss_and_gradient,
-    gradient,
-    loss,
-    loss_and_gradient,
-    smoothness_bound,
-)
-
-PLAIN = LossSpec(gamma=0.0)
+from dogsim.errors import EmptyDataset
+from dogsim.losses import LossSpec, batch_loss_and_gradient, smoothness_bound
 
 
-def _finite_difference(x, sample, spec, step=1e-6):
+def _loss_and_gradient(x, a, y, gamma=0.0):
+    """Loss and gradient of one sample (a, y) at x, by a 1-row kernel call."""
+    values, grads = batch_loss_and_gradient(
+        np.asarray(x, dtype=float)[None, :], np.asarray(a, dtype=float)[None, :],
+        np.array([float(y)]), gamma,
+    )
+    return float(values[0]), grads[0]
+
+
+def _loss(x, a, y, gamma=0.0):
+    return _loss_and_gradient(x, a, y, gamma)[0]
+
+
+def _gradient(x, a, y, gamma=0.0):
+    return _loss_and_gradient(x, a, y, gamma)[1]
+
+
+def _finite_difference(x, a, y, gamma, step=1e-6):
     g = np.zeros_like(x)
     for i in range(len(x)):
         e = np.zeros_like(x)
         e[i] = step
-        g[i] = (loss(x + e, sample, spec) - loss(x - e, sample, spec)) / (2 * step)
+        g[i] = (_loss(x + e, a, y, gamma) - _loss(x - e, a, y, gamma)) / (2 * step)
     return g
 
 
 def test_zero_margin_gives_log_two():
-    s = LabeledSample(np.array([1.5, -2.0]), 1)
-    assert loss(np.zeros(2), s, PLAIN) == pytest.approx(math.log(2), abs=1e-15)
+    assert _loss(np.zeros(2), [1.5, -2.0], 1) == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_known_margin_value():
     # -y a.x = -ln 3, so loss = log(1 + 1/3) = log(4/3).
-    s = LabeledSample(np.array([1.0, 0.0]), 1)
     x = np.array([math.log(3.0), 0.0])
-    assert loss(x, s, PLAIN) == pytest.approx(0.28768207245178085, rel=1e-14)
+    assert _loss(x, [1.0, 0.0], 1) == pytest.approx(0.28768207245178085, rel=1e-14)
 
 
 def test_sign_symmetry():
@@ -43,28 +48,22 @@ def test_sign_symmetry():
     for _ in range(20):
         a = rng.standard_normal(4)
         x = rng.standard_normal(4)
-        plus = loss(x, LabeledSample(a, 1), PLAIN)
-        minus = loss(-x, LabeledSample(a, -1), PLAIN)
-        assert plus == pytest.approx(minus, rel=1e-14)
+        assert _loss(x, a, 1) == pytest.approx(_loss(-x, a, -1), rel=1e-14)
 
 
 def test_gradient_at_zero():
-    s = LabeledSample(np.array([2.0, -1.0]), 1)
-    g = gradient(np.zeros(2), s, PLAIN)
-    assert np.allclose(g, [-1.0, 0.5], atol=1e-15)
-    g_neg = gradient(np.zeros(2), LabeledSample(np.array([2.0, -1.0]), -1), PLAIN)
-    assert np.allclose(g_neg, [1.0, -0.5], atol=1e-15)
+    assert np.allclose(_gradient(np.zeros(2), [2.0, -1.0], 1), [-1.0, 0.5], atol=1e-15)
+    assert np.allclose(_gradient(np.zeros(2), [2.0, -1.0], -1), [1.0, -0.5], atol=1e-15)
 
 
 def test_gradient_saturates_to_regularizer():
-    spec = LossSpec(gamma=1e-3)
-    s = LabeledSample(np.array([1.0, 0.0]), 1)
+    gamma = 1e-3
+    a = [1.0, 0.0]
     x = np.array([900.0, 4.0])
-    g = gradient(x, s, spec)
-    assert np.allclose(g, spec.gamma * x, atol=1e-12)
-    assert np.isfinite(loss(x, s, spec))
+    assert np.allclose(_gradient(x, a, 1, gamma), gamma * x, atol=1e-12)
+    assert np.isfinite(_loss(x, a, 1, gamma))
     # the mirror case: a huge negative margin still evaluates finitely
-    assert np.isfinite(loss(-x, s, spec))
+    assert np.isfinite(_loss(-x, a, 1, gamma))
 
 
 def test_gradient_matches_finite_differences():
@@ -74,10 +73,11 @@ def test_gradient_matches_finite_differences():
         x = rng.standard_normal(d) * rng.uniform(0.1, 10)
         if np.linalg.norm(x) > 10:
             x *= 10 / np.linalg.norm(x)
-        s = LabeledSample(rng.standard_normal(d), 1 if rng.random() < 0.5 else -1)
-        spec = LossSpec(gamma=float(rng.uniform(0, 0.1)))
-        g = gradient(x, s, spec)
-        fd = _finite_difference(x, s, spec)
+        a = rng.standard_normal(d)
+        y = 1 if rng.random() < 0.5 else -1
+        gamma = float(rng.uniform(0, 0.1))
+        g = _gradient(x, a, y, gamma)
+        fd = _finite_difference(x, a, y, gamma)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(g - fd) / denom <= 1e-5
 
@@ -89,53 +89,40 @@ def test_convexity():
         x1 = rng.standard_normal(d) * 3
         x2 = rng.standard_normal(d) * 3
         lam = float(rng.random())
-        s = LabeledSample(rng.standard_normal(d), 1 if rng.random() < 0.5 else -1)
-        spec = LossSpec(gamma=float(rng.uniform(0, 1)))
-        mixed = loss(lam * x1 + (1 - lam) * x2, s, spec)
-        assert mixed <= lam * loss(x1, s, spec) + (1 - lam) * loss(x2, s, spec) + 1e-10
+        a = rng.standard_normal(d)
+        y = 1 if rng.random() < 0.5 else -1
+        gamma = float(rng.uniform(0, 1))
+        mixed = _loss(lam * x1 + (1 - lam) * x2, a, y, gamma)
+        assert mixed <= lam * _loss(x1, a, y, gamma) + (1 - lam) * _loss(x2, a, y, gamma) + 1e-10
 
 
 def test_loss_dominates_regularizer():
     rng = np.random.default_rng(3)
-    spec = LossSpec(gamma=0.5)
+    gamma = 0.5
     for _ in range(50):
         x = rng.standard_normal(5) * 10
-        s = LabeledSample(rng.standard_normal(5), -1)
-        reg = 0.5 * spec.gamma * float(x @ x)
-        assert loss(x, s, spec) >= reg - 1e-12 * (1.0 + reg)
+        a = rng.standard_normal(5)
+        reg = 0.5 * gamma * float(x @ x)
+        assert _loss(x, a, -1, gamma) >= reg - 1e-12 * (1.0 + reg)
 
 
 def test_smoothness_bound_values():
     s2 = np.array([2.0, 0.0])  # ||a||^2 = 4
-    assert smoothness_bound(s2[None, :], PLAIN.gamma) == pytest.approx(1.0)
+    assert smoothness_bound(s2[None, :], 0.0) == pytest.approx(1.0)
     zero = np.zeros(2)
     assert smoothness_bound(zero[None, :], 1e-3) == pytest.approx(1e-3)
     s1 = np.array([1.0, 0.0])  # ||a||^2 = 1
     assert smoothness_bound(np.stack([s1, zero]), 1e-3) == pytest.approx(0.251)
 
 
-def test_dimension_mismatch():
-    s = LabeledSample(np.array([1.0, 2.0]), 1)
-    with pytest.raises(DimensionMismatch):
-        loss(np.zeros(3), s, PLAIN)
-    with pytest.raises(DimensionMismatch):
-        gradient(np.zeros(1), s, PLAIN)
-
-
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
-        smoothness_bound(np.empty((0, 2)), PLAIN.gamma)
+        smoothness_bound(np.empty((0, 2)), 0.0)
 
 
-def test_invalid_sample_and_spec():
-    with pytest.raises(ValueError):
-        LabeledSample(np.array([1.0]), 0)
-    with pytest.raises(ValueError):
-        LabeledSample(np.array([np.inf]), 1)
+def test_negative_gamma_is_rejected():
     with pytest.raises(ValueError):
         LossSpec(gamma=-0.1)
-    with pytest.raises(ValueError):
-        LossSpec(kind="hinge")
 
 
 def test_batch_kernel_matches_scalar_path_bitwise():
@@ -144,8 +131,7 @@ def test_batch_kernel_matches_scalar_path_bitwise():
     feats = rng.standard_normal((9, 4))
     labels = np.where(rng.random(9) < 0.5, 1.0, -1.0)
     values, grads = batch_loss_and_gradient(x_rows, feats, labels, 0.01)
-    spec = LossSpec(gamma=0.01)
     for i in range(9):
-        v, g = loss_and_gradient(x_rows[i], LabeledSample(feats[i], int(labels[i])), spec)
+        v, g = _loss_and_gradient(x_rows[i], feats[i], labels[i], 0.01)
         assert v == values[i]
         assert np.array_equal(g, grads[i])

@@ -12,7 +12,7 @@ from dogsim.errors import (
     EmptyRun,
     NonConvergence,
 )
-from dogsim.losses import LabeledSample, LossSpec, loss
+from dogsim.losses import batch_loss_and_gradient
 from dogsim.metrics import (
     BoundParams,
     MetricsRecord,
@@ -49,19 +49,26 @@ def test_consensus_error_values():
     assert consensus_error(shifted) == pytest.approx(consensus_error(x), abs=1e-9)
 
 
-def _arrays(samples):
-    return (np.stack([s.features for s in samples]),
-            np.array([float(s.label) for s in samples]))
+def _draw(rng, count, d):
+    """count samples of width d, each its features then its label."""
+    features, labels = np.empty((count, d)), np.empty(count)
+    for e in range(count):
+        features[e] = rng.standard_normal(d)
+        labels[e] = 1.0 if rng.random() < 0.5 else -1.0
+    return features, labels
+
+
+def _losses(x, features, labels, gamma):
+    """Per-sample losses of the fixed model x."""
+    return batch_loss_and_gradient(np.broadcast_to(x, features.shape), features, labels, gamma)[0]
 
 
 def test_comparator_single_repeated_sample_matches_scipy():
-    spec = LossSpec(gamma=0.1)
-    s = LabeledSample(np.array([1.0, -2.0]), 1)
-    samples = [s] * 7
-    ours = offline_comparator(*_arrays(samples), spec.gamma)
+    features, labels = np.tile([1.0, -2.0], (7, 1)), np.ones(7)
+    ours = offline_comparator(features, labels, 0.1)
 
     def objective(x):
-        return sum(loss(x, smp, spec) for smp in samples)
+        return sum(_losses(x, features, labels, 0.1))
 
     reference = minimize(objective, np.zeros(2), method="BFGS", tol=1e-12).x
     assert np.linalg.norm(ours - reference) <= 1e-6
@@ -69,21 +76,17 @@ def test_comparator_single_repeated_sample_matches_scipy():
 
 def test_comparator_huge_regularizer_pins_origin():
     rng = np.random.default_rng(2)
-    samples = [LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-               for _ in range(20)]
-    out = offline_comparator(*_arrays(samples), 1e6)
+    out = offline_comparator(*_draw(rng, 20, 3), 1e6)
     assert np.linalg.norm(out) <= 1e-3
 
 
 def test_comparator_mixed_dataset_first_order_optimality():
     rng = np.random.default_rng(3)
-    spec = LossSpec(gamma=1e-2)
-    samples = [LabeledSample(rng.standard_normal(4), 1 if rng.random() < 0.5 else -1)
-               for _ in range(100)]
-    out = offline_comparator(*_arrays(samples), spec.gamma, grad_tol=1e-9)
+    features, labels = _draw(rng, 100, 4)
+    out = offline_comparator(features, labels, 1e-2, grad_tol=1e-9)
 
     def objective(x):
-        return sum(loss(x, smp, spec) for smp in samples)
+        return sum(_losses(x, features, labels, 1e-2))
 
     reference = minimize(objective, np.zeros(4), method="L-BFGS-B", tol=1e-14).x
     assert np.linalg.norm(out - reference) <= 1e-5
@@ -168,47 +171,38 @@ def test_comparator_unregularized_zero_column_stays_zero():
 
 
 def test_static_regret_zero_for_comparator_trajectory():
-    spec = LossSpec(gamma=1e-3)
     rng = np.random.default_rng(4)
-    samples = [LabeledSample(rng.standard_normal(2), 1) for _ in range(10)]
-    features, labels = _arrays(samples)
-    comparator = offline_comparator(features, labels, spec.gamma)
-    total = sum(loss(comparator, s, spec) for s in samples)
+    features, labels = rng.standard_normal((10, 2)), np.ones(10)
+    comparator = offline_comparator(features, labels, 1e-3)
+    total = sum(_losses(comparator, features, labels, 1e-3))
     records = [_record(1, total / 10.0, cum=total)]
-    regret = static_regret(records, features, labels, spec.gamma, comparator)
+    regret = static_regret(records, features, labels, 1e-3, comparator)
     assert abs(regret) <= 1e-9 * (1.0 + abs(total))
 
 
 def test_static_regret_comparator_is_optimal():
     rng = np.random.default_rng(5)
-    spec = LossSpec(gamma=1e-2)
-    samples = [
-        LabeledSample(rng.standard_normal(3), 1 if rng.random() < 0.5 else -1)
-        for _ in range(40)
-    ]
-    features, labels = _arrays(samples)
-    comparator = offline_comparator(features, labels, spec.gamma)
+    features, labels = _draw(rng, 40, 3)
+    comparator = offline_comparator(features, labels, 1e-2)
     records = [_record(1, 0.0, cum=123.0)]
-    base = static_regret(records, features, labels, spec.gamma, comparator)
+    base = static_regret(records, features, labels, 1e-2, comparator)
     # the minimizer subtracts the smallest possible total, so regret versus
     # any other fixed point can only be smaller
     for _ in range(20):
         alt = comparator + rng.standard_normal(3) * rng.uniform(0.01, 2.0)
-        assert static_regret(records, features, labels, spec.gamma, alt) <= base + 1e-6
+        assert static_regret(records, features, labels, 1e-2, alt) <= base + 1e-6
 
 
 def test_static_regret_single_event_nonnegative():
-    spec = LossSpec(gamma=1e-2)
-    s = LabeledSample(np.array([1.0, 1.0]), 1)
-    features, labels = _arrays([s])
-    comparator = offline_comparator(features, labels, spec.gamma)
-    x1 = np.array([0.5, -0.5])
-    records = [_record(1, loss(x1, s, spec), cum=loss(x1, s, spec))]
-    assert static_regret(records, features, labels, spec.gamma, comparator) >= -1e-6
+    features, labels = np.array([[1.0, 1.0]]), np.ones(1)
+    comparator = offline_comparator(features, labels, 1e-2)
+    value = _losses(np.array([0.5, -0.5]), features, labels, 1e-2)[0]
+    records = [_record(1, value, cum=value)]
+    assert static_regret(records, features, labels, 1e-2, comparator) >= -1e-6
 
 
 def test_static_regret_dimension_mismatch():
-    features, labels = _arrays([LabeledSample(np.array([1.0, 2.0]), 1)])
+    features, labels = np.array([[1.0, 2.0]]), np.ones(1)
     with pytest.raises(DimensionMismatch):
         static_regret([_record(1, 0.0)], features, labels, 0.0, np.zeros(3))
 

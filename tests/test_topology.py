@@ -103,6 +103,18 @@ def test_graph_invariants_enforced():
     assert g.edges.tolist() == [[0, 1]]
 
 
+def test_non_integer_endpoints_are_rejected():
+    # casting would silently truncate them to (0, 2) and (0, 1)
+    with pytest.raises(ValueError, match=r"edge \(0.5, 2.0\) has a non-integer endpoint"):
+        Graph(3, [(0.5, 2)])
+    with pytest.raises(ValueError, match=r"edge \(1.9, 0.0\) has a non-integer endpoint"):
+        Graph(3, [(0, 1), (1.9, 0)])
+    with pytest.raises(ValueError, match="non-integer"):
+        Graph(3, np.array([[0.0, np.nan]]))
+    # integer-valued floats name the same edges as ints
+    assert Graph(3, [(2.0, 0.0), (1.0, 2.0)]).edges.tolist() == [[0, 2], [1, 2]]
+
+
 def test_edges_are_a_read_only_copy():
     given_edges = np.array([[2, 0], [1, 0]])
     g = Graph(3, given_edges)
