@@ -664,3 +664,96 @@ def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
         for out in ("metrics.csv", "resolved.cfg", "summary.txt"):
             digests[f"{name}/{out}"] = hashlib.sha256((tmp_path / name / out).read_bytes()).hexdigest()
     assert digests == PINNED_RUN_DIGESTS
+
+
+_FILE_DATA = "file = data.libsvm\nstochastic_fraction = 0.5"
+
+
+@pytest.mark.parametrize("extra", ["beta = 0.5", "dim = 4"])
+def test_synthetic_key_with_file_data_is_a_config_error(tmp_path, capsys, extra):
+    text = BASE_CONFIG.replace("beta = 0.5\ndim = 4", f"{_FILE_DATA}\n{extra}")
+    assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 1
+    key = extra.split()[0]
+    lineno = text.splitlines().index(extra) + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}:") and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stochastic_fraction_with_synthetic_data_is_a_config_error(tmp_path, capsys):
+    text = BASE_CONFIG + "stochastic_fraction = 0.5\n"
+    assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 1
+    lineno = len(text.splitlines())
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}:") and "'stochastic_fraction'" in err
+
+
+def test_file_without_stochastic_fraction_is_a_config_error(tmp_path, capsys):
+    text = BASE_CONFIG.replace("beta = 0.5\ndim = 4", "file = data.libsvm")
+    assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "missing required key 'stochastic_fraction'" in err
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("kind = ring", "kind = hypercube"),
+    ("scheme = max_degree", "scheme = metropolis"),
+    ("kind = dog", "kind = sgd"),
+])
+def test_unknown_choice_names_its_line(tmp_path, capsys, line, bad):
+    text = BASE_CONFIG.replace(line, bad)
+    assert cli.main(["matrix", str(_write(tmp_path, text))]) == 1
+    lineno = text.splitlines().index(bad) + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}:") and repr(bad.split()[-1]) in err
+
+
+_BOUNDS = "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n"
+
+
+@pytest.mark.parametrize("missing", ["G", "sigma", "R", "M"])
+def test_bounds_section_missing_a_key_is_a_config_error(tmp_path, capsys, missing):
+    text = BASE_CONFIG + "\n".join(ln for ln in _BOUNDS.split("\n") if not ln.startswith(f"{missing} ="))
+    assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"missing required key {missing!r}" in err
+
+
+@pytest.mark.parametrize("text", [
+    BASE_CONFIG,
+    RUN_CONFIG.replace("T = 40", "T = 40\nproject_radius = 0.25"),
+    FILE_CONFIG,
+], ids=["synthetic", "bounds_and_radius", "file"])
+def test_resolved_config_reads_back_to_the_same_text(tmp_path, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
+    assert cli.main(["run", str(_write(tmp_path, text)), "out"]) == 0
+    resolved = (tmp_path / "out" / "resolved.cfg").read_text()
+    assert "\n[resolved]\nrho = " in resolved
+    ef = cli.parse_config(resolved)
+    rho = float(resolved.rsplit("rho = ", 1)[1])
+    assert cli.render_resolved(ef, ef.eta, rho) == resolved
+    assert cli.main(["run", "out/resolved.cfg", "again"]) == 0
+    for name in ("metrics.csv", "resolved.cfg"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+#: sha256 of `dogsim run` on BASE_CONFIG with project_radius = 0.05, which
+#: the models reach, so the projection changes the metrics.
+PINNED_RADIUS_DIGESTS = {
+    "metrics.csv": "0228e3d2126e017867613a5239073dee0edc935f53f6da5cadffc0a3ddeb0a64",
+    "resolved.cfg": "c2b416b6c1a3334d8744d14e506d66a4fac851d0ede50ece7eadee58de473a76",
+}
+
+
+def test_project_radius_output_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    text = BASE_CONFIG.replace("seed = 42", "seed = 42\nproject_radius = 0.05")
+    assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 0
+    assert cli.main(["run", str(_write(tmp_path, BASE_CONFIG, "free.cfg")), str(tmp_path / "free")]) == 0
+    out = tmp_path / "out"
+    assert "project_radius = 0.050000000000000003\n" in (out / "resolved.cfg").read_text()
+    assert (out / "metrics.csv").read_bytes() != (tmp_path / "free" / "metrics.csv").read_bytes()
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_RADIUS_DIGESTS}
+    assert digests == PINNED_RADIUS_DIGESTS
