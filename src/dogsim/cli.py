@@ -1,9 +1,9 @@
 """Experiment harness: config files, subcommands, sweeps, CSV emission.
 
 Config files are INI-style text with sections [network], [algorithm],
-[loss], [data], and optional [bounds] / [resolved]. Unknown sections or
-keys are rejected with their line number. Desk-scale defaults: scheme
-max_degree, seed 42, gamma 1e-3, dim 10.
+[loss], [data], and optional [bounds] / [resolved]. `_KEYS` lists every
+key with its converter and default; unknown sections or keys, and values
+that do not convert, are rejected with their line number.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure (divergence or a
 non-converging solver), 3 I/O error. Diagnostics go to stderr.
@@ -12,7 +12,9 @@ non-converging solver), 3 I/O error. Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,22 +30,66 @@ from .errors import (
 from .losses import LossSpec, smoothness_bound
 from .metrics import fmt17
 
-_SCHEMA = {
-    "network": {"kind", "n", "k", "p", "scheme"},
-    "algorithm": {"kind", "eta", "T", "seed", "project_radius"},
-    "loss": {"gamma"},
-    "data": {"beta", "dim", "file", "stochastic_fraction"},
-    "bounds": {"G", "sigma", "R", "M"},
-    "resolved": {"rho"},
-}
 
-SYNTHETIC = "synthetic"
-FILE = "file"
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _eta(raw: str):
+    return engine.AUTO if raw == engine.AUTO else _finite(raw)
+
+
+def _one_of(choices):
+    def convert(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return raw
+    return convert
+
+
+_REQUIRED = object()
+
+#: section -> key -> (field, converter, default), in the order that
+#: resolved.cfg is written. A _REQUIRED key must be given whenever its
+#: section is present. The [bounds] fields are those of `engine.Bounds`.
+_KEYS = {
+    "network": {
+        "kind": ("kind", _one_of(topology.KINDS), _REQUIRED),
+        "n": ("n", int, _REQUIRED),
+        "k": ("k", int, 0),
+        "p": ("p", _finite, 0.0),
+        "scheme": ("scheme", _one_of(mixing.SCHEMES), mixing.MAX_DEGREE),
+    },
+    "algorithm": {
+        "kind": ("algorithm", _one_of(engine.ALGORITHMS), _REQUIRED),
+        "eta": ("eta", _eta, _REQUIRED),
+        "T": ("T", int, _REQUIRED),
+        "seed": ("seed", int, 42),
+        "project_radius": ("project_radius", _finite, None),
+    },
+    "loss": {"gamma": ("gamma", _finite, 1e-3)},
+    "data": {
+        "beta": ("beta", _finite, None),
+        "dim": ("dim", int, None),
+        "file": ("file", str, None),
+        "stochastic_fraction": ("stochastic_fraction", _finite, None),
+    },
+    "bounds": {key: (key, _finite, _REQUIRED) for key in ("G", "sigma", "R", "M")},
+    "resolved": {"rho": ("rho", _finite, None)},
+}
+_OPTIONAL_SECTIONS = ("bounds", "resolved")
 
 
 @dataclass(frozen=True)
 class ExperimentFile:
-    """Fully validated experiment description."""
+    """Fully validated experiment description; None marks a key not given.
+
+    Synthetic data sets `beta` and `dim`, file data `file` and
+    `stochastic_fraction`. `rho` is what a resolved.cfg read back reports;
+    runs recompute it."""
 
     kind: str
     n: int
@@ -56,15 +102,17 @@ class ExperimentFile:
     seed: int
     project_radius: float | None
     gamma: float
-    data_mode: str
-    beta: float
-    dim: int
-    file: str
-    stochastic_fraction: float
+    beta: float | None
+    dim: int | None
+    file: str | None
+    stochastic_fraction: float | None
     bounds: engine.Bounds | None
+    rho: float | None = None
 
 
 def _parse_ini(text: str) -> dict:
+    """section -> (header line, key -> (raw value, line)), checked against
+    `_KEYS` for unknown sections and keys."""
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -73,6 +121,8 @@ def _parse_ini(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
+            if name not in _KEYS:
+                raise ConfigError(f"unknown section [{name}]", lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", lineno)
             sections[name] = (lineno, {})
@@ -84,121 +134,77 @@ def _parse_ini(text: str) -> dict:
         if not eq:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
         key = key.strip()
+        if key not in _KEYS[current]:
+            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current][1]:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         sections[current][1][key] = (value.strip(), lineno)
     return sections
 
 
-def _typed(entries: dict, key: str, convert, default=None, required=False, section=""):
-    if key not in entries:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return default
-    value, lineno = entries[key]
-    try:
-        return convert(value)
-    except ValueError:
-        raise ConfigError(f"invalid value for {key!r}: {value!r}", lineno)
-
-
-def _eta_value(raw: str):
-    if raw == engine.AUTO:
-        return engine.AUTO
-    return float(raw)
-
-
 def parse_config(text: str) -> ExperimentFile:
     """Parse and validate a config; raises ConfigError naming key and line."""
     sections = _parse_ini(text)
-    for name, (lineno, entries) in sections.items():
-        if name not in _SCHEMA:
-            raise ConfigError(f"unknown section [{name}]", lineno)
-        for key, (_, key_line) in entries.items():
-            if key not in _SCHEMA[name]:
-                raise ConfigError(f"unknown key {key!r} in [{name}]", key_line)
-    for required in ("network", "algorithm", "loss", "data"):
-        if required not in sections:
-            raise ConfigError(f"missing section [{required}]")
+    values = {}
+    for name, keys in _KEYS.items():
+        if name not in sections:
+            if name in _OPTIONAL_SECTIONS:
+                continue
+            raise ConfigError(f"missing section [{name}]")
+        header, entries = sections[name]
+        for key, (field, convert, default) in keys.items():
+            if key in entries:
+                raw, lineno = entries[key]
+                try:
+                    values[field] = convert(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"invalid value for {key!r}: {raw!r} ({exc})", lineno) from None
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} in [{name}]", header)
+            else:
+                values[field] = default
 
-    net = sections["network"][1]
-    alg = sections["algorithm"][1]
-    los = sections["loss"][1]
-    dat = sections["data"][1]
-
-    kind = _typed(net, "kind", str, required=True, section="network")
-    if kind not in topology.KINDS:
-        raise ConfigError(f"unknown topology kind {kind!r}", net["kind"][1])
-    n = _typed(net, "n", int, required=True, section="network")
-    k = _typed(net, "k", int, default=0)
-    p = _typed(net, "p", float, default=0.0)
-    scheme = _typed(net, "scheme", str, default=mixing.MAX_DEGREE)
-    if scheme not in mixing.SCHEMES:
-        raise ConfigError(f"unknown mixing scheme {scheme!r}", net["scheme"][1])
-
-    algorithm = _typed(alg, "kind", str, required=True, section="algorithm")
-    if algorithm not in engine.ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}", alg["kind"][1])
-    eta = _typed(alg, "eta", _eta_value, required=True, section="algorithm")
-    horizon = _typed(alg, "T", int, required=True, section="algorithm")
-    seed = _typed(alg, "seed", int, default=42)
-    project_radius = _typed(alg, "project_radius", float, default=None)
-
-    gamma = _typed(los, "gamma", float, default=1e-3)
-
-    if "file" in dat:
-        for bad in ("beta", "dim"):
-            if bad in dat:
-                raise ConfigError(f"key {bad!r} is not valid with file data", dat[bad][1])
-        data_mode = FILE
-        file_path = _typed(dat, "file", str, required=True, section="data")
-        fraction = _typed(dat, "stochastic_fraction", float, required=True, section="data")
-        beta, dim = 0.0, 0
+    header, data = sections["data"]
+    if "file" in data:
+        mode, excluded, needed = "file", ("beta", "dim"), "stochastic_fraction"
     else:
-        if "stochastic_fraction" in dat:
-            raise ConfigError(
-                "key 'stochastic_fraction' is not valid with synthetic data",
-                dat["stochastic_fraction"][1],
-            )
-        data_mode = SYNTHETIC
-        beta = _typed(dat, "beta", float, required=True, section="data")
-        dim = _typed(dat, "dim", int, default=10)
-        file_path, fraction = "", 0.0
+        mode, excluded, needed = "synthetic", ("stochastic_fraction",), "beta"
+        if values["dim"] is None:
+            values["dim"] = 10
+    for key in excluded:
+        if key in data:
+            raise ConfigError(f"key {key!r} is not valid with {mode} data", data[key][1])
+    if needed not in data:
+        raise ConfigError(f"missing required key {needed!r} in [data]", header)
 
     bounds = None
     if "bounds" in sections:
-        ent = sections["bounds"][1]
-        bounds = engine.Bounds(
-            G=_typed(ent, "G", float, required=True, section="bounds"),
-            sigma=_typed(ent, "sigma", float, required=True, section="bounds"),
-            R=_typed(ent, "R", float, required=True, section="bounds"),
-            M=_typed(ent, "M", float, required=True, section="bounds"),
-        )
-
-    if eta == engine.AUTO and bounds is None:
-        raise ConfigError("eta=auto requires a [bounds] section with G, sigma, R, M")
-
-    try:
-        return ExperimentFile(
-            kind=kind, n=n, k=k, p=p, scheme=scheme,
-            algorithm=algorithm, eta=eta, T=horizon, seed=seed,
-            project_radius=project_radius, gamma=gamma,
-            data_mode=data_mode, beta=beta, dim=dim,
-            file=file_path, stochastic_fraction=fraction, bounds=bounds,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        try:
+            bounds = engine.Bounds(**{key: values.pop(key) for key in _KEYS["bounds"]})
+        except ValueError as exc:
+            raise ConfigError(str(exc), sections["bounds"][0]) from None
+    return ExperimentFile(**values, bounds=bounds)
 
 
 def load_config(path) -> ExperimentFile:
     return parse_config(Path(path).read_text())
 
 
-def build_graph(ef: ExperimentFile) -> topology.Graph:
+@contextmanager
+def _config_errors():
+    """Re-raise a ValueError or SimulationError from building a run as a
+    ConfigError; the runtime failures pass through unchanged."""
     try:
-        return topology.build_topology(ef.kind, ef.n, seed=ef.seed, k=ef.k, p=ef.p)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        yield
+    except (ConfigError, DivergenceDetected, NonConvergence):
+        raise
+    except (ValueError, SimulationError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _mixing_matrix(ef: ExperimentFile) -> mixing.MixingMatrix:
+    graph = topology.build_topology(ef.kind, ef.n, seed=ef.seed, k=ef.k, p=ef.p)
+    return mixing.build_mixing(graph, ef.scheme)
 
 
 def build_data(ef: ExperimentFile, rounds: int, datasets: dict | None = None):
@@ -208,7 +214,7 @@ def build_data(ef: ExperimentFile, rounds: int, datasets: dict | None = None):
 
     `datasets` maps a file path to its normalized `Dataset`; a file found
     there is not read again, and one parsed here is added to it."""
-    if ef.data_mode == SYNTHETIC:
+    if ef.file is None:
         return SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
     datasets = {} if datasets is None else datasets
     if ef.file not in datasets:
@@ -222,9 +228,8 @@ def build_run(ef: ExperimentFile, record_samples: bool = False, datasets: dict |
     """Assemble (RunConfig, MixingMatrix) from a validated config, with its
     step size resolved, so that every config error surfaces here. `datasets`
     is passed to `build_data`."""
-    graph = build_graph(ef)
-    try:
-        mix = mixing.build_mixing(graph, ef.scheme)
+    with _config_errors():
+        mix = _mixing_matrix(ef)
         cfg = engine.RunConfig(
             algorithm=ef.algorithm,
             n=ef.n,
@@ -239,46 +244,24 @@ def build_run(ef: ExperimentFile, record_samples: bool = False, datasets: dict |
             record_samples=record_samples,
         )
         engine.resolve_eta(cfg)
-    except (ValueError, SimulationError) as exc:
-        if isinstance(exc, (DivergenceDetected, NonConvergence)):
-            raise
-        raise ConfigError(str(exc))
     return cfg, mix
 
 
 def render_resolved(ef: ExperimentFile, eta: float, rho: float) -> str:
-    """Config text with eta fixed to its numeric value plus computed rho."""
-    lines = [
-        "[network]",
-        f"kind = {ef.kind}",
-        f"n = {ef.n}",
-        f"k = {ef.k}",
-        f"p = {fmt17(ef.p)}",
-        f"scheme = {ef.scheme}",
-        "",
-        "[algorithm]",
-        f"kind = {ef.algorithm}",
-        f"eta = {fmt17(eta)}",
-        f"T = {ef.T}",
-        f"seed = {ef.seed}",
-    ]
-    if ef.project_radius is not None:
-        lines.append(f"project_radius = {fmt17(ef.project_radius)}")
-    lines += ["", "[loss]", f"gamma = {fmt17(ef.gamma)}", "", "[data]"]
-    if ef.data_mode == SYNTHETIC:
-        lines += [f"beta = {fmt17(ef.beta)}", f"dim = {ef.dim}"]
-    else:
-        lines += [f"file = {ef.file}", f"stochastic_fraction = {fmt17(ef.stochastic_fraction)}"]
+    """Config text with eta fixed to its numeric value plus computed rho:
+    every key that holds a value, in `_KEYS` order."""
+    values = {**vars(ef), "eta": eta, "rho": rho}
     if ef.bounds is not None:
-        lines += [
-            "",
-            "[bounds]",
-            f"G = {fmt17(ef.bounds.G)}",
-            f"sigma = {fmt17(ef.bounds.sigma)}",
-            f"R = {fmt17(ef.bounds.R)}",
-            f"M = {fmt17(ef.bounds.M)}",
+        values |= vars(ef.bounds)
+    lines = []
+    for section, keys in _KEYS.items():
+        body = [
+            f"{key} = {fmt17(value) if isinstance(value, float) else value}"
+            for key, (field, _, _) in keys.items()
+            if (value := values.get(field)) is not None
         ]
-    lines += ["", "[resolved]", f"rho = {fmt17(rho)}", ""]
+        if body:
+            lines += [f"[{section}]", *body, ""]
     return "\n".join(lines)
 
 
@@ -292,6 +275,24 @@ def _check_threads(threads: int):
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
 
+#: exception -> (exit code, stderr label). Anything else raised by a
+#: subcommand is a bug and propagates as a traceback.
+_EXIT_CODES = {
+    ConfigError: (1, "config error"),
+    DivergenceDetected: (2, "runtime error"),
+    NonConvergence: (2, "runtime error"),
+    OSError: (3, "i/o error"),
+}
+_REPORTED = tuple(_EXIT_CODES)
+
+
+def _report(exc: Exception, prefix: str = "") -> int:
+    """Print `exc` to stderr under its label; return its exit code."""
+    code, label = next(v for kind, v in _EXIT_CODES.items() if isinstance(exc, kind))
+    print(f"{prefix}{label}: {exc}", file=sys.stderr)
+    return code
+
+
 def cmd_run(config_path, outdir, threads: int = 1) -> int:
     """Run one experiment; writes metrics.csv, resolved.cfg, summary.txt.
 
@@ -300,29 +301,15 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
         _check_threads(threads)
         ef = load_config(config_path)
         cfg, mix = build_run(ef, record_samples=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         result = engine.run_experiment(cfg)
         summary = _summarize(result, ef)
-    except (DivergenceDetected, NonConvergence) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "metrics.csv", metrics.metrics_to_csv(result.records))
         _write_text(out / "resolved.cfg", render_resolved(ef, result.resolved["eta"], mix.rho))
         _write_text(out / "summary.txt", summary)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    except _REPORTED as exc:
+        return _report(exc)
     return 0
 
 
@@ -369,17 +356,12 @@ def _sweep_number(convert, text: str, value: str):
 def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
     """Yield (cell_name, value, algorithm, config) for one sweep axis."""
     if axis == "beta":
-        if ef.data_mode != SYNTHETIC:
+        if ef.file is not None:
             raise ConfigError("beta sweep requires synthetic data")
         for value in values:
-            beta = _sweep_number(float, value, value)
+            beta = _sweep_number(_finite, value, value)
             for alg in (engine.DOG, engine.LOCAL_OGD):
-                yield (
-                    f"beta_{value}_{alg}",
-                    value,
-                    alg,
-                    replace(ef, beta=beta, algorithm=alg),
-                )
+                yield f"beta_{value}_{alg}", value, alg, replace(ef, beta=beta, algorithm=alg)
     elif axis == "nodes":
         for value in values:
             n = _sweep_number(int, value, value)
@@ -393,7 +375,7 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
             if p_raw:
                 if kind != topology.WATTS_STROGATZ:
                     raise ConfigError(f"topology {value!r} takes no ':p' suffix; only watts_strogatz reads p")
-                patched = replace(patched, p=_sweep_number(float, p_raw, value))
+                patched = replace(patched, p=_sweep_number(_finite, p_raw, value))
             name = f"topology_{value.replace(':', '_p')}"
             yield name, value, engine.DOG, patched
     else:
@@ -404,57 +386,35 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
     """Run one experiment per axis value; writes per-cell metrics and a summary.
 
     `threads` is validated and otherwise unused."""
+    prefix = ""  # names the cell being built or run in a diagnostic
     try:
         _check_threads(threads)
         ef = load_config(config_path)
         if not values:
             raise ConfigError("sweep needs at least one axis value")
         cells = list(_sweep_cells(ef, axis, values))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    # Build every cell before running any, so a config error writes nothing.
-    # The cells share one parse of the data file.
-    built, datasets = [], {}
-    for name, value, alg, cell_ef in cells:
-        try:
+        # Build every cell before running any, so a config error writes
+        # nothing. The cells share one parse of the data file.
+        built, datasets = [], {}
+        for name, value, alg, cell_ef in cells:
+            prefix = f"sweep cell {name} "
             built.append((name, value, alg, build_run(cell_ef, datasets=datasets)[0]))
-        except OSError as exc:
-            print(f"sweep cell {name} error: {exc}", file=sys.stderr)
-            return 3
-        except ConfigError as exc:
-            print(f"sweep cell {name} config error: {exc}", file=sys.stderr)
-            return 1
-
-    rows = []
-    for name, value, alg, cfg in built:
-        try:
+        rows = []
+        for name, value, alg, cfg in built:
+            prefix = f"sweep cell {name} "
             result = engine.run_experiment(cfg)
-        except DivergenceDetected as exc:
-            print(f"sweep cell {name} runtime error: {exc}", file=sys.stderr)
-            return 2
-        try:
             cell_dir = Path(outdir) / name
             cell_dir.mkdir(parents=True, exist_ok=True)
             _write_text(cell_dir / "metrics.csv", metrics.metrics_to_csv(result.records))
-        except OSError as exc:
-            print(f"sweep cell {name} i/o error: {exc}", file=sys.stderr)
-            return 3
-        final_avg = metrics.average_loss(result.records) if result.records else float("nan")
-        rows.append(f"{value},{alg},{fmt17(final_avg)}")
-
-    try:
+            final_avg = metrics.average_loss(result.records) if result.records else float("nan")
+            rows.append(f"{value},{alg},{fmt17(final_avg)}")
+        prefix = ""
         _write_text(
             Path(outdir) / "sweep_summary.csv",
             "value,algorithm,final_avg_loss\n" + "\n".join(rows) + "\n",
         )
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    except _REPORTED as exc:
+        return _report(exc, prefix)
     return 0
 
 
@@ -462,21 +422,17 @@ def cmd_matrix(config_path) -> int:
     """Print the constructed mixing matrix, its rho, and stochasticity checks."""
     try:
         ef = load_config(config_path)
-        graph = build_graph(ef)
-        mix = mixing.build_mixing(graph, ef.scheme)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    report = mixing.verify_doubly_stochastic(mix.entries)
-    sys.stdout.write(mixing.matrix_to_csv(mix.entries))
-    print(f"rho={fmt17(mix.rho)}")
-    print(f"max_row_dev={fmt17(report.max_row_dev)}")
-    print(f"max_col_dev={fmt17(report.max_col_dev)}")
-    print(f"min_entry={fmt17(report.min_entry)}")
-    if mix.rho >= 1.0 - 1e-12:
+        with _config_errors():
+            mix = _mixing_matrix(ef)
+        report = mixing.verify_doubly_stochastic(mix.entries)
+        sys.stdout.write(mixing.matrix_to_csv(mix.entries))
+        print(f"rho={fmt17(mix.rho)}")
+        print(f"max_row_dev={fmt17(report.max_row_dev)}")
+        print(f"max_col_dev={fmt17(report.max_col_dev)}")
+        print(f"min_entry={fmt17(report.min_entry)}")
+    except _REPORTED as exc:
+        return _report(exc)
+    if not mix.contracts:
         print("warning: rho >= 1, gossip cannot contract disagreement", file=sys.stderr)
     return 0
 
@@ -487,19 +443,12 @@ def cmd_data(config_path, count: int, output) -> int:
         ef = load_config(config_path)
         if count < 0:
             raise ConfigError(f"count must be >= 0, got {count}")
-        features, labels = build_data(ef, count).block(1, count + 1)
-    except (ValueError, SimulationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    node_major = features.transpose(1, 0, 2).reshape(-1, features.shape[-1])
-    try:
+        with _config_errors():
+            features, labels = build_data(ef, count).block(1, count + 1)
+        node_major = features.transpose(1, 0, 2).reshape(-1, features.shape[-1])
         _write_text(Path(output), ingest.serialize_libsvm(node_major, labels.T.reshape(-1)))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    except _REPORTED as exc:
+        return _report(exc)
     return 0
 
 

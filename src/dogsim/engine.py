@@ -186,7 +186,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     n, dim = cfg.n, cfg.dim
     eta = resolve_eta(cfg)
     rho = cfg.mixing.rho if cfg.mixing is not None else None
-    if cfg.algorithm == DOG and rho is not None and rho >= 1.0 - 1e-12:
+    if cfg.algorithm == DOG and not cfg.mixing.contracts:
         warnings.warn(
             f"mixing rho={rho:.6g} >= 1: gossip cannot contract disagreement",
             RuntimeWarning,

@@ -38,6 +38,12 @@ class MixingMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
+    @property
+    def contracts(self) -> bool:
+        """Whether gossip contracts disagreement: rho < 1 beyond rounding.
+        The identity W of an edgeless graph has rho = 1 up to rounding."""
+        return self.rho < 1.0 - 1e-12
+
 
 @dataclass(frozen=True)
 class StochasticityReport:

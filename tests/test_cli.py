@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,8 @@ def test_sweep_config_error_in_a_later_cell_writes_nothing(tmp_path, capsys):
     ("nodes", "10,abc", "abc"),
     ("beta", "0.3,zz", "zz"),
     ("topology", "ring,watts_strogatz:x", "watts_strogatz:x"),
+    ("beta", "0.3,nan", "nan"),
+    ("topology", "ring,watts_strogatz:inf", "watts_strogatz:inf"),
 ])
 def test_sweep_malformed_value_is_a_config_error(tmp_path, capsys, axis, values, bad):
     cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))
@@ -757,3 +762,120 @@ def test_project_radius_output_bytes_are_pinned(tmp_path):
     assert (out / "metrics.csv").read_bytes() != (tmp_path / "free" / "metrics.csv").read_bytes()
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_RADIUS_DIGESTS}
     assert digests == PINNED_RADIUS_DIGESTS
+
+
+#: BASE_CONFIG with every float key set, one per line.
+_FLOAT_KEYS_CONFIG = (
+    BASE_CONFIG.replace("n = 6", "n = 6\np = 0.5").replace("seed = 42", "seed = 42\nproject_radius = 5")
+    + _BOUNDS + "\n[resolved]\nrho = 0.5\n"
+)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [
+    "p", "eta", "project_radius", "gamma", "beta", "stochastic_fraction", "G", "sigma", "R", "M", "rho",
+])
+def test_non_finite_float_is_a_config_error_with_its_line(tmp_path, capsys, key, value):
+    text = _FLOAT_KEYS_CONFIG
+    if key == "stochastic_fraction":
+        text = text.replace("beta = 0.5\ndim = 4", _FILE_DATA)
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} = "))
+    lines[lineno - 1] = f"{key} = {value}"
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["run", str(cfg), str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}:") and f"{key!r}: {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_bound_is_a_config_error_naming_its_section(tmp_path, capsys):
+    text = BASE_CONFIG + _BOUNDS.replace("sigma = 1", "sigma = -1")
+    assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 1
+    lineno = text.splitlines().index("[bounds]") + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}:") and "sigma" in err
+
+
+_EXIT_COMMANDS = {
+    "run": lambda cfg, out: ["run", cfg, out],
+    "sweep": lambda cfg, out: ["sweep", cfg, out, "--axis", "nodes", "--values", "4,6"],
+    "matrix": lambda cfg, out: ["matrix", cfg],
+    "data": lambda cfg, out: ["data", cfg, "3", out],
+}
+
+#: (command, case) -> (exit code, stderr prefix). matrix and data run no
+#: model, and matrix writes only to stdout, so those cells exit 0.
+_EXIT_TABLE = {
+    ("run", "unreadable_config"): (3, "i/o error: "),
+    ("run", "config_error"): (1, "config error: line 12: "),
+    ("run", "divergence"): (2, "runtime error: "),
+    ("run", "unwritable_output"): (3, "i/o error: "),
+    ("sweep", "unreadable_config"): (3, "i/o error: "),
+    ("sweep", "config_error"): (1, "config error: line 12: "),
+    ("sweep", "divergence"): (2, "sweep cell nodes_4 runtime error: "),
+    ("sweep", "unwritable_output"): (3, "sweep cell nodes_4 i/o error: "),
+    ("matrix", "unreadable_config"): (3, "i/o error: "),
+    ("matrix", "config_error"): (1, "config error: line 12: "),
+    ("matrix", "divergence"): (0, ""),
+    ("matrix", "unwritable_output"): (0, ""),
+    ("data", "unreadable_config"): (3, "i/o error: "),
+    ("data", "config_error"): (1, "config error: line 12: "),
+    ("data", "divergence"): (0, ""),
+    ("data", "unwritable_output"): (3, "i/o error: "),
+}
+
+
+@pytest.mark.parametrize("command, case", sorted(_EXIT_TABLE))
+def test_exit_code_and_stderr_prefix(tmp_path, capsys, command, case):
+    cfg = _write(tmp_path, {
+        "config_error": BASE_CONFIG.replace("[loss]", "foo = 1\n[loss]"),
+        "divergence": BASE_CONFIG.replace("eta = 0.2", "eta = 1e200"),
+    }.get(case, BASE_CONFIG))
+    if case == "unreadable_config":
+        cfg = tmp_path / "absent.cfg"
+    out = tmp_path / "out"
+    if case == "unwritable_output":
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "out"  # below a regular file
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(_EXIT_COMMANDS[command](str(cfg), str(out)))
+    err = capsys.readouterr().err
+    assert (code, err[:len(_EXIT_TABLE[command, case][1])]) == _EXIT_TABLE[command, case]
+    assert bool(err) == (code != 0) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_unexpected_error_while_running_propagates(tmp_path, monkeypatch, command):
+    from dogsim import engine
+
+    def broken(cfg):
+        raise ValueError("a bug, not a config error")
+
+    monkeypatch.setattr(engine, "run_experiment", broken)
+    argv = [command, str(_write(tmp_path, BASE_CONFIG)), str(tmp_path / "out"), *_SUBCOMMANDS[command]]
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(argv)
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_config_example_parses():
+    example = _README.split("```ini\n", 1)[1].split("```", 1)[0]
+    ef = cli.parse_config(example)
+    assert (ef.kind, ef.n, ef.k, ef.p, ef.algorithm, ef.T, ef.beta, ef.dim) == ("ring", 50, 4, 0.5, "dog", 2000, 0.3, 10)
+    assert ef.bounds is not None and ef.project_radius is None and ef.file is None
+
+
+def test_readme_defaults_are_the_parsers():
+    prose = " ".join(_README.split())
+    defaults = dict(re.findall(r"`(\w+) = ([^`]+)`", prose.split("Defaults: ", 1)[1].split(". ", 1)[0]))
+    minimal = "[network]\nkind = ring\nn = 6\n[algorithm]\nkind = dog\neta = 0.2\nT = 30\n[loss]\n[data]\nbeta = 0.5\n"
+    ef = cli.parse_config(minimal)
+    given = {"kind", "n", "algorithm", "eta", "T", "beta"}
+    parsed = {field: value for field, value in vars(ef).items() if value is not None and field not in given}
+    assert set(defaults) == set(parsed)
+    for key, text in defaults.items():
+        assert parsed[key] == type(parsed[key])(text), key
+    assert ef.project_radius is None and "`project_radius` is unset unless given" in prose

@@ -231,3 +231,8 @@ def test_sinkhorn_rejects_bad_input():
 def test_matrix_csv_17_digits():
     text = matrix_to_csv(np.array([[1.0 / 3.0, 2.0 / 3.0]]))
     assert text == "0.33333333333333331,0.66666666666666663\n"
+
+
+def test_contracts_is_false_only_for_rho_of_one():
+    assert build_mixing(build_topology("ring", 6)).contracts
+    assert not build_mixing(build_topology("disconnected", 6)).contracts
