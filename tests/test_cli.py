@@ -603,6 +603,61 @@ def test_sweep_parses_its_data_file_once_per_invocation(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+_FILE_TOPOLOGIES = ("ring", "watts_strogatz:0.5", "complete")
+
+
+def test_file_data_topology_sweep_cells_match_single_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
+    text = FILE_CONFIG.replace("n = 5", "n = 5\nk = 2")
+    cfg = _write(tmp_path, text)
+    argv = ["sweep", str(cfg), "sweep", "--axis", "topology", "--values", ",".join(_FILE_TOPOLOGIES)]
+    assert cli.main(argv) == 0
+    for value in _FILE_TOPOLOGIES:
+        kind, _, p = value.partition(":")
+        cell = f"topology_{value.replace(':', '_p')}"
+        single = text.replace("kind = ring", f"kind = {kind}")
+        if p:
+            single = single.replace("k = 2", f"k = 2\np = {p}")
+        assert cli.main(["run", str(_write(tmp_path, single, f"{cell}.cfg")), cell]) == 0
+        assert (tmp_path / "sweep" / cell / "metrics.csv").read_bytes() == (tmp_path / cell / "metrics.csv").read_bytes()
+
+
+def test_beta_sweep_cells_match_single_runs(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(_write(tmp_path, BASE_CONFIG)), str(out), "--axis", "beta", "--values", "0.9,0.3"]) == 0
+    for beta in ("0.9", "0.3"):
+        for alg in ("dog", "local_ogd"):
+            cell = f"beta_{beta}_{alg}"
+            single = BASE_CONFIG.replace("beta = 0.5", f"beta = {beta}").replace("kind = dog", f"kind = {alg}")
+            assert cli.main(["run", str(_write(tmp_path, single, f"{cell}.cfg")), str(tmp_path / cell)]) == 0
+            assert (out / cell / "metrics.csv").read_bytes() == (tmp_path / cell / "metrics.csv").read_bytes()
+
+
+def test_sweep_stops_at_a_failing_middle_cell(tmp_path, monkeypatch, capsys):
+    from dogsim import engine
+    from dogsim.errors import DivergenceDetected
+
+    original = engine.run_experiment
+    calls = []
+
+    def second_diverges(cfg):
+        calls.append(cfg)
+        if len(calls) == 2:
+            raise DivergenceDetected(3)
+        return original(cfg)
+
+    monkeypatch.setattr(engine, "run_experiment", second_diverges)
+    cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))
+    out = tmp_path / "out"
+    argv = ["sweep", str(cfg), str(out), "--axis", "topology", "--values", "ring,watts_strogatz:1,complete"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("sweep cell topology_watts_strogatz_p1 runtime error:")
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["topology_ring"]
+    assert (out / "topology_ring" / "metrics.csv").exists()
+
+
 RUN_CONFIG = """\
 [network]
 kind = ring
