@@ -3,7 +3,8 @@
 Config files are INI-style text with sections [network], [algorithm],
 [loss], [data], and optional [bounds] / [resolved]. `_KEYS` lists every
 key with its converter and default; unknown sections or keys, and values
-that do not convert, are rejected with their line number.
+that do not convert or are out of range, are rejected with their line
+number.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure (divergence or a
 non-converging solver), 3 I/O error. Diagnostics go to stderr.
@@ -14,12 +15,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import engine, ingest, metrics, mixing, topology
-from .datagen import SyntheticSpec
+from .datagen import SharedStream, SyntheticSpec
 from .errors import (
     ConfigError,
     DegenerateParameters,
@@ -38,8 +40,29 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _checked(convert, ok, wanted: str):
+    """A converter: `convert`, then reject a value for which `ok` is false.
+
+    The config-file range checks live here so that their errors name the
+    line; the library repeats them for its own callers."""
+    def checked(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(f"must be {wanted}")
+        return value
+    return checked
+
+
+_positive = _checked(_finite, lambda v: v > 0, "> 0")
+_unit = _checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f">= {low}")
+
+
 def _eta(raw: str):
-    return engine.AUTO if raw == engine.AUTO else _finite(raw)
+    return engine.AUTO if raw == engine.AUTO else _positive(raw)
 
 
 def _one_of(choices):
@@ -58,24 +81,24 @@ _REQUIRED = object()
 _KEYS = {
     "network": {
         "kind": ("kind", _one_of(topology.KINDS), _REQUIRED),
-        "n": ("n", int, _REQUIRED),
-        "k": ("k", int, 0),
-        "p": ("p", _finite, 0.0),
+        "n": ("n", _at_least(1), _REQUIRED),
+        "k": ("k", _at_least(0), 0),
+        "p": ("p", _unit, 0.0),
         "scheme": ("scheme", _one_of(mixing.SCHEMES), mixing.MAX_DEGREE),
     },
     "algorithm": {
         "kind": ("algorithm", _one_of(engine.ALGORITHMS), _REQUIRED),
         "eta": ("eta", _eta, _REQUIRED),
-        "T": ("T", int, _REQUIRED),
-        "seed": ("seed", int, 42),
-        "project_radius": ("project_radius", _finite, None),
+        "T": ("T", _at_least(0), _REQUIRED),
+        "seed": ("seed", _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)"), 42),
+        "project_radius": ("project_radius", _positive, None),
     },
-    "loss": {"gamma": ("gamma", _finite, 1e-3)},
+    "loss": {"gamma": ("gamma", _checked(_finite, lambda v: v >= 0, ">= 0"), 1e-3)},
     "data": {
-        "beta": ("beta", _finite, None),
-        "dim": ("dim", int, None),
+        "beta": ("beta", _unit, None),
+        "dim": ("dim", _at_least(1), None),
         "file": ("file", str, None),
-        "stochastic_fraction": ("stochastic_fraction", _finite, None),
+        "stochastic_fraction": ("stochastic_fraction", _unit, None),
     },
     "bounds": {key: (key, _finite, _REQUIRED) for key in ("G", "sigma", "R", "M")},
     "resolved": {"rho": ("rho", _finite, None)},
@@ -224,10 +247,40 @@ def build_data(ef: ExperimentFile, rounds: int, datasets: dict | None = None):
     )
 
 
-def build_run(ef: ExperimentFile, record_samples: bool = False, datasets: dict | None = None):
+def _data_key(ef: ExperimentFile) -> tuple:
+    """What a run's data stream depends on; runs with equal keys read
+    identical samples."""
+    if ef.file is None:
+        return (ef.dim, ef.beta, ef.n, ef.seed)
+    return (ef.file, ef.stochastic_fraction, ef.n, ef.T, ef.seed)
+
+
+class _SweepData:
+    """The data sources of one sweep call, one per data key, each built by
+    the first cell that reads it and handed to every later one. A synthetic
+    stream read by two or more cells is a `SharedStream`, so each of its
+    tiles is generated once; a file's node streams are split once per key,
+    from one parse of the file."""
+
+    def __init__(self, cell_configs):
+        self.readers = Counter(map(_data_key, cell_configs))
+        self.sources = {}
+        self.datasets = {}
+
+    def source(self, ef: ExperimentFile):
+        key = _data_key(ef)
+        if key not in self.sources:
+            data = build_data(ef, ef.T, self.datasets)
+            if ef.file is None and self.readers[key] > 1:
+                data = SharedStream(data)
+            self.sources[key] = data
+        return self.sources[key]
+
+
+def build_run(ef: ExperimentFile, record_samples: bool = False, sweep: _SweepData | None = None):
     """Assemble (RunConfig, MixingMatrix) from a validated config, with its
-    step size resolved, so that every config error surfaces here. `datasets`
-    is passed to `build_data`."""
+    step size resolved, so that every config error surfaces here. A sweep
+    cell takes its data source from `sweep`."""
     with _config_errors():
         mix = _mixing_matrix(ef)
         cfg = engine.RunConfig(
@@ -236,7 +289,7 @@ def build_run(ef: ExperimentFile, record_samples: bool = False, datasets: dict |
             T=ef.T,
             eta=ef.eta,
             loss_spec=LossSpec(gamma=ef.gamma),
-            data=build_data(ef, ef.T, datasets),
+            data=build_data(ef, ef.T) if sweep is None else sweep.source(ef),
             mixing=mix,
             bounds=ef.bounds,
             seed=ef.seed,
@@ -385,6 +438,14 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
 def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) -> int:
     """Run one experiment per axis value; writes per-cell metrics and a summary.
 
+    Cells whose runs read the same samples share one data source, built
+    once: the DOG and Local OGD cells of each beta value, and every cell of
+    a topology sweep. The cells of a nodes sweep share nothing, since each
+    n is a different stream. A shared synthetic stream keeps every tile it
+    has generated, T·n·(dim+1)·8 bytes, until the last cell that reads it
+    has run, and never past the sweep's return. Each cell still runs on its
+    own, and its bytes are those of a standalone run.
+
     `threads` is validated and otherwise unused."""
     prefix = ""  # names the cell being built or run in a diagnostic
     try:
@@ -394,13 +455,19 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
             raise ConfigError("sweep needs at least one axis value")
         cells = list(_sweep_cells(ef, axis, values))
         # Build every cell before running any, so a config error writes
-        # nothing. The cells share one parse of the data file.
-        built, datasets = [], {}
+        # nothing. Tiles of a shared stream are generated lazily, inside
+        # the run of the first cell that reads them.
+        built, sweep = [], _SweepData(cell_ef for *_, cell_ef in cells)
         for name, value, alg, cell_ef in cells:
             prefix = f"sweep cell {name} "
-            built.append((name, value, alg, build_run(cell_ef, datasets=datasets)[0]))
+            built.append((name, value, alg, build_run(cell_ef, sweep=sweep)[0]))
+        # From here only the cells hold their data sources, and each cell
+        # is dropped once it has run, so a shared stream is freed after the
+        # last cell that reads it.
+        del sweep
         rows = []
-        for name, value, alg, cfg in built:
+        while built:
+            name, value, alg, cfg = built.pop(0)
             prefix = f"sweep cell {name} "
             result = engine.run_experiment(cfg)
             cell_dir = Path(outdir) / name

@@ -20,6 +20,9 @@ Two paths produce the same bits:
                        TILE_SAMPLES samples each, which bounds its scratch
                        memory; the simulation loop asks for one tile at a time.
 
+``SharedStream`` hands the runs of a sweep that read one stream the same
+blocks, each generated once and kept read-only.
+
 Draw plan per sample, in order, all from 53-bit uniforms u = (raw >> 11) * 2^-53:
     u[0]            label: y = +1 if u[0] < 0.5 else -1
     u[1 : dim+1]    adversarial part: a~ = (sin(i) - 0.5) + u, entrywise
@@ -175,6 +178,39 @@ def synthetic_block(spec: SyntheticSpec, first: int, last: int) -> tuple:
         hi = min(lo + step, last)
         _fill_tile(spec, lo, features[lo - first : hi - first], labels[lo - first : hi - first])
     return features, labels
+
+
+class SharedStream:
+    """A synthetic stream read by several runs, with the ``n``, ``dim`` and
+    ``block(first, last)`` of ``SyntheticSpec``.
+
+    Each block is generated on its first request and kept, read-only, for
+    every later request of the same rounds, so runs that step through the
+    same tiles generate them once. It holds every block it has handed out
+    until it is dropped: T·n·(dim+1)·8 bytes once runs have tiled T rounds.
+    """
+
+    def __init__(self, spec: SyntheticSpec):
+        self.spec = spec
+        self._blocks = {}
+
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    def block(self, first: int, last: int) -> tuple:
+        """``synthetic_block(spec, first, last)``, as read-only arrays."""
+        key = (first, last)
+        if key not in self._blocks:
+            features, labels = synthetic_block(self.spec, first, last)
+            features.setflags(write=False)
+            labels.setflags(write=False)
+            self._blocks[key] = features, labels
+        return self._blocks[key]
 
 
 class SyntheticStream:

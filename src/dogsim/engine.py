@@ -10,7 +10,8 @@ model, metrics are recorded, and the models advance:
 Models are stacked as rows of an (n, d) array, so the gossip update is
 W @ X. Samples reach the loop a tile of rounds at a time
 (``datagen.tile_rounds``) through the ``block(first, last)`` method that
-both data sources share: ``SyntheticSpec`` generates the tile and
+both data sources share: ``SyntheticSpec`` generates the tile (a
+``SharedStream`` keeps it for the other runs of a sweep) and
 ``NodeStreams`` fancy-indexes it out of its dataset, either way as
 (rounds, nodes, dim) features and (rounds, nodes) labels. Gradients are
 always evaluated at the round-start models, all nodes in one batched
@@ -26,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .datagen import SyntheticSpec, tile_rounds
+from .datagen import SharedStream, SyntheticSpec, tile_rounds
 from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected
 from .ingest import NodeStreams
 from .losses import LossSpec, batch_loss_and_gradient
@@ -62,7 +63,7 @@ class RunConfig:
     T: int
     eta: Union[float, str]
     loss_spec: LossSpec
-    data: Union[SyntheticSpec, NodeStreams]
+    data: Union[SyntheticSpec, SharedStream, NodeStreams]
     mixing: MixingMatrix | None = None
     bounds: Bounds | None = None
     seed: int = 0

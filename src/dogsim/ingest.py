@@ -45,10 +45,14 @@ class Dataset:
 @dataclass(frozen=True)
 class NodeStreams:
     """One ordered sample stream per node: node i sees row index[i, t - 1]
-    of `dataset` in round t (1-based)."""
+    of `dataset` in round t (1-based). `index` is made read-only, because
+    the cells of a sweep that read the same streams share them."""
 
     dataset: Dataset
     index: np.ndarray  # (n, rounds) int
+
+    def __post_init__(self):
+        self.index.setflags(write=False)
 
     @property
     def n(self) -> int:

@@ -658,6 +658,65 @@ def test_sweep_stops_at_a_failing_middle_cell(tmp_path, monkeypatch, capsys):
     assert (out / "topology_ring" / "metrics.csv").exists()
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call is appended to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+#: n = 500 gives 8-round tiles, so T = 50 is 7 tiles, the last of 2 rounds.
+_WIDE_CONFIG = BASE_CONFIG.replace("n = 6", "n = 500\nk = 4").replace("T = 30", "T = 50").replace("dim = 4", "dim = 2")
+
+
+@pytest.mark.parametrize("axis, values, calls", [
+    ("topology", "ring,watts_strogatz:0.5,complete", 7),  # one shared stream, not 21 calls
+    ("beta", "0.9,0.3", 14),  # one stream per beta value, shared by dog and local_ogd
+    ("nodes", "250,500", 4 + 7),  # each n its own stream: 16-round tiles, then 8-round
+])
+def test_sweep_generates_each_shared_tile_once_per_invocation(tmp_path, monkeypatch, axis, values, calls):
+    from dogsim import datagen
+
+    blocks = _count_calls(monkeypatch, datagen, "synthetic_block")
+    cfg = _write(tmp_path, _WIDE_CONFIG)
+    argv = ["sweep", str(cfg), str(tmp_path / "first"), "--axis", axis, "--values", values]
+    assert cli.main(argv) == 0
+    assert len(blocks) == calls
+    # nothing outlives a main() call: the next sweep generates every tile again
+    argv[2] = str(tmp_path / "second")
+    assert cli.main(argv) == 0
+    assert len(blocks) == 2 * calls
+
+
+def test_file_data_topology_sweep_splits_its_data_once_per_invocation(tmp_path, monkeypatch):
+    from dogsim import ingest
+
+    clusterings = _count_calls(monkeypatch, ingest, "kmeans")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
+    cfg = _write(tmp_path, FILE_CONFIG.replace("n = 5", "n = 5\nk = 2"))
+    argv = ["sweep", str(cfg), "first", "--axis", "topology", "--values", ",".join(_FILE_TOPOLOGIES)]
+    assert cli.main(argv) == 0
+    assert len(clusterings) == 1
+    argv[2] = "second"
+    assert cli.main(argv) == 0
+    assert len(clusterings) == 2
+
+
+def test_file_data_nodes_sweep_splits_once_per_cell(tmp_path, monkeypatch):
+    from dogsim import ingest
+
+    clusterings = _count_calls(monkeypatch, ingest, "kmeans")
+    assert _file_sweep(tmp_path, monkeypatch) == 0
+    assert len(clusterings) == len(_SWEEP_NODES)
+
+
 RUN_CONFIG = """\
 [network]
 kind = ring
@@ -832,6 +891,29 @@ _FLOAT_KEYS_CONFIG = (
 ])
 def test_non_finite_float_is_a_config_error_with_its_line(tmp_path, capsys, key, value):
     text = _FLOAT_KEYS_CONFIG
+    if key == "stochastic_fraction":
+        text = text.replace("beta = 0.5\ndim = 4", _FILE_DATA)
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} = "))
+    lines[lineno - 1] = f"{key} = {value}"
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    assert cli.main(["run", str(cfg), str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}:") and f"{key!r}: {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+#: _FLOAT_KEYS_CONFIG with k as well: every key that has a range.
+_RANGE_KEYS_CONFIG = _FLOAT_KEYS_CONFIG.replace("p = 0.5", "k = 2\np = 0.5")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "0"), ("k", "-1"), ("p", "1.5"), ("p", "-0.1"), ("eta", "0"), ("eta", "-1"), ("T", "-3"),
+    ("seed", "-1"), ("seed", str(2**64)), ("project_radius", "0"), ("gamma", "-1"), ("beta", "2"),
+    ("beta", "-0.5"), ("dim", "0"), ("stochastic_fraction", "1.5"),
+])
+def test_out_of_range_value_is_a_config_error_with_its_line(tmp_path, capsys, key, value):
+    text = _RANGE_KEYS_CONFIG
     if key == "stochastic_fraction":
         text = text.replace("beta = 0.5\ndim = 4", _FILE_DATA)
     lines = text.splitlines()

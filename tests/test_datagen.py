@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dogsim import datagen
 from dogsim.datagen import (
     STREAM_TAG,
+    SharedStream,
     SyntheticSpec,
     SyntheticStream,
     synthetic_block,
@@ -144,6 +145,36 @@ def test_block_split_anywhere_is_bitwise_identical(seed, n, dim, first, length, 
     whole_feats, whole_labels = synthetic_block(spec, first, first + length)
     assert np.concatenate([f for f, _ in pieces]).tobytes() == whole_feats.tobytes()
     assert np.concatenate([y for _, y in pieces]).tobytes() == whole_labels.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=UINT64_SEEDS,
+    n=st.integers(1, 12),
+    dim=st.integers(1, 5),
+    beta=st.floats(0.0, 1.0),
+    T=st.integers(1, 40),
+    step=st.integers(1, 9),
+    data=st.data(),
+)
+def test_shared_stream_matches_synthetic_block(seed, n, dim, beta, T, step, data):
+    spec = SyntheticSpec(dim=dim, beta=beta, n=n, seed=seed)
+    # the tiles of a T-round run, the last one short unless step divides T,
+    # mixed with ranges that start where a tile does but end elsewhere
+    tiles = [(lo, min(lo + step, T + 1)) for lo in range(1, T + 1, step)]
+    ranges = st.tuples(st.integers(1, T + 1), st.integers(0, 2 * step)).map(lambda r: (r[0], r[0] + r[1]))
+    requests = data.draw(st.lists(st.one_of(st.sampled_from(tiles), ranges), min_size=1, max_size=3 * len(tiles)))
+    shared = SharedStream(spec)
+    assert (shared.n, shared.dim) == (n, dim)
+    for first, last in requests:
+        features, labels = shared.block(first, last)
+        expected_features, expected_labels = synthetic_block(spec, first, last)
+        assert features.tobytes() == expected_features.tobytes()
+        assert labels.tobytes() == expected_labels.tobytes()
+        assert features.shape == expected_features.shape and labels.shape == expected_labels.shape
+        assert not features.flags.writeable and not labels.flags.writeable
+        with pytest.raises(ValueError):
+            features[...] = 0.0
 
 
 def test_tile_rounds_covers_about_tile_samples():
