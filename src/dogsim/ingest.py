@@ -135,7 +135,11 @@ def serialize_libsvm(features, labels) -> str:
 def normalize(d: Dataset) -> Dataset:
     """Center each coordinate and scale to unit population variance.
 
-    Zero-variance coordinates are left at zero after centering. Idempotent
+    Constant coordinates become 0. Constancy is decided exactly, by
+    comparing every entry with the first: the rounded mean of ten rows of
+    0.1 is 1.4e-17 off, so their std is that residue, and dividing by it
+    would give +-1. A varying coordinate whose std is not positive (it
+    underflowed to 0, or overflowed to NaN) also becomes 0. Idempotent
     within floating tolerance.
     """
     if not len(d):
@@ -143,32 +147,49 @@ def normalize(d: Dataset) -> Dataset:
     mean = d.features.mean(axis=0)
     std = d.features.std(axis=0)  # population (ddof=0)
     centered = d.features - mean
-    nonzero = std > 0
-    centered[:, nonzero] /= std[nonzero]
-    centered[:, ~nonzero] = 0.0
+    flat = (d.features == d.features[0]).all(axis=0) | ~(std > 0)
+    centered[:, ~flat] /= std[~flat]
+    centered[:, flat] = 0.0
     return Dataset(centered, d.labels)
+
+
+#: float64 unit roundoff u and smallest subnormal, for the slack in `_nearest`.
+_U = 2.0**-53
+_TINY = 2.0**-1074
+#: Rows whose norm bound pp + max cc is not at most this take the exact path,
+#: so no exact distance can overflow (D <= 2(pp + cc) stays below 2^1022).
+_NORM_LIMIT = 2.0**1020
+#: Elements per (rows, k, d) block of the exact path: 0.5 MB of float64.
+_EXACT_BLOCK = 1 << 16
 
 
 def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
     """Lloyd's algorithm with k-means++ seeding; returns cluster ids.
 
-    Seeding keeps each point's squared distance to its nearest centroid so
-    far and folds in only the newest one, O(m*k*d) in all. Every distance,
-    in seeding and in Lloyd's steps, is the exact ``((p - c) ** 2).sum()``
-    computed one centroid at a time, so argmin ties break the same way as
-    with a full (m, k, d) broadcast. Stops when assignments stabilize or
-    max_iters is reached. An empty cluster is re-seeded with the point
-    currently farthest from its own centroid.
+    Every assignment, in seeding and in Lloyd's steps, is the one the exact
+    ``((p - c) ** 2).sum()`` gives, ties to the lowest index, as with a full
+    (m, k, d) broadcast. Seeding keeps each point's exact squared distance
+    to its nearest centroid so far and folds in only the newest one, O(m*k*d)
+    in all; those distances feed the sampling. Each Lloyd step takes its
+    assignment from `_nearest`: one matrix product plus an exact check on
+    the rows it cannot certify. When no cluster is empty, the centroids are
+    per-column ``bincount`` sums over the cluster sizes: the same additions
+    in the same row order as ``members.mean(axis=0)``, so the same bits up to
+    the sign of a zero, which no distance sees. For d = 1 numpy's mean sums
+    pairwise, so d = 1 keeps the one-cluster-at-a-time loop, and so does a
+    step that empties a cluster: that cluster is re-seeded with the point
+    farthest from its own centroid, read after the clusters before it have
+    moved. Stops when assignments stabilize or max_iters is reached.
     """
     pts = np.asarray(points, dtype=float)
-    m = pts.shape[0]
+    m, d = pts.shape
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > m:
         raise TooFewPoints(f"need at least {k} points for {k} clusters, got {m}")
     rng = np.random.default_rng(seed)
 
-    centroids = np.empty((k, pts.shape[1]))
+    centroids = np.empty((k, d))
     first = int(rng.integers(0, m))
     centroids[0] = pts[first]
     d2 = np.full(m, np.inf)
@@ -181,15 +202,20 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
         r = rng.random() * total
         centroids[c] = pts[int(np.searchsorted(np.cumsum(d2), r))]
 
-    assign = np.full(m, -1, dtype=int)
-    d2 = np.empty((m, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = (pts * pts).sum(axis=1)
+    columns = np.ascontiguousarray(pts.T)
+    assign = np.full(m, -1, dtype=np.intp)
     for _ in range(max_iters):
-        for c in range(k):
-            d2[:, c] = ((pts - centroids[c]) ** 2).sum(axis=1)
-        new_assign = d2.argmin(axis=1)
+        new_assign = _nearest(pts, pp, centroids)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        counts = np.bincount(assign, minlength=k)
+        if d > 1 and counts.all():
+            sums = [np.bincount(assign, weights=col, minlength=k) for col in columns]
+            centroids = np.stack(sums, axis=1) / counts[:, None]
+            continue
         for c in range(k):
             members = pts[assign == c]
             if len(members):
@@ -197,7 +223,73 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
             else:
                 dist_own = ((pts - centroids[assign]) ** 2).sum(axis=1)
                 centroids[c] = pts[int(dist_own.argmax())]
-    return [int(c) for c in assign]
+    return assign.tolist()
+
+
+def _nearest(pts, pp, centroids) -> np.ndarray:
+    """Each row's nearest centroid: the argmin of the exact distances
+    E_ij = fl(sum_l (p_il - c_jl)^2), ties to the lowest index.
+
+    With pp_i = fl(|p_i|^2) and cc_j = fl(|c_j|^2), one matrix product gives
+    A_ij = fl(pp_i + cc_j - 2 fl(p_i . c_j)), and the row is certified when
+    every other A_ij exceeds the row's minimum by more than 2 s_i, where
+    s_i >= max_j |A_ij - E_ij|: then E is smallest at the same j, uniquely.
+
+    The slack, with gamma_n = n u / (1 - n u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1), holds for
+    every summation order, so BLAS blocking and thread count cannot change a
+    result. Let D_ij be the exact real distance, N = pp + cc in exact
+    arithmetic, and d the dimension.
+    - pp_i and cc_j are sums of d products: errors <= gamma_d |p|^2 and
+      gamma_d |c|^2, together gamma_d N.
+    - The dot product errs by <= gamma_d |p|.|c| <= gamma_d N / 2 (an FMA
+      only removes roundings); doubled, gamma_d N.
+    - The add and the subtract round twice more, on operands of size
+      <= (1 + gamma_d) N each: < 3.01 u N.
+    - The exact path rounds d differences, d squares and d - 1 additions of
+      non-negative terms: |E - D| <= gamma_{d+2} D <= 2 gamma_{d+2} N, since
+      D <= (|p| + |c|)^2 <= 2 N.
+    So |A - E| <= (4 gamma_{d+2} + 3.01 u) N <= 4 (d + 4) u N, to first
+    order. C = 8 doubles that: the spare factor covers the second-order
+    terms, N read from rounded pp and cc, and the roundings in s itself.
+    Underflow adds at most u_min / 2 per product, and the two paths round
+    5d products between them (the doubled dot product counts twice), which
+    8 (d + 4) u_min covers. So s_i = 8 (d + 4) (u (pp_i + max_j cc_j) +
+    u_min), with u = 2^-53 and u_min = 2^-1074. Comparing
+    fl(A_ij - min_j A_ij) with 2 s_i is safe, because rounding is monotone
+    and 2 s_i is a float.
+
+    Rows not certified take the exact path: those with a second A_ij within
+    2 s_i of the minimum (exact and near ties), and those whose
+    pp_i + max_j cc_j is not <= 2^1020, which takes every row with a
+    non-finite A_ij and every row whose exact distance could overflow.
+    Their exact distances to all k centroids are one (rows, k, d) broadcast
+    in blocks of <= 0.5 MB, summed along d as the one-centroid
+    ``((pts - c) ** 2).sum(axis=1)`` sums, so they are its bits.
+    """
+    k, d = centroids.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = (centroids * centroids).sum(axis=1)
+        approx = pp[:, None] + cc - 2.0 * (pts @ centroids.T)
+        bound = pp + cc.max()
+        slack = 8 * (d + 4) * (_U * bound + _TINY)
+        near = approx - approx.min(axis=1)[:, None] <= 2 * slack[:, None]
+        unsure = np.flatnonzero((near.sum(axis=1) > 1) | ~(bound <= _NORM_LIMIT))
+        assign = approx.argmin(axis=1)
+        if len(unsure):
+            assign[unsure] = _nearest_exact(pts[unsure], centroids)
+    return assign
+
+
+def _nearest_exact(rows, centroids) -> np.ndarray:
+    """argmin over the exact (rows, k, d) broadcast of squared differences,
+    a block of rows at a time."""
+    k, d = centroids.shape
+    step = max(1, _EXACT_BLOCK // max(1, k * d))
+    return np.concatenate([
+        ((rows[i : i + step, None, :] - centroids) ** 2).sum(axis=2).argmin(axis=1)
+        for i in range(0, len(rows), step)
+    ])
 
 
 def split_stoch_adv(

@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dogsim import ingest
 from dogsim.errors import EmptyDataset, InsufficientData, ParseError, TooFewPoints
 from dogsim.ingest import (
     Dataset,
@@ -130,6 +132,25 @@ def test_normalize_constant_column_zeroed():
     assert (out.features[:, 0] == 0.0).all()
 
 
+def test_normalize_zeroes_a_constant_column_whose_mean_rounds():
+    # the rounded column mean of ten 0.1s is 1.4e-17 off, so the std is not 0
+    d = Dataset(np.column_stack([np.full(10, 0.1), np.arange(10.0)]), np.ones(10))
+    assert d.features.std(axis=0)[0] > 0
+    out = normalize(d)
+    assert out.features[:, 0].tolist() == [0.0] * 10
+    assert np.abs(out.features[:, 1].std() - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_finite, m=st.integers(1, 60), data=st.data())
+def test_normalize_zeroes_any_constant_column(value, m, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    features = np.column_stack([rng.standard_normal(m), np.full(m, value)])
+    with np.errstate(over="ignore", invalid="ignore"):  # mean of m copies of 1e308
+        out = normalize(Dataset(features, np.ones(m)))
+    assert out.features[:, 1].tobytes() == np.zeros(m).tobytes()
+
+
 def test_normalize_moments_and_idempotence():
     rng = np.random.default_rng(1)
     d = Dataset(rng.normal(3.0, 2.5, size=(50, 4)), np.ones(50))
@@ -238,6 +259,83 @@ def test_kmeans_matches_broadcast_reference(kind, m, d, data):
     k = data.draw(st.integers(1, m), label="k")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     points = _kmeans_points(kind, m, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    assert kmeans(points, k, seed=seed) == _kmeans_broadcast_reference(points, k, seed=seed)
+
+
+def _exact_argmin(points, centroids):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 20),
+    k=st.integers(2, 8),
+    # 2^-500 .. 2^500 is about 1e-150 .. 1e150; from 2^-515 down the squares
+    # are subnormal, and from 2^-540 down most of them are 0
+    exponent=st.one_of(st.integers(-500, 500), st.integers(-545, -515)),
+    data=st.data(),
+)
+def test_nearest_matches_exact_argmin_on_hard_inputs(d, k, exponent, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0**exponent
+    # An exact tie: centroid 1 is centroid 0 mirrored about the point `tie`.
+    # Grid values times a power of two keep every coordinate exact, and the
+    # other centroids sit 40 further out in every coordinate, so the tie is
+    # the row's minimum.
+    tie = rng.integers(-8, 9, size=d).astype(float)
+    offset = rng.integers(-2, 3, size=d).astype(float)
+    offset[int(rng.integers(0, d))] = 1.0
+    centroids = tie + 40.0 + rng.integers(-2, 3, size=(k, d))
+    centroids[0], centroids[1] = tie - offset, tie + offset
+    # Near ties: the tie moved a few ulps towards one centroid or the other.
+    near = np.repeat(tie[None, :], 4, axis=0)
+    j = int(np.flatnonzero(offset)[0])
+    for row in near:
+        for _ in range(int(rng.integers(1, 4))):
+            row[j] = np.nextafter(row[j], rng.choice([-np.inf, np.inf]))
+    # Rows a relative 2^-20 off the tie: resolved by the slack at normal
+    # scales, a few quanta apart where the squares are subnormal.
+    jitter = tie + rng.standard_normal((8, d)) * 2.0**-20
+    spread = rng.standard_normal((int(rng.integers(0, 30)), d)) * 12.0
+    hard = [tie[None, :], near, centroids[:2], jitter, spread]
+    hard = [rows * scale for rows in hard]
+    centroids = centroids * scale
+    if data.draw(st.booleans(), label="overflow"):
+        # rows whose pp is inf, one with two centroids close by: their
+        # approximate distances are both NaN, the exact ones finite
+        huge = rng.standard_normal((3, d)) * 2.0**520
+        step = rng.standard_normal(d) * 2.0**500
+        centroids = np.concatenate([centroids, huge[:1] + step, huge[:1] + step / 2])
+        hard.append(huge)
+    points = np.concatenate(hard)
+    with np.errstate(over="ignore"):
+        pp = (points * points).sum(axis=1)
+    with mock.patch.object(ingest, "_nearest_exact", wraps=ingest._nearest_exact) as exact:
+        assign = ingest._nearest(points, pp, centroids)
+    assert assign.tolist() == _exact_argmin(points, centroids).tolist()
+    assert assign[0] == 0  # the exact tie goes to the lower index
+    checked = np.concatenate([call.args[0] for call in exact.call_args_list])
+    for row in points[:5]:  # the tie and the near ties took the exact path
+        assert (checked == row).all(axis=1).any()
+
+
+def test_kmeans_matches_broadcast_reference_at_bench_scale():
+    # the libsvm_sweep shape: 2000 clustered rows of 18 features, 40 clusters
+    rng = np.random.default_rng(31)
+    centers = rng.normal(0.0, 3.0, (8, 18))
+    points = centers[rng.integers(0, 8, 2000)] + rng.standard_normal((2000, 18))
+    points[rng.random(points.shape) < 0.2] = 0.0
+    points = normalize(Dataset(points, np.ones(2000))).features
+    assert kmeans(points, 40, seed=5) == _kmeans_broadcast_reference(points, 40, seed=5)
+
+
+@pytest.mark.parametrize("m, k, seed", [(60, 7, 33), (100, 6, 23)])
+def test_kmeans_matches_broadcast_reference_in_one_dimension(m, k, seed):
+    # On a 0.1 grid, points sit exactly between centroids, so the last bit of
+    # a centroid decides assignments. numpy's mean of an (r, 1) array sums
+    # pairwise, and summing these in row order gives other bits.
+    points = np.round(np.random.default_rng(seed).standard_normal((m, 1)), 1)
     assert kmeans(points, k, seed=seed) == _kmeans_broadcast_reference(points, k, seed=seed)
 
 
