@@ -20,7 +20,7 @@ from .metrics import (
     regret_bound,
     static_regret,
 )
-from .mixing import MixingMatrix, build_mixing, sinkhorn_balance, spectral_gap, verify_doubly_stochastic
+from .mixing import MixingMatrix, build_mixing, spectral_gap, verify_doubly_stochastic
 from .topology import Graph, build_topology, is_connected
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "parse_libsvm",
     "regret_bound",
     "run_experiment",
-    "sinkhorn_balance",
     "smoothness_bound",
     "spectral_gap",
     "split_stoch_adv",

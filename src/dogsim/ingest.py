@@ -179,7 +179,10 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
     pairwise, so d = 1 keeps the one-cluster-at-a-time loop, and so does a
     step that empties a cluster: that cluster is re-seeded with the point
     farthest from its own centroid, read after the clusters before it have
-    moved. Stops when assignments stabilize or max_iters is reached.
+    moved. Those point-to-own-centroid distances are built once, at the
+    step's first re-seed, and then refreshed only for the members of each
+    cluster moved since. Stops when assignments stabilize or max_iters is
+    reached.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
@@ -216,12 +219,17 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
             sums = [np.bincount(assign, weights=col, minlength=k) for col in columns]
             centroids = np.stack(sums, axis=1) / counts[:, None]
             continue
+        dist_own = None
         for c in range(k):
-            members = pts[assign == c]
+            own = assign == c
+            members = pts[own]
             if len(members):
                 centroids[c] = members.mean(axis=0)
+                if dist_own is not None:
+                    dist_own[own] = ((members - centroids[c]) ** 2).sum(axis=1)
             else:
-                dist_own = ((pts - centroids[assign]) ** 2).sum(axis=1)
+                if dist_own is None:
+                    dist_own = ((pts - centroids[assign]) ** 2).sum(axis=1)
                 centroids[c] = pts[int(dist_own.argmax())]
     return assign.tolist()
 

@@ -1,11 +1,11 @@
 """Doubly stochastic mixing matrices and their spectral properties.
 
 A mixing (confusion) matrix W averages neighbor models each round. Both
-closed-form constructions keep W symmetric; asymmetric matrices can still
-be produced through Sinkhorn balancing of an asymmetric seed matrix.
+closed-form constructions keep W symmetric.
 
-The contraction rate of gossip averaging is rho = ||W - 11^T/n||_2; the
-smaller rho, the faster disagreement between nodes dies out. rho = 1
+The contraction rate of gossip averaging is rho = ||W - 11^T/n||_2, for a
+symmetric W the largest eigenvalue magnitude of W - 11^T/n; the smaller
+rho, the faster disagreement between nodes dies out. rho = 1
 (disconnected graph) is allowed at construction time and flagged by the
 engine instead.
 """
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
 from .topology import Graph
 
 UNIFORM = "uniform"
@@ -78,15 +77,19 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
 
 
 def spectral_gap(w: np.ndarray) -> float:
-    """rho = ||W - 11^T/n||_2, the largest singular value, computed directly.
+    """rho = ||W - 11^T/n||_2 = max |lambda(W - 11^T/n)| for a symmetric W,
+    from one symmetric eigensolve, exact to rounding.
 
-    Exact to rounding for symmetric and asymmetric (Sinkhorn) W alike.
+    The eigensolver reads one triangle only, so a W that is not exactly
+    symmetric is rejected rather than given a wrong rho.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
     if w.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {w.shape}")
-    return float(np.linalg.norm(w - 1.0 / n, 2))
+    if not np.array_equal(w, w.T):
+        raise ValueError("matrix must be symmetric")
+    return float(np.abs(np.linalg.eigvalsh(w - 1.0 / n)).max())
 
 
 def verify_doubly_stochastic(w: np.ndarray, tol: float = DEFAULT_TOL) -> StochasticityReport:
@@ -100,45 +103,6 @@ def verify_doubly_stochastic(w: np.ndarray, tol: float = DEFAULT_TOL) -> Stochas
     min_entry = float(w.min())
     ok = min_entry >= -tol and row_dev <= tol and col_dev <= tol
     return StochasticityReport(ok, row_dev, col_dev, min_entry)
-
-
-def sinkhorn_balance(
-    seed_matrix: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: int = 100_000,
-) -> MixingMatrix:
-    """Balance a non-negative matrix into a doubly stochastic one.
-
-    Alternately normalizes rows and columns until the largest row/column
-    sum deviation from 1 is at most tol. The zero pattern of the input is
-    preserved, so a seed with positive diagonal and symmetric support
-    yields a valid gossip matrix for that support graph.
-
-    Raises:
-        NonConvergence: max_iters exhausted, which signals a support
-            pattern that cannot be balanced.
-    """
-    w = np.array(seed_matrix, dtype=float)
-    n = w.shape[0]
-    if w.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {w.shape}")
-    if (w < 0).any():
-        raise ValueError("seed matrix must be non-negative")
-    if (w.sum(axis=1) == 0).any() or (w.sum(axis=0) == 0).any():
-        raise ValueError("every row and column needs a positive entry")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dev = np.inf
-    for _ in range(max_iters):
-        w /= w.sum(axis=1, keepdims=True)
-        w /= w.sum(axis=0, keepdims=True)
-        dev = max(
-            float(np.abs(w.sum(axis=1) - 1.0).max()),
-            float(np.abs(w.sum(axis=0) - 1.0).max()),
-        )
-        if dev <= tol:
-            return MixingMatrix(n, w, spectral_gap(w))
-    raise NonConvergence("sinkhorn balancing did not reach tolerance", dev)
 
 
 def matrix_to_csv(w: np.ndarray) -> str:

@@ -131,6 +131,15 @@ def test_degenerate_auto_eta_is_config_error(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [2, 300])
+def test_auto_eta_on_a_disconnected_graph_is_config_error_at_any_size(tmp_path, capsys, n):
+    text = _DEGENERATE_AUTO_ETA["disconnected"].replace("n = 6", f"n = {n}")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(_write(tmp_path, text)), str(out)]) == 1
+    assert "rho < 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resolved_config_roundtrips(tmp_path):
     cfg = _write(tmp_path, BASE_CONFIG)
     first = tmp_path / "first"
@@ -267,18 +276,18 @@ _TOPOLOGY_VALUES = ("ring", "watts_strogatz:0.5", "complete", "random_k", "disco
 #: representation must not move a byte.
 PINNED_TOPOLOGY_DIGESTS = {
     "matrix_complete": "09b71baafee9d03011bf03efcd2e03ad8f3fcacc31c9abda52b9a82e5faa8455",
-    "matrix_watts_strogatz": "873515b891d1cecbcb7e0d1012425d404694ab4a62c16e372e0dfd50db13ab6b",
+    "matrix_watts_strogatz": "491911567fa08cabf1553891c082f398aad92ec235c1343dd6a29f5ce62ccc42",
     "sweep_summary.csv": "441927a13915ef49ed3f9229e18a0985db677c98963535917b335fdae0d1b801",
     "topology_complete/metrics.csv": "eb07cce216c3c040505e2bb72b0955004c128a5de52c550ad033013b0fffc21f",
     "topology_complete/resolved.cfg": "d31b38a8876b8d103028797214d266ddeecc3aec2d4b061a90e63501f0c6cdde",
     "topology_disconnected/metrics.csv": "ebe81867d9a833dcfef4488ced407dea5a7616f8bc5df7bdc30368086cfec813",
-    "topology_disconnected/resolved.cfg": "fe79646e832360cdc960f32058466694024fcc4050a1f12f5a0b735ba7b3ea48",
+    "topology_disconnected/resolved.cfg": "0fb005a26e924c3fc25e9d42cd076f875edff1df260b2c4f1b57d7778e67ec22",
     "topology_random_k/metrics.csv": "dcdbc45e368395c6500e964d30379d939a21615e2eb3439fbccf0ac8b164ed42",
-    "topology_random_k/resolved.cfg": "7587509acc231348299ad4fc2c954bbfe5c939b87b8e3f218328397c03fdbfd2",
+    "topology_random_k/resolved.cfg": "11fb654a42084da766cd6c694278bcd9ed9716b27ea3b92033a0e01f4968083c",
     "topology_ring/metrics.csv": "9410c7c10619c52885e03dad37d682c4a21450dff59f569ec3d8c98acdb3b6c4",
     "topology_ring/resolved.cfg": "df1cd36f91a9512b3dfb60374086e6093ca5e07f203083d26e14d51d9b4fa987",
     "topology_watts_strogatz_p0.5/metrics.csv": "c6121b62b901f2b11ea8b0ada6ba2edbe64e92de1b69c3599a0fef754e0d7c1b",
-    "topology_watts_strogatz_p0.5/resolved.cfg": "502256247d4bc721688c9accbd0609c9ee5f704cbeb171b3882aed453ffa4f51",
+    "topology_watts_strogatz_p0.5/resolved.cfg": "ff2e29abdfe4db8865e87f3906f056a56edfe2fd6d6ea74f14488acf32b380ff",
 }
 
 
@@ -527,8 +536,8 @@ def _pinned_libsvm_text() -> str:
 #: which the loop reads file samples moves them.
 PINNED_FILE_DIGESTS = {
     "metrics.csv": "87f610b5e378e43941cd58c94bb897eb17bc3d328eebae468c154500d6410719",
-    "resolved.cfg": "9054bb61ee134266bb088bcc13cd0712449215aceff1056c6f79caacbeeedcf1",
-    "summary.txt": "ea5841613240404192654b32c7b66d07870b665754738deca36749ac2b4d9871",
+    "resolved.cfg": "dca205d2883914c76e75bae4994c632d423a7bdc46547d947e73995a99384168",
+    "summary.txt": "f0c003c07850da205e17f5b9d0cc168b4da281e1c8d171866e77ba5f4524c8cd",
     "data": "a7b1ed1dd02214d535811b85da58c8952587043b0232b60dff3e7cf2fd6ed080",
 }
 
@@ -553,7 +562,7 @@ def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
 PINNED_SWEEP_DIGESTS = {
     "nodes_2/metrics.csv": "79c83c7ac605a3b66dc9c2ef0422717025fce38d758bd7ba4665a6e95bbbf0b9",
     "nodes_4/metrics.csv": "36ec73f8c3df5d9d7e6dadce87a1778418a684cc762bf84a7e44d5f4919506bf",
-    "nodes_6/metrics.csv": "2fb86f809eb7f18c3f66247f45dc20bd024b7d80381c93ce9a26b599303bb8e3",
+    "nodes_6/metrics.csv": "e2cc12fc4610e7860fc2bb8659dd8af63af2d4f97014255e89f91a11486f2e10",
     "sweep_summary.csv": "7b5a36afc42e72879dd6bdb564376a2a43041365aa0a154195dd46b3445780a1",
 }
 _SWEEP_NODES = (2, 4, 6)
@@ -749,18 +758,18 @@ M = 0.5
 #: single-sample loss wrappers were deleted; summary.txt carries the
 #: comparator, the static regret and the regret bound.
 PINNED_RUN_DIGESTS = {
-    "dog/metrics.csv": "6e2a8edcf6740e4cedc4416e02f371c130d7f85740254f023b7eada22d80b128",
-    "dog/resolved.cfg": "fdb52c35c646fb1262b2221336192e916078755e4898a0b3970a71351a083296",
-    "dog/summary.txt": "b803c84ad32080847c72bd844e2387574342dd11a72f409ea31fff4d14426034",
-    "cog/metrics.csv": "8f42d62747a9801d15fadf076eaae17406b0d6b23b4860c0f3a3d17a0cc49c04",
-    "cog/resolved.cfg": "6e8a51c1d0889bd0046218e04855263a6b49b5e70321104820a49d4faf06bc12",
-    "cog/summary.txt": "c0586ee47a6e0e1c533bb080d0443a4e399f2eb4b61cc10aa778b876e3305fde",
-    "local_ogd/metrics.csv": "a4af678abbbfebe57ec396beb833223bc34df1b43772a1591658f97535ec52e4",
-    "local_ogd/resolved.cfg": "b510438c32b357d26ffde25b3cf961f5f38b2e78400a75f5456781c57d1e4134",
-    "local_ogd/summary.txt": "497a4d06505fa6d61df20b2f7c26bdf54bdbef6c91a01f986728f56bdb298738",
+    "dog/metrics.csv": "7b163448b6f54a1368faa8c1ce068319a84a8c548f1a84ecff48c669fc05215d",
+    "dog/resolved.cfg": "1ff91c7de09da721e6973be6dbd8d806b46449c2f4f3fc6e4b8dd4c7df126de9",
+    "dog/summary.txt": "13c518d85447b2b0d57d959a1376dbff3c6fdca67472878757bafac5bd94a33b",
+    "cog/metrics.csv": "05f1dfc1314a605a7c569b872cfe2e972ffa6e9557712948920574991b20b13f",
+    "cog/resolved.cfg": "c34f11259d6936edd4e4e67d63e9b6748092abf5dccbe57cefcd81eefa087eb5",
+    "cog/summary.txt": "acf8cf2000fd9daf5e727f91e0b614f9c445b59ce482fb6af9148be9e534956d",
+    "local_ogd/metrics.csv": "ef30e86257bbb443ee3cf96e12f756fb20d3c9606498940e905409f4984714d5",
+    "local_ogd/resolved.cfg": "73a10a45fb89b00bd625bcb8e5fa9bebfc68b4ae82d8300a00d31fefa9fbf7f1",
+    "local_ogd/summary.txt": "04cda9f21ad3cf5f1c88b423510467d099c7f365013d1d509c5b894303e5291d",
     "file_cog/metrics.csv": "7c499becb143aa58d1809113015f7cf2d65d23df61a46b26e707d66a4b12ec12",
-    "file_cog/resolved.cfg": "b534c98f0d2901714d875c073055119284903f61a0af26bd31a0d867d18f3514",
-    "file_cog/summary.txt": "671dcb5d597c711c960cd7f25de0585f1461902d51fb134cb9f975a7e4bddc25",
+    "file_cog/resolved.cfg": "2b1e97fdb08506e6397f7b0c4e95a93615327d40e18c8a5d009ed7b6413823cf",
+    "file_cog/summary.txt": "e07e4965bf336286b8d63f1218c3c6f6310dbe7610d96552ae238fa07a988f95",
 }
 
 
@@ -861,7 +870,7 @@ def test_resolved_config_reads_back_to_the_same_text(tmp_path, monkeypatch, text
 #: the models reach, so the projection changes the metrics.
 PINNED_RADIUS_DIGESTS = {
     "metrics.csv": "0228e3d2126e017867613a5239073dee0edc935f53f6da5cadffc0a3ddeb0a64",
-    "resolved.cfg": "c2b416b6c1a3334d8744d14e506d66a4fac851d0ede50ece7eadee58de473a76",
+    "resolved.cfg": "1c3cb5d3df96a66efa1e3c9b1cceff14daca56af9064f0f9ffd1fdbd95a30f13",
 }
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dogsim.errors import NonConvergence
 from dogsim.mixing import (
     MAX_DEGREE,
     UNIFORM,
     build_mixing,
     matrix_to_csv,
-    sinkhorn_balance,
     spectral_gap,
     verify_doubly_stochastic,
 )
@@ -98,6 +98,48 @@ def test_spectral_gap_single_node():
     assert spectral_gap(np.array([[1.0]])) == 0.0
 
 
+def test_spectral_gap_rejects_non_square_and_asymmetric_input():
+    with pytest.raises(ValueError, match="square"):
+        spectral_gap(np.full((2, 3), 1.0 / 3.0))
+    # one entry of the symmetric ring W moved by one ulp: an eigensolver that
+    # reads one triangle would return a rho for the other matrix
+    w = build_mixing(build_topology("ring", 3), MAX_DEGREE).entries.copy()
+    w[0, 1] = np.nextafter(w[0, 1], 1.0)
+    assert (w != w.T).sum() == 2
+    with pytest.raises(ValueError, match="symmetric"):
+        spectral_gap(w)
+
+
+_KINDS = ("ring", "complete", "disconnected", "random_k", "watts_strogatz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(_KINDS),
+    scheme=st.sampled_from([UNIFORM, MAX_DEGREE]),
+    n=st.integers(1, 200),
+    data=st.data(),
+)
+def test_spectral_gap_matches_svd_reference(kind, scheme, n, data):
+    # The largest singular value of W - 11^T/n, taken directly, must agree
+    # with the symmetric eigensolve to n ulps of 1.
+    k = data.draw(st.integers(0, n - 1), label="k")
+    p = data.draw(st.floats(0.0, 1.0), label="p")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    m = build_mixing(build_topology(kind, n, seed=seed, k=k, p=p), scheme)
+    reference = np.linalg.norm(m.entries - 1.0 / n, 2)
+    assert abs(m.rho - reference) <= n * 2.0**-52
+
+
+@pytest.mark.parametrize("scheme", [UNIFORM, MAX_DEGREE])
+def test_disconnected_never_contracts(scheme):
+    # I - 11^T/n has eigenvalue 1 with multiplicity n - 1: rounding must not
+    # pull rho below 1, or eta = auto would get a value on a disconnected graph.
+    for n in range(2, 301):
+        m = build_mixing(build_topology("disconnected", n), scheme)
+        assert m.rho >= 1.0 and not m.contracts, n
+
+
 def test_power_iteration_matches_dense_eigensolve():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -175,57 +217,6 @@ def test_geometric_tail_sequence_inequality():
             for t in range(k):
                 a[t] = sum(rho ** (t - s) * b[s] for s in range(t + 1))
             assert (a**2).sum() <= (b**2).sum() / (1 - rho) ** 2 + 1e-8
-
-
-def test_sinkhorn_fixed_point_unchanged():
-    j3 = np.full((3, 3), 1.0 / 3.0)
-    m = sinkhorn_balance(j3)
-    assert np.array_equal(m.entries, j3)
-
-
-def test_sinkhorn_diagonal_becomes_identity():
-    m = sinkhorn_balance(np.diag([2.0, 5.0]))
-    assert np.allclose(m.entries, np.eye(2), atol=1e-12)
-
-
-def test_sinkhorn_all_ones_two_by_two():
-    # One row normalization gives 0.5 everywhere; columns then already sum to 1.
-    m = sinkhorn_balance(np.ones((2, 2)))
-    assert np.allclose(m.entries, np.full((2, 2), 0.5), atol=1e-12)
-    report = verify_doubly_stochastic(m.entries, 1e-9)
-    assert report.ok
-
-
-def test_sinkhorn_preserves_zero_pattern():
-    rng = np.random.default_rng(23)
-    g = build_topology("ring", 6)
-    seed = np.eye(6)
-    for i, j in g.edges:
-        seed[i, j] = rng.random() + 0.5
-        seed[j, i] = rng.random() + 0.5
-    m = sinkhorn_balance(seed)
-    assert ((m.entries == 0) == (seed == 0)).all()
-    assert verify_doubly_stochastic(m.entries, 1e-9).ok
-
-
-def test_sinkhorn_asymmetric_seed_balances():
-    rng = np.random.default_rng(29)
-    seed = rng.random((5, 5)) + 0.1
-    m = sinkhorn_balance(seed)
-    assert verify_doubly_stochastic(m.entries, 1e-9).ok
-    assert not np.allclose(m.entries, m.entries.T)
-
-
-def test_sinkhorn_iteration_budget():
-    with pytest.raises(NonConvergence):
-        sinkhorn_balance(np.array([[1.0, 1.0], [0.25, 1.0]]), tol=1e-14, max_iters=2)
-
-
-def test_sinkhorn_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sinkhorn_balance(np.array([[1.0, -0.1], [0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        sinkhorn_balance(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 def test_matrix_csv_17_digits():
