@@ -12,7 +12,6 @@ from .ingest import Dataset, NodeStreams, kmeans, normalize, parse_libsvm, split
 from .losses import LossSpec, smoothness_bound
 from .metrics import (
     BoundParams,
-    MetricsRecord,
     average_loss,
     consensus_error,
     estimate_gradient_bounds,
@@ -31,7 +30,6 @@ __all__ = [
     "Dataset",
     "Graph",
     "LossSpec",
-    "MetricsRecord",
     "MixingMatrix",
     "NodeStreams",
     "RunConfig",

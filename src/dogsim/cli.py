@@ -258,9 +258,9 @@ def _data_key(ef: ExperimentFile) -> tuple:
 class _SweepData:
     """The data sources of one sweep call, one per data key, each built by
     the first cell that reads it and handed to every later one. A synthetic
-    stream read by two or more cells is a `SharedStream`, so each of its
-    tiles is generated once; a file's node streams are split once per key,
-    from one parse of the file."""
+    stream read by two or more cells is a `SharedStream`, so its block is
+    generated once; a file's node streams are split once per key, from one
+    parse of the file."""
 
     def __init__(self, cell_configs):
         self.readers = Counter(map(_data_key, cell_configs))
@@ -277,7 +277,7 @@ class _SweepData:
         return self.sources[key]
 
 
-def build_run(ef: ExperimentFile, record_samples: bool = False, sweep: _SweepData | None = None):
+def build_run(ef: ExperimentFile, sweep: _SweepData | None = None):
     """Assemble (RunConfig, MixingMatrix) from a validated config, with its
     step size resolved, so that every config error surfaces here. A sweep
     cell takes its data source from `sweep`."""
@@ -294,7 +294,6 @@ def build_run(ef: ExperimentFile, record_samples: bool = False, sweep: _SweepDat
             bounds=ef.bounds,
             seed=ef.seed,
             project_radius=ef.project_radius,
-            record_samples=record_samples,
         )
         engine.resolve_eta(cfg)
     return cfg, mix
@@ -353,12 +352,12 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
     try:
         _check_threads(threads)
         ef = load_config(config_path)
-        cfg, mix = build_run(ef, record_samples=True)
+        cfg, mix = build_run(ef)
         result = engine.run_experiment(cfg)
         summary = _summarize(result, ef)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_text(out / "metrics.csv", metrics.metrics_to_csv(result.records))
+        _write_text(out / "metrics.csv", _metrics_csv(result))
         _write_text(out / "resolved.cfg", render_resolved(ef, result.resolved["eta"], mix.rho))
         _write_text(out / "summary.txt", summary)
     except _REPORTED as exc:
@@ -366,15 +365,19 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
     return 0
 
 
+def _metrics_csv(result: engine.RunResult) -> str:
+    return metrics.metrics_to_csv(result.avg_loss, result.consensus_error, result.cum_loss)
+
+
 def _summarize(result: engine.RunResult, ef: ExperimentFile) -> str:
     lines = []
-    if result.records:
-        avg = metrics.average_loss(result.records)
-        final_ce = result.records[-1].consensus_error
+    if result.avg_loss.size:
+        avg = metrics.average_loss(result.avg_loss)
+        final_ce = result.consensus_error[-1]
         features, labels = result.pooled_samples()
         gamma = result.loss_spec.gamma
         comparator = metrics.offline_comparator(features, labels, gamma)
-        regret = metrics.static_regret(result.records, features, labels, gamma, comparator)
+        regret = metrics.static_regret(result.cum_loss, features, labels, gamma, comparator)
         lines += [
             f"average_loss={fmt17(avg)}",
             f"final_consensus_error={fmt17(final_ce)}",
@@ -441,10 +444,13 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
     Cells whose runs read the same samples share one data source, built
     once: the DOG and Local OGD cells of each beta value, and every cell of
     a topology sweep. The cells of a nodes sweep share nothing, since each
-    n is a different stream. A shared synthetic stream keeps every tile it
-    has generated, T·n·(dim+1)·8 bytes, until the last cell that reads it
-    has run, and never past the sweep's return. Each cell still runs on its
-    own, and its bytes are those of a standalone run.
+    n is a different stream. Like `dogsim run`, a running cell holds all
+    its samples, one T·n·(dim+1)·8-byte block, which its data source reads
+    on the cell's first round. A shared synthetic stream keeps its block
+    until the last cell that reads it has run; every other block is freed
+    once its cell's CSV and summary row are written. A nodes sweep thus
+    holds at most one unshared block at a time. Each cell still runs on
+    its own, and its bytes are those of a standalone run.
 
     `threads` is validated and otherwise unused."""
     prefix = ""  # names the cell being built or run in a diagnostic
@@ -455,8 +461,8 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
             raise ConfigError("sweep needs at least one axis value")
         cells = list(_sweep_cells(ef, axis, values))
         # Build every cell before running any, so a config error writes
-        # nothing. Tiles of a shared stream are generated lazily, inside
-        # the run of the first cell that reads them.
+        # nothing. A shared stream generates its block lazily, inside the
+        # run of the first cell that reads it.
         built, sweep = [], _SweepData(cell_ef for *_, cell_ef in cells)
         for name, value, alg, cell_ef in cells:
             prefix = f"sweep cell {name} "
@@ -472,9 +478,10 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
             result = engine.run_experiment(cfg)
             cell_dir = Path(outdir) / name
             cell_dir.mkdir(parents=True, exist_ok=True)
-            _write_text(cell_dir / "metrics.csv", metrics.metrics_to_csv(result.records))
-            final_avg = metrics.average_loss(result.records) if result.records else float("nan")
+            _write_text(cell_dir / "metrics.csv", _metrics_csv(result))
+            final_avg = metrics.average_loss(result.avg_loss) if result.avg_loss.size else float("nan")
             rows.append(f"{value},{alg},{fmt17(final_avg)}")
+            del result  # frees the cell's samples before the next cell runs
         prefix = ""
         _write_text(
             Path(outdir) / "sweep_summary.csv",

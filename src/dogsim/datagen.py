@@ -18,10 +18,10 @@ Two paths produce the same bits:
                        64x64 -> 128-bit products built from 32-bit halves.
                        It works in tiles of ``tile_rounds(n)`` rounds, about
                        TILE_SAMPLES samples each, which bounds its scratch
-                       memory; the simulation loop asks for one tile at a time.
+                       memory; a run asks for all of its rounds at once.
 
 ``SharedStream`` hands the runs of a sweep that read one stream the same
-blocks, each generated once and kept read-only.
+block, generated once and kept read-only.
 
 Draw plan per sample, in order, all from 53-bit uniforms u = (raw >> 11) * 2^-53:
     u[0]            label: y = +1 if u[0] < 0.5 else -1
@@ -185,9 +185,9 @@ class SharedStream:
     ``block(first, last)`` of ``SyntheticSpec``.
 
     Each block is generated on its first request and kept, read-only, for
-    every later request of the same rounds, so runs that step through the
-    same tiles generate them once. It holds every block it has handed out
-    until it is dropped: T·n·(dim+1)·8 bytes once runs have tiled T rounds.
+    every later request of the same rounds, so runs of the same T generate
+    their one block once. It holds that block, T·n·(dim+1)·8 bytes, until
+    it is dropped.
     """
 
     def __init__(self, spec: SyntheticSpec):

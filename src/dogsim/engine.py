@@ -8,14 +8,14 @@ model, metrics are recorded, and the models advance:
     cog:       x   <- x - eta * mean_i grad_i         (one shared model)
 
 Models are stacked as rows of an (n, d) array, so the gossip update is
-W @ X. Samples reach the loop a tile of rounds at a time
-(``datagen.tile_rounds``) through the ``block(first, last)`` method that
-both data sources share: ``SyntheticSpec`` generates the tile (a
-``SharedStream`` keeps it for the other runs of a sweep) and
-``NodeStreams`` fancy-indexes it out of its dataset, either way as
-(rounds, nodes, dim) features and (rounds, nodes) labels. Gradients are
-always evaluated at the round-start models, all nodes in one batched
-kernel call.
+W @ X. A run reads all T rounds of samples in one ``block(1, T + 1)`` call
+on its data source, as (T, n, dim) features and (T, n) labels:
+``SyntheticSpec`` generates them, a ``SharedStream`` hands every run of a
+sweep the one block it generated, and ``NodeStreams`` fancy-indexes them
+out of its dataset. That block is the run's record of its samples, for
+the comparator and the regret. Gradients are always evaluated at the
+round-start models, all nodes in one batched kernel call, and the
+per-round metrics come back as (T,) columns.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from typing import Union
 
 import numpy as np
 
-from .datagen import SharedStream, SyntheticSpec, tile_rounds
+from .datagen import SharedStream, SyntheticSpec
 from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected
 from .ingest import NodeStreams
 from .losses import LossSpec, batch_loss_and_gradient
-from .metrics import MetricsRecord, consensus_error
+from .metrics import consensus_error
 from .mixing import MixingMatrix
 
 DOG = "dog"
@@ -68,7 +68,6 @@ class RunConfig:
     bounds: Bounds | None = None
     seed: int = 0
     project_radius: float | None = None
-    record_samples: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -109,21 +108,22 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Immutable artifact of one run."""
+    """Immutable artifact of one run; the per-round columns hold the values
+    before the update of rounds 1..T."""
 
-    records: tuple
+    avg_loss: np.ndarray  # (T,) mean loss over nodes
+    consensus_error: np.ndarray  # (T,) 0 for cog
+    cum_loss: np.ndarray  # (T,) running total loss over nodes and rounds
     final_models: np.ndarray  # (n, d); (1, d) for cog
     resolved: dict
     grad_norms: np.ndarray  # (T, n)
     loss_spec: LossSpec
-    sample_features: np.ndarray | None = None  # (T, n, d) when recorded
-    sample_labels: np.ndarray | None = None  # (T, n)
+    sample_features: np.ndarray  # (T, n, d)
+    sample_labels: np.ndarray  # (T, n)
 
     def pooled_samples(self) -> tuple:
-        """Recorded samples of every (round, node) as (T*n, d) features and
-        (T*n,) labels, round-major; views of the recorded arrays."""
-        if self.sample_features is None:
-            raise ValueError("run was not configured with record_samples=True")
+        """Samples of every (round, node) as (T*n, d) features and (T*n,)
+        labels, round-major; views of the run's sample arrays."""
         return (
             self.sample_features.reshape(-1, self.sample_features.shape[-1]),
             self.sample_labels.reshape(-1),
@@ -149,20 +149,6 @@ def auto_learning_rate(
     if rho >= 1.0:
         raise DegenerateParameters(f"auto eta requires rho < 1, got {rho}")
     return math.sqrt((1.0 - rho) * (n * M * math.sqrt(R) + n * R) / denom)
-
-
-def _round_data(cfg: RunConfig, feats_log, labels_log):
-    """Yield (t, features (n, d), labels (n,)) for t = 1..T, read from the
-    data source one tile of rounds at a time; copies each tile into the logs
-    when they are given."""
-    step = tile_rounds(cfg.n)
-    for first in range(1, cfg.T + 1, step):
-        last = min(first + step, cfg.T + 1)
-        feats, labels = cfg.data.block(first, last)
-        if feats_log is not None:
-            feats_log[first - 1 : last - 1] = feats
-            labels_log[first - 1 : last - 1] = labels
-        yield from zip(range(first, last), feats, labels)
 
 
 def resolve_eta(cfg: RunConfig) -> float:
@@ -198,26 +184,23 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     x = np.zeros((rows, dim))
     w = cfg.mixing.entries if cfg.algorithm == DOG else None
 
-    records = []
+    feats, labels = cfg.data.block(1, cfg.T + 1)
+    losses = np.empty((cfg.T, n))
+    ce = np.zeros(cfg.T)
     grad_norms = np.empty((cfg.T, n))
-    feats_log = np.empty((cfg.T, n, dim)) if cfg.record_samples else None
-    labels_log = np.empty((cfg.T, n)) if cfg.record_samples else None
-    cum = 0.0
 
-    for t, feats, labels in _round_data(cfg, feats_log, labels_log):
+    for t in range(cfg.T):
         x_rows = np.broadcast_to(x[0], (n, dim)) if cfg.algorithm == COG else x
-        values, grads = batch_loss_and_gradient(x_rows, feats, labels, cfg.loss_spec.gamma)
-
-        ce = 0.0 if cfg.algorithm == COG else consensus_error(x)
-        cum += float(values.sum())
-        records.append(MetricsRecord(t, float(values.mean()), ce, cum))
-        grad_norms[t - 1] = np.sqrt((grads * grads).sum(axis=1))
+        losses[t], grads = batch_loss_and_gradient(x_rows, feats[t], labels[t], cfg.loss_spec.gamma)
+        if cfg.algorithm != COG:
+            ce[t] = consensus_error(x)
+        grad_norms[t] = np.sqrt((grads * grads).sum(axis=1))
 
         x = _step(cfg.algorithm, x, w, grads, eta)
         if cfg.project_radius is not None:
             x = _project_rows(x, cfg.project_radius)
         if not np.isfinite(x).all():
-            raise DivergenceDetected(t)
+            raise DivergenceDetected(t + 1)
 
     resolved = {
         "algorithm": cfg.algorithm,
@@ -231,13 +214,15 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         "project_radius": cfg.project_radius,
     }
     return RunResult(
-        records=tuple(records),
+        avg_loss=losses.mean(axis=1),
+        consensus_error=ce,
+        cum_loss=np.cumsum(losses.sum(axis=1)),
         final_models=x,
         resolved=resolved,
         grad_norms=grad_norms,
         loss_spec=cfg.loss_spec,
-        sample_features=feats_log,
-        sample_labels=labels_log,
+        sample_features=feats,
+        sample_labels=labels,
     )
 
 

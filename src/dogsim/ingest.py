@@ -7,7 +7,7 @@ split into one ordered stream per node with a configurable stochastic
 fraction: the stochastic share is dealt uniformly at random, the remainder
 is clustered and each cluster pinned to one node (the per-node
 "adversarial" share). The streams are an (n, T) array of row indices into
-the one dataset, so a tile of rounds is one fancy index.
+the one dataset, so a block of rounds is one fancy index.
 """
 
 from __future__ import annotations

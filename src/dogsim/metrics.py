@@ -34,16 +34,6 @@ def fmt17(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class MetricsRecord:
-    """Scalars recorded before the update of round t."""
-
-    t: int
-    avg_loss: float
-    consensus_error: float
-    cum_loss: float
-
-
-@dataclass(frozen=True)
 class BoundParams:
     """Constants entering the regret bound; rho < 1 required to evaluate."""
 
@@ -58,12 +48,11 @@ class BoundParams:
     M: float
 
 
-def average_loss(records) -> float:
+def average_loss(avg_loss) -> float:
     """(1/T) sum_t avg_loss(t), i.e. (1/nT) of the total instantaneous loss."""
-    records = list(records)
-    if not records:
+    if len(avg_loss) == 0:
         raise EmptyRun("average loss needs at least one recorded round")
-    return float(np.mean([r.avg_loss for r in records]))
+    return float(np.mean(avg_loss))
 
 
 def consensus_error(x_rows: np.ndarray) -> float:
@@ -163,10 +152,10 @@ def offline_comparator(
     raise NonConvergence("comparator Newton did not converge", float(np.linalg.norm(grad)))
 
 
-def static_regret(records, features, labels, gamma: float, comparator: np.ndarray) -> float:
-    """Total loss of the run minus the pooled loss of the fixed comparator."""
-    records = list(records)
-    if not records:
+def static_regret(cum_loss, features, labels, gamma: float, comparator: np.ndarray) -> float:
+    """Total loss of the run, the last entry of its cum_loss column, minus
+    the pooled loss of the fixed comparator."""
+    if len(cum_loss) == 0:
         raise EmptyRun("regret needs at least one recorded round")
     features, labels = _pooled_arrays(features, labels)
     comparator = np.asarray(comparator, dtype=float)
@@ -175,7 +164,7 @@ def static_regret(records, features, labels, gamma: float, comparator: np.ndarra
             f"comparator dim {comparator.shape} != feature dim {features.shape[1]}"
         )
     total_star = _pooled(features, labels, gamma * labels.size, comparator)[0]
-    return records[-1].cum_loss - total_star
+    return float(cum_loss[-1]) - total_star
 
 
 def estimate_gradient_bounds(grad_norms: np.ndarray) -> tuple:
@@ -229,11 +218,11 @@ def regret_bound(p: BoundParams) -> float:
     )
 
 
-def metrics_to_csv(records) -> str:
-    """Render records in the fixed CSV schema (17 significant digits, LF)."""
+def metrics_to_csv(avg_loss, consensus_error, cum_loss) -> str:
+    """Render a run's (T,) columns in the fixed CSV schema, one row per round
+    t = 1..T (17 significant digits, LF)."""
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.t},{fmt17(r.avg_loss)},{fmt17(r.consensus_error)},{fmt17(r.cum_loss)}"
-        )
+    rows = zip(avg_loss, consensus_error, cum_loss, strict=True)
+    for t, (avg, ce, cum) in enumerate(rows, start=1):
+        lines.append(f"{t},{fmt17(avg)},{fmt17(ce)},{fmt17(cum)}")
     return "\n".join(lines) + "\n"

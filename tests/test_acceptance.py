@@ -54,7 +54,7 @@ def _trend_run(alg, kind, n, beta, seed, T=2000, p=0.0, eta=ETA):
 
 
 def _final_avg(alg, kind, n, beta, seed, p=0.0):
-    return dogsim.average_loss(_trend_run(alg, kind, n, beta, seed, p=p).records)
+    return dogsim.average_loss(_trend_run(alg, kind, n, beta, seed, p=p).avg_loss)
 
 
 def _random_mixing(rng):
@@ -203,11 +203,11 @@ def test_criterion_08_consensus_error_decay():
     for T in horizons:
         res = _trend_run("dog", "ring", n, beta, seed, T=T,
                          eta=ETA * np.sqrt(horizons[-1] / T))
-        means.append(np.mean([r.consensus_error for r in res.records]))
+        means.append(np.mean(res.consensus_error))
     slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])
     decay_ok = slope <= -0.5
 
-    ce = np.array([r.consensus_error for r in res.records])  # the T=2000 run
+    ce = res.consensus_error  # the T=2000 run
     g_hat, s_hat = dogsim.estimate_gradient_bounds(res.grad_norms)
     rho = res.resolved["rho"]
     dissensus_bound = 2 * n * ETA**2 * (g_hat**2 + s_hat**2) / (1 - rho) ** 2
@@ -239,11 +239,11 @@ def test_criterion_09_regret_bound():
                                         mixing.rho)
         cfg = dogsim.RunConfig(algorithm="dog", n=8, T=500, eta=eta,
                                loss_spec=GAMMA, data=data, mixing=mixing,
-                               seed=seed, record_samples=True)
+                               seed=seed)
         res = run_experiment(cfg)
         features, labels = res.pooled_samples()
         comparator = dogsim.offline_comparator(features, labels, GAMMA.gamma)
-        regrets.append(dogsim.static_regret(res.records, features, labels, GAMMA.gamma,
+        regrets.append(dogsim.static_regret(res.cum_loss, features, labels, GAMMA.gamma,
                                             comparator))
         g_hat, s_hat = dogsim.estimate_gradient_bounds(res.grad_norms)
         lipschitz = dogsim.smoothness_bound(features, GAMMA.gamma)
@@ -286,8 +286,7 @@ def test_criterion_11_equivalences():
         algorithm="local_ogd", n=6, T=200, eta=ETA, loss_spec=GAMMA,
         data=data, seed=42))
     ok = float(np.abs(dog.final_models - local.final_models).max()) <= 1e-12
-    ok &= all(abs(a.cum_loss - b.cum_loss) <= 1e-12
-              for a, b in zip(dog.records, local.records))
+    ok &= float(np.abs(dog.cum_loss - local.cum_loss).max()) <= 1e-12
 
     single = SyntheticSpec(dim=10, beta=0.5, n=1, seed=7)
     finals = {}

@@ -680,16 +680,15 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-#: n = 500 gives 8-round tiles, so T = 50 is 7 tiles, the last of 2 rounds.
 _WIDE_CONFIG = BASE_CONFIG.replace("n = 6", "n = 500\nk = 4").replace("T = 30", "T = 50").replace("dim = 4", "dim = 2")
 
 
 @pytest.mark.parametrize("axis, values, calls", [
-    ("topology", "ring,watts_strogatz:0.5,complete", 7),  # one shared stream, not 21 calls
-    ("beta", "0.9,0.3", 14),  # one stream per beta value, shared by dog and local_ogd
-    ("nodes", "250,500", 4 + 7),  # each n its own stream: 16-round tiles, then 8-round
+    ("topology", "ring,watts_strogatz:0.5,complete", 1),  # one shared stream, not 3 calls
+    ("beta", "0.9,0.3", 2),  # one stream per beta value, shared by dog and local_ogd
+    ("nodes", "250,500", 2),  # each n its own stream
 ])
-def test_sweep_generates_each_shared_tile_once_per_invocation(tmp_path, monkeypatch, axis, values, calls):
+def test_sweep_generates_each_shared_stream_once_per_invocation(tmp_path, monkeypatch, axis, values, calls):
     from dogsim import datagen
 
     blocks = _count_calls(monkeypatch, datagen, "synthetic_block")
@@ -697,10 +696,31 @@ def test_sweep_generates_each_shared_tile_once_per_invocation(tmp_path, monkeypa
     argv = ["sweep", str(cfg), str(tmp_path / "first"), "--axis", axis, "--values", values]
     assert cli.main(argv) == 0
     assert len(blocks) == calls
-    # nothing outlives a main() call: the next sweep generates every tile again
+    # nothing outlives a main() call: the next sweep generates every stream again
     argv[2] = str(tmp_path / "second")
     assert cli.main(argv) == 0
     assert len(blocks) == 2 * calls
+
+
+def test_nodes_sweep_frees_each_cell_block_before_the_next_runs(tmp_path, monkeypatch):
+    import weakref
+
+    from dogsim import engine
+
+    blocks = []
+    original = engine.run_experiment
+
+    def tracking(cfg):
+        assert all(block() is None for block in blocks)
+        result = original(cfg)
+        blocks.append(weakref.ref(result.sample_features))
+        return result
+
+    monkeypatch.setattr(engine, "run_experiment", tracking)
+    cfg = _write(tmp_path, BASE_CONFIG)
+    assert cli.main(["sweep", str(cfg), str(tmp_path / "synthetic"), "--axis", "nodes", "--values", "3,4,5"]) == 0
+    assert _file_sweep(tmp_path, monkeypatch) == 0
+    assert len(blocks) == 3 + len(_SWEEP_NODES)
 
 
 def test_file_data_topology_sweep_splits_its_data_once_per_invocation(tmp_path, monkeypatch):
@@ -1012,6 +1032,18 @@ def test_readme_config_example_parses():
     ef = cli.parse_config(example)
     assert (ef.kind, ef.n, ef.k, ef.p, ef.algorithm, ef.T, ef.beta, ef.dim) == ("ring", 50, 4, 0.5, "dog", 2000, 0.3, 10)
     assert ef.bounds is not None and ef.project_radius is None and ef.file is None
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", _README, flags=re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    stated = re.search(r"# mix\.rho ~ ([0-9.]+)", blocks[0]).group(1)
+    assert f"{namespace['mix'].rho:.{len(stated) - 2}f}" == stated
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3 and np.isfinite([float(v) for v in printed]).all()
 
 
 def test_readme_defaults_are_the_parsers():

@@ -19,7 +19,7 @@ from dogsim.engine import (
 from dogsim.errors import DegenerateParameters, DimensionMismatch, DivergenceDetected
 from dogsim.ingest import Dataset, NodeStreams
 from dogsim.losses import LossSpec, batch_loss_and_gradient
-from dogsim.metrics import metrics_to_csv
+from dogsim.metrics import consensus_error, metrics_to_csv
 from dogsim.mixing import build_mixing
 from dogsim.topology import build_topology
 
@@ -43,6 +43,10 @@ def _synthetic_cfg(algorithm, n=6, T=50, eta=0.1, beta=0.5, seed=42, **kwargs):
         algorithm=algorithm, n=n, T=T, eta=eta, loss_spec=GAMMA,
         data=data, mixing=mixing, seed=seed, **kwargs,
     )
+
+
+def _csv(res):
+    return metrics_to_csv(res.avg_loss, res.consensus_error, res.cum_loss)
 
 
 def _grads(x_rows, features, labels):
@@ -133,32 +137,43 @@ def test_auto_learning_rate_degenerate():
 
 def test_run_zero_rounds():
     res = run_experiment(_synthetic_cfg("dog", T=0))
-    assert res.records == ()
+    for column in (res.avg_loss, res.consensus_error, res.cum_loss):
+        assert column.shape == (0,)
     assert np.array_equal(res.final_models, np.zeros((6, 4)))
 
 
 def test_run_is_deterministic():
     a = run_experiment(_synthetic_cfg("dog"))
     b = run_experiment(_synthetic_cfg("dog"))
-    assert metrics_to_csv(a.records) == metrics_to_csv(b.records)
+    assert _csv(a) == _csv(b)
     assert np.array_equal(a.final_models, b.final_models)
     # non-negative losses make the running total monotone
-    cums = [r.cum_loss for r in a.records]
-    assert all(x <= y for x, y in zip(cums, cums[1:]))
+    assert (np.diff(a.cum_loss) >= 0).all()
 
 
 def _reference_run(algorithm, w, feats, labels, eta, radius):
     """The README's three update rules from zero models, one kernel call per
-    node per round, each row then projected onto the ball of `radius`."""
+    node per round, each row then projected onto the ball of `radius`.
+
+    Returns the final models and, per round, the mean loss, the consensus
+    error (0.0 for cog) and the running total loss, as Python floats."""
     T, n, dim = feats.shape
     x = np.zeros((1 if algorithm == "cog" else n, dim))
+    avg_loss, ce, cum_loss = [], [], []
+    cum = 0.0
     for t in range(T):
+        values = np.empty(n)
         grads = np.empty((n, dim))
         for i in range(n):
             row = x[0] if algorithm == "cog" else x[i]
-            grads[i] = batch_loss_and_gradient(
+            value, grad = batch_loss_and_gradient(
                 row[None, :], feats[t, i][None, :], labels[t, i : i + 1], GAMMA.gamma
-            )[1][0]
+            )
+            values[i], grads[i] = value[0], grad[0]
+        avg_loss.append(float(values.mean()))
+        ce.append(0.0 if algorithm == "cog" else consensus_error(x))
+        cum += float(values.sum())
+        cum_loss.append(cum)
         if algorithm == "dog":
             x = w @ x - eta * grads
         elif algorithm == "local_ogd":
@@ -170,7 +185,7 @@ def _reference_run(algorithm, w, feats, labels, eta, radius):
                 norm = np.sqrt((x[i] * x[i]).sum())
                 if norm > radius:
                     x[i] = x[i] * (radius / norm)
-    return x
+    return x, avg_loss, ce, cum_loss
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,10 +203,12 @@ def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T,
     cfg = RunConfig(algorithm=algorithm, n=n, T=T, eta=0.3, loss_spec=GAMMA,
                     data=spec, mixing=mixing, seed=seed, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
-    expected = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
-    final = run_experiment(cfg).final_models
-    assert final.shape == expected.shape
-    assert final.tobytes() == expected.tobytes()
+    expected, *columns = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
+    res = run_experiment(cfg)
+    assert res.final_models.shape == expected.shape
+    assert res.final_models.tobytes() == expected.tobytes()
+    for got, want in zip((res.avg_loss, res.consensus_error, res.cum_loss), columns):
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def test_average_iterate_identity_over_run():
@@ -217,9 +234,8 @@ def test_dog_identity_mixing_equals_local_ogd_run():
         dog = run_experiment(_synthetic_cfg("dog", n=5, mixing=mixing))
     local = run_experiment(_synthetic_cfg("local_ogd", n=5, mixing=mixing))
     assert np.abs(dog.final_models - local.final_models).max() <= 1e-12
-    for a, b in zip(dog.records, local.records):
-        assert abs(a.avg_loss - b.avg_loss) <= 1e-12
-        assert abs(a.cum_loss - b.cum_loss) <= 1e-12
+    assert np.abs(dog.avg_loss - local.avg_loss).max() <= 1e-12
+    assert np.abs(dog.cum_loss - local.cum_loss).max() <= 1e-12
 
 
 def test_single_node_all_algorithms_agree():
@@ -229,8 +245,7 @@ def test_single_node_all_algorithms_agree():
     for alg in ("cog", "local_ogd"):
         diff = np.abs(results["dog"].final_models - results[alg].final_models)
         assert diff.max() <= 1e-12
-        for a, b in zip(results["dog"].records, results[alg].records):
-            assert abs(a.cum_loss - b.cum_loss) <= 1e-12
+        assert np.abs(results["dog"].cum_loss - results[alg].cum_loss).max() <= 1e-12
 
 
 def test_consensus_error_within_dissensus_bound_on_runs():
@@ -242,7 +257,7 @@ def test_consensus_error_within_dissensus_bound_on_runs():
         assert mixing.rho <= 0.9
         cfg = _synthetic_cfg("dog", n=n, T=300, eta=0.1, mixing=mixing)
         res = run_experiment(cfg)
-        total = n * sum(r.consensus_error for r in res.records)
+        total = n * res.consensus_error.sum()
         g_hat, s_hat = estimate_gradient_bounds(res.grad_norms)
         bound = 2 * n * 300 * 0.1**2 * (g_hat**2 + s_hat**2) / (1 - mixing.rho) ** 2
         assert total <= bound + 1e-8
@@ -282,8 +297,8 @@ def test_node_streams_data_source():
                     data=streams, mixing=_mix("ring", 4), seed=0)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert len(a.records) == 20
-    assert metrics_to_csv(a.records) == metrics_to_csv(b.records)
+    assert a.avg_loss.shape == (20,)
+    assert _csv(a) == _csv(b)
 
 
 def test_recorded_samples_match_pure_generator():
@@ -293,7 +308,7 @@ def test_recorded_samples_match_pure_generator():
     for n, T, dim in ((5, 10, 4), (600, 20, 3)):
         spec = SyntheticSpec(dim=dim, beta=0.3, n=n, seed=21)
         cfg = RunConfig(algorithm="local_ogd", n=n, T=T, eta=0.1, loss_spec=GAMMA,
-                        data=spec, seed=21, record_samples=True)
+                        data=spec, seed=21)
         res = run_experiment(cfg)
         features, labels = res.pooled_samples()
         assert features.shape == (T * n, dim) and labels.shape == (T * n,)
@@ -316,9 +331,7 @@ def test_both_data_sources_share_the_block_interface():
         assert got.tobytes() == want.tobytes()
 
 
-def test_node_streams_block_matches_streams(monkeypatch):
-    from dogsim import datagen
-
+def test_node_streams_block_matches_streams():
     rng = np.random.default_rng(3)
     streams = _node_streams(rng, 3, 9, 2)
     feats, labels = streams.block(2, 6)
@@ -327,14 +340,6 @@ def test_node_streams_block_matches_streams(monkeypatch):
         for i in range(3):
             assert np.array_equal(feats[t, i], streams.dataset.features[9 * i + t + 1])
             assert labels[t, i] == streams.dataset.labels[9 * i + t + 1]
-    cfg = RunConfig(algorithm="dog", n=3, T=9, eta=0.1, loss_spec=GAMMA, data=streams,
-                    mixing=_mix("ring", 3), seed=0, record_samples=True)
-    whole = run_experiment(cfg)
-    monkeypatch.setattr(datagen, "TILE_SAMPLES", 6)  # 2-round tiles
-    tiled = run_experiment(cfg)
-    assert metrics_to_csv(whole.records) == metrics_to_csv(tiled.records)
-    assert whole.sample_features.tobytes() == tiled.sample_features.tobytes()
-    assert whole.sample_labels.tobytes() == tiled.sample_labels.tobytes()
 
 
 def test_across_horizon_consensus_decay():
@@ -349,7 +354,7 @@ def test_across_horizon_consensus_decay():
         cfg = RunConfig(algorithm="dog", n=16, T=T, eta=eta, loss_spec=GAMMA,
                         data=data, mixing=mixing, seed=42)
         res = run_experiment(cfg)
-        means.append(np.mean([r.consensus_error for r in res.records]))
+        means.append(np.mean(res.consensus_error))
     slope = np.polyfit(np.log(horizons), np.log(means), 1)[0]
     assert slope <= -0.5
 

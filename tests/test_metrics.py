@@ -15,7 +15,6 @@ from dogsim.errors import (
 from dogsim.losses import batch_loss_and_gradient
 from dogsim.metrics import (
     BoundParams,
-    MetricsRecord,
     average_loss,
     consensus_error,
     estimate_gradient_bounds,
@@ -26,16 +25,12 @@ from dogsim.metrics import (
 )
 
 
-def _record(t, avg, ce=0.0, cum=0.0):
-    return MetricsRecord(t, avg, ce, cum)
-
-
 def test_average_loss_values():
-    assert average_loss([_record(1, 2.0)]) == 2.0  # node losses (1, 3) -> mean 2
-    assert average_loss([_record(1, 0.0), _record(2, 0.0)]) == 0.0
-    assert average_loss([_record(1, 1.0), _record(2, 2.0)]) == 1.5
+    assert average_loss(np.array([2.0])) == 2.0  # node losses (1, 3) -> mean 2
+    assert average_loss(np.array([0.0, 0.0])) == 0.0
+    assert average_loss(np.array([1.0, 2.0])) == 1.5
     with pytest.raises(EmptyRun):
-        average_loss([])
+        average_loss(np.empty(0))
 
 
 def test_consensus_error_values():
@@ -175,8 +170,7 @@ def test_static_regret_zero_for_comparator_trajectory():
     features, labels = rng.standard_normal((10, 2)), np.ones(10)
     comparator = offline_comparator(features, labels, 1e-3)
     total = sum(_losses(comparator, features, labels, 1e-3))
-    records = [_record(1, total / 10.0, cum=total)]
-    regret = static_regret(records, features, labels, 1e-3, comparator)
+    regret = static_regret(np.array([total]), features, labels, 1e-3, comparator)
     assert abs(regret) <= 1e-9 * (1.0 + abs(total))
 
 
@@ -184,27 +178,32 @@ def test_static_regret_comparator_is_optimal():
     rng = np.random.default_rng(5)
     features, labels = _draw(rng, 40, 3)
     comparator = offline_comparator(features, labels, 1e-2)
-    records = [_record(1, 0.0, cum=123.0)]
-    base = static_regret(records, features, labels, 1e-2, comparator)
+    cum_loss = np.array([123.0])
+    base = static_regret(cum_loss, features, labels, 1e-2, comparator)
     # the minimizer subtracts the smallest possible total, so regret versus
     # any other fixed point can only be smaller
     for _ in range(20):
         alt = comparator + rng.standard_normal(3) * rng.uniform(0.01, 2.0)
-        assert static_regret(records, features, labels, 1e-2, alt) <= base + 1e-6
+        assert static_regret(cum_loss, features, labels, 1e-2, alt) <= base + 1e-6
 
 
 def test_static_regret_single_event_nonnegative():
     features, labels = np.array([[1.0, 1.0]]), np.ones(1)
     comparator = offline_comparator(features, labels, 1e-2)
     value = _losses(np.array([0.5, -0.5]), features, labels, 1e-2)[0]
-    records = [_record(1, value, cum=value)]
-    assert static_regret(records, features, labels, 1e-2, comparator) >= -1e-6
+    assert static_regret(np.array([value]), features, labels, 1e-2, comparator) >= -1e-6
 
 
 def test_static_regret_dimension_mismatch():
     features, labels = np.array([[1.0, 2.0]]), np.ones(1)
     with pytest.raises(DimensionMismatch):
-        static_regret([_record(1, 0.0)], features, labels, 0.0, np.zeros(3))
+        static_regret(np.zeros(1), features, labels, 0.0, np.zeros(3))
+
+
+def test_static_regret_needs_a_round():
+    features, labels = np.array([[1.0, 2.0]]), np.ones(1)
+    with pytest.raises(EmptyRun):
+        static_regret(np.empty(0), features, labels, 1e-2, np.zeros(2))
 
 
 def test_estimate_gradient_bounds():
@@ -263,13 +262,11 @@ def test_auto_eta_near_bound_minimizer_on_grid():
 
 
 def test_metrics_csv_format():
-    records = [
-        MetricsRecord(1, 0.1, 0.0, 0.2),
-        MetricsRecord(2, 1.0 / 3.0, 1e-12, 0.5),
-    ]
-    text = metrics_to_csv(records)
+    text = metrics_to_csv(np.array([0.1, 1.0 / 3.0]), np.array([0.0, 1e-12]), np.array([0.2, 0.5]))
     lines = text.split("\n")
     assert lines[0] == "t,avg_loss,consensus_error,cum_loss"
     assert lines[1] == "1,0.10000000000000001,0,0.20000000000000001"
     assert lines[2] == "2,0.33333333333333331,9.9999999999999998e-13,0.5"
     assert text.endswith("\n") and "\r" not in text
+    with pytest.raises(ValueError):
+        metrics_to_csv(np.zeros(2), np.zeros(1), np.zeros(2))
