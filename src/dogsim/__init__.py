@@ -11,7 +11,6 @@ from .engine import Bounds, RunConfig, RunResult, auto_learning_rate, run_experi
 from .ingest import Dataset, NodeStreams, kmeans, normalize, parse_libsvm, split_stoch_adv
 from .losses import LossSpec, smoothness_bound
 from .metrics import (
-    BoundParams,
     average_loss,
     consensus_error,
     estimate_gradient_bounds,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bounds",
-    "BoundParams",
     "Dataset",
     "Graph",
     "LossSpec",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -258,12 +257,11 @@ def _data_key(ef: ExperimentFile) -> tuple:
 class _SweepData:
     """The data sources of one sweep call, one per data key, each built by
     the first cell that reads it and handed to every later one. A synthetic
-    stream read by two or more cells is a `SharedStream`, so its block is
-    generated once; a file's node streams are split once per key, from one
+    stream is a `SharedStream`, so its block is generated once however many
+    cells read it; a file's node streams are split once per key, from one
     parse of the file."""
 
-    def __init__(self, cell_configs):
-        self.readers = Counter(map(_data_key, cell_configs))
+    def __init__(self):
         self.sources = {}
         self.datasets = {}
 
@@ -271,31 +269,26 @@ class _SweepData:
         key = _data_key(ef)
         if key not in self.sources:
             data = build_data(ef, ef.T, self.datasets)
-            if ef.file is None and self.readers[key] > 1:
-                data = SharedStream(data)
-            self.sources[key] = data
+            self.sources[key] = SharedStream(data) if ef.file is None else data
         return self.sources[key]
 
 
 def build_run(ef: ExperimentFile, sweep: _SweepData | None = None):
-    """Assemble (RunConfig, MixingMatrix) from a validated config, with its
-    step size resolved, so that every config error surfaces here. A sweep
-    cell takes its data source from `sweep`."""
+    """Assemble (RunConfig, MixingMatrix) from a validated config. The
+    RunConfig resolves its step size when it is built, so every config
+    error surfaces here. A sweep cell takes its data source from `sweep`."""
     with _config_errors():
         mix = _mixing_matrix(ef)
         cfg = engine.RunConfig(
             algorithm=ef.algorithm,
-            n=ef.n,
             T=ef.T,
             eta=ef.eta,
             loss_spec=LossSpec(gamma=ef.gamma),
             data=build_data(ef, ef.T) if sweep is None else sweep.source(ef),
             mixing=mix,
             bounds=ef.bounds,
-            seed=ef.seed,
             project_radius=ef.project_radius,
         )
-        engine.resolve_eta(cfg)
     return cfg, mix
 
 
@@ -352,13 +345,13 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
     try:
         _check_threads(threads)
         ef = load_config(config_path)
-        cfg, mix = build_run(ef)
+        cfg = build_run(ef)[0]
         result = engine.run_experiment(cfg)
-        summary = _summarize(result, ef)
+        summary = _summarize(result, cfg)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "metrics.csv", _metrics_csv(result))
-        _write_text(out / "resolved.cfg", render_resolved(ef, result.resolved["eta"], mix.rho))
+        _write_text(out / "resolved.cfg", render_resolved(ef, result.eta, cfg.mixing.rho))
         _write_text(out / "summary.txt", summary)
     except _REPORTED as exc:
         return _report(exc)
@@ -369,7 +362,7 @@ def _metrics_csv(result: engine.RunResult) -> str:
     return metrics.metrics_to_csv(result.avg_loss, result.consensus_error, result.cum_loss)
 
 
-def _summarize(result: engine.RunResult, ef: ExperimentFile) -> str:
+def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
     lines = []
     if result.avg_loss.size:
         avg = metrics.average_loss(result.avg_loss)
@@ -383,16 +376,14 @@ def _summarize(result: engine.RunResult, ef: ExperimentFile) -> str:
             f"final_consensus_error={fmt17(final_ce)}",
             f"static_regret={fmt17(regret)}",
         ]
-        if ef.bounds is not None and result.resolved["rho"] is not None:
+        if cfg.bounds is not None:
             g_hat, sigma_hat = metrics.estimate_gradient_bounds(result.grad_norms)
             lipschitz = smoothness_bound(features, gamma)
             try:
-                bound = metrics.regret_bound(metrics.BoundParams(
-                    n=result.resolved["n"], T=result.resolved["T"],
-                    eta=result.resolved["eta"], G=g_hat, sigma=sigma_hat,
-                    L=lipschitz, rho=result.resolved["rho"],
-                    R=ef.bounds.R, M=ef.bounds.M,
-                ))
+                bound = metrics.regret_bound(
+                    n=cfg.n, T=cfg.T, eta=result.eta, G=g_hat, sigma=sigma_hat,
+                    L=lipschitz, rho=cfg.mixing.rho, R=cfg.bounds.R, M=cfg.bounds.M,
+                )
                 lines.append(f"regret_bound={fmt17(bound)}")
             except DegenerateParameters:
                 lines.append("regret_bound=unavailable (rho >= 1)")
@@ -450,7 +441,8 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
     until the last cell that reads it has run; every other block is freed
     once its cell's CSV and summary row are written. A nodes sweep thus
     holds at most one unshared block at a time. Each cell still runs on
-    its own, and its bytes are those of a standalone run.
+    its own, and its bytes are those of a standalone run. A value given
+    twice would write its cell twice, and is a config error.
 
     `threads` is validated and otherwise unused."""
     prefix = ""  # names the cell being built or run in a diagnostic
@@ -460,10 +452,15 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
         if not values:
             raise ConfigError("sweep needs at least one axis value")
         cells = list(_sweep_cells(ef, axis, values))
+        names = set()
+        for name, value, *_ in cells:
+            if name in names:
+                raise ConfigError(f"sweep value {value!r} repeats cell {name}")
+            names.add(name)
         # Build every cell before running any, so a config error writes
         # nothing. A shared stream generates its block lazily, inside the
         # run of the first cell that reads it.
-        built, sweep = [], _SweepData(cell_ef for *_, cell_ef in cells)
+        built, sweep = [], _SweepData()
         for name, value, alg, cell_ef in cells:
             prefix = f"sweep cell {name} "
             built.append((name, value, alg, build_run(cell_ef, sweep=sweep)[0]))
@@ -481,7 +478,7 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
             _write_text(cell_dir / "metrics.csv", _metrics_csv(result))
             final_avg = metrics.average_loss(result.avg_loss) if result.avg_loss.size else float("nan")
             rows.append(f"{value},{alg},{fmt17(final_avg)}")
-            del result  # frees the cell's samples before the next cell runs
+            del result, cfg  # frees the cell's samples before the next cell runs
         prefix = ""
         _write_text(
             Path(outdir) / "sweep_summary.csv",

@@ -16,6 +16,10 @@ out of its dataset. That block is the run's record of its samples, for
 the comparator and the regret. Gradients are always evaluated at the
 round-start models, all nodes in one batched kernel call, and the
 per-round metrics come back as (T,) columns.
+
+A ``RunConfig`` holds each run fact once: n, dim and the seed belong to its
+data source, rho to its mixing matrix. It resolves its step size when it
+is built, and the ``RunResult`` reports the one used as ``eta``.
 """
 
 from __future__ import annotations
@@ -58,15 +62,26 @@ class Bounds:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, each fact held once.
+
+    `algorithm` is dog, cog or local_ogd, and T >= 0 the number of rounds.
+    `eta` is a positive step size, or 'auto' for `auto_learning_rate` on
+    `bounds` (G, sigma, R, M) and the rho of `mixing`. `data` is the sample
+    source; it fixes the node count `n`, the dimension `dim` and the seed,
+    and node streams must cover T rounds. `mixing` is the n x n gossip
+    matrix, required by dog and by eta='auto'. `project_radius`, if set,
+    projects each model row onto that ball after every step. Every field
+    is checked at construction, eta included: eta='auto' without a value
+    (rho >= 1, or G = sigma = 0) raises DegenerateParameters.
+    """
+
     algorithm: str
-    n: int
     T: int
     eta: Union[float, str]
     loss_spec: LossSpec
     data: Union[SyntheticSpec, SharedStream, NodeStreams]
     mixing: MixingMatrix | None = None
     bounds: Bounds | None = None
-    seed: int = 0
     project_radius: float | None = None
 
     def __post_init__(self):
@@ -85,11 +100,8 @@ class RunConfig:
             raise ValueError("dog requires a mixing matrix")
         if self.mixing is not None and self.mixing.n != self.n:
             raise DimensionMismatch(
-                f"mixing matrix is {self.mixing.n}x{self.mixing.n}, config n={self.n}"
+                f"mixing matrix is {self.mixing.n}x{self.mixing.n}, data has n={self.n}"
             )
-        data_n = self.data.n
-        if data_n != self.n:
-            raise DimensionMismatch(f"data source has n={data_n}, config n={self.n}")
         if isinstance(self.data, NodeStreams) and self.data.rounds < self.T:
             raise DimensionMismatch(
                 f"node streams provide {self.data.rounds} rounds, config T={self.T}"
@@ -100,6 +112,11 @@ class RunConfig:
             raise ValueError("eta='auto' requires a mixing matrix for rho")
         if self.project_radius is not None and self.project_radius <= 0:
             raise ValueError("project_radius must be positive")
+        resolve_eta(self)
+
+    @property
+    def n(self) -> int:
+        return self.data.n
 
     @property
     def dim(self) -> int:
@@ -115,7 +132,7 @@ class RunResult:
     consensus_error: np.ndarray  # (T,) 0 for cog
     cum_loss: np.ndarray  # (T,) running total loss over nodes and rounds
     final_models: np.ndarray  # (n, d); (1, d) for cog
-    resolved: dict
+    eta: float  # the step size the run used
     grad_norms: np.ndarray  # (T, n)
     loss_spec: LossSpec
     sample_features: np.ndarray  # (T, n, d)
@@ -172,10 +189,9 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     """
     n, dim = cfg.n, cfg.dim
     eta = resolve_eta(cfg)
-    rho = cfg.mixing.rho if cfg.mixing is not None else None
     if cfg.algorithm == DOG and not cfg.mixing.contracts:
         warnings.warn(
-            f"mixing rho={rho:.6g} >= 1: gossip cannot contract disagreement",
+            f"mixing rho={cfg.mixing.rho:.6g} >= 1: gossip cannot contract disagreement",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -202,23 +218,12 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         if not np.isfinite(x).all():
             raise DivergenceDetected(t + 1)
 
-    resolved = {
-        "algorithm": cfg.algorithm,
-        "n": n,
-        "T": cfg.T,
-        "dim": dim,
-        "eta": eta,
-        "rho": rho,
-        "gamma": cfg.loss_spec.gamma,
-        "seed": cfg.seed,
-        "project_radius": cfg.project_radius,
-    }
     return RunResult(
         avg_loss=losses.mean(axis=1),
         consensus_error=ce,
         cum_loss=np.cumsum(losses.sum(axis=1)),
         final_models=x,
-        resolved=resolved,
+        eta=eta,
         grad_norms=grad_norms,
         loss_spec=cfg.loss_spec,
         sample_features=feats,

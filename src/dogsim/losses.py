@@ -24,6 +24,10 @@ from .errors import EmptyDataset
 
 @dataclass(frozen=True)
 class LossSpec:
+    """The online loss: the logistic loss plus (gamma / 2) ||x||^2, with
+    gamma >= 0. The offline comparator and the smoothness bound read the
+    same gamma."""
+
     gamma: float = 0.0
 
     def __post_init__(self):

@@ -5,14 +5,15 @@ f_{i,t}(x_{i,t}); regret is reported against the best fixed model in
 hindsight, found by damped Newton on the pooled empirical loss over the
 run's recorded samples, passed as (T*n, d) features and (T*n,) labels.
 `regret_bound` is the paper's a-priori bound on dynamic regret against
-comparator sequences of path length at most M. No dynamic comparator is
-computed: the summary sets the bound beside the static regret, whose fixed
-comparator has path length 0, so the bound holds there for any M >= 0.
+comparator sequences of path length at most M, on nine keyword constants:
+n, T and rho from the run's config, eta from its result, G, sigma and L
+measured on the run, R and M from the config's bounds. No dynamic
+comparator is computed: the summary sets the bound beside the static
+regret, whose fixed comparator has path length 0, so the bound holds
+there for any M >= 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +32,6 @@ CSV_HEADER = "t,avg_loss,consensus_error,cum_loss"
 def fmt17(x: float) -> str:
     """Decimal rendering at 17 significant digits (float64 round-trips)."""
     return "%.17g" % x
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants entering the regret bound; rho < 1 required to evaluate."""
-
-    n: int
-    T: int
-    eta: float
-    G: float
-    sigma: float
-    L: float
-    rho: float
-    R: float
-    M: float
 
 
 def average_loss(avg_loss) -> float:
@@ -189,10 +175,13 @@ def estimate_gradient_bounds(grad_norms: np.ndarray) -> tuple:
     return g_hat, sigma_hat
 
 
-def regret_bound(p: BoundParams) -> float:
+def regret_bound(*, n: int, T: int, eta: float, G: float, sigma: float, L: float,
+                 rho: float, R: float, M: float) -> float:
     """Closed-form a-priori bound on the dynamic regret of the gossip method
-    against comparator sequences of path length at most M (R bounds the
-    comparators' squared norm); it also bounds static regret, for any M >= 0.
+    (n nodes, T rounds, step eta, gradient bound G, noise sigma, smoothness
+    L, mixing rate rho < 1) against comparator sequences of path length at
+    most M (R bounds the comparators' squared norm); it also bounds static
+    regret, for any M >= 0.
 
     With c0 = 2L(G^2+s^2)/(1-rho)^2, c1 = 4L^2(G^2+s^2)/(1-rho)^2 and
     c2 = 2 + 1/(1-rho):
@@ -200,21 +189,21 @@ def regret_bound(p: BoundParams) -> float:
         eta*T*s^2 + c0*n*T*eta^2 + c1*n*T*eta^3
         + (n/(2 eta)) * (4 sqrt(R) M + R) + c2*n*eta*T*G^2
     """
-    if p.rho >= 1.0:
-        raise DegenerateParameters(f"bound requires rho < 1, got {p.rho}")
-    if p.eta <= 0.0:
-        raise DegenerateParameters(f"bound requires eta > 0, got {p.eta}")
-    gap = 1.0 - p.rho
-    noise = p.G**2 + p.sigma**2
-    c0 = 2.0 * p.L * noise / gap**2
-    c1 = 4.0 * p.L**2 * noise / gap**2
+    if rho >= 1.0:
+        raise DegenerateParameters(f"bound requires rho < 1, got {rho}")
+    if eta <= 0.0:
+        raise DegenerateParameters(f"bound requires eta > 0, got {eta}")
+    gap = 1.0 - rho
+    noise = G**2 + sigma**2
+    c0 = 2.0 * L * noise / gap**2
+    c1 = 4.0 * L**2 * noise / gap**2
     c2 = 2.0 + 1.0 / gap
     return (
-        p.eta * p.T * p.sigma**2
-        + c0 * p.n * p.T * p.eta**2
-        + c1 * p.n * p.T * p.eta**3
-        + (p.n / (2.0 * p.eta)) * (4.0 * np.sqrt(p.R) * p.M + p.R)
-        + c2 * p.n * p.eta * p.T * p.G**2
+        eta * T * sigma**2
+        + c0 * n * T * eta**2
+        + c1 * n * T * eta**3
+        + (n / (2.0 * eta)) * (4.0 * np.sqrt(R) * M + R)
+        + c2 * n * eta * T * G**2
     )
 
 

@@ -30,12 +30,15 @@ DEFAULT_TOL = 1e-9
 class MixingMatrix:
     """Dense doubly stochastic matrix with its cached contraction rate."""
 
-    n: int
     entries: np.ndarray  # (n, n), rows and columns sum to 1
     rho: float
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
     @property
     def contracts(self) -> bool:
@@ -73,7 +76,7 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     w[i, j] = off
     w[j, i] = off
     np.fill_diagonal(w, 1.0 - deg * off)
-    return MixingMatrix(g.n, w, spectral_gap(w))
+    return MixingMatrix(w, spectral_gap(w))
 
 
 def spectral_gap(w: np.ndarray) -> float:

@@ -115,8 +115,6 @@ def _check_k(k: int, n: int):
 def _ring_edges(n: int) -> np.ndarray:
     if n == 1:
         return np.empty((0, 2), dtype=np.intp)
-    if n == 2:
-        return np.array([[0, 1]], dtype=np.intp)
     i = np.arange(n)
     return np.stack((i, (i + 1) % n), axis=1)
 

@@ -45,8 +45,8 @@ def _trend_run(alg, kind, n, beta, seed, T=2000, p=0.0, eta=ETA):
     if key not in _RUN_CACHE:
         mixing = _mix(kind, n, seed=seed, p=p)
         data = SyntheticSpec(dim=10, beta=beta, n=n, seed=seed)
-        cfg = dogsim.RunConfig(algorithm=alg, n=n, T=T, eta=eta, loss_spec=GAMMA,
-                               data=data, mixing=mixing, seed=seed)
+        cfg = dogsim.RunConfig(algorithm=alg, T=T, eta=eta, loss_spec=GAMMA,
+                               data=data, mixing=mixing)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             _RUN_CACHE[key] = run_experiment(cfg)
@@ -209,7 +209,7 @@ def test_criterion_08_consensus_error_decay():
 
     ce = res.consensus_error  # the T=2000 run
     g_hat, s_hat = dogsim.estimate_gradient_bounds(res.grad_norms)
-    rho = res.resolved["rho"]
+    rho = _mix("ring", n, seed=seed).rho
     dissensus_bound = 2 * n * ETA**2 * (g_hat**2 + s_hat**2) / (1 - rho) ** 2
     tail_sum = n * ce[-len(ce) // 10 :].mean()
     tail_ok = tail_sum <= dissensus_bound
@@ -228,18 +228,16 @@ def test_criterion_09_regret_bound():
     regrets, bounds = [], []
     for seed in SEEDS:
         data = SyntheticSpec(dim=10, beta=0.5, n=8, seed=seed)
-        pilot_cfg = dogsim.RunConfig(algorithm="dog", n=8, T=500, eta=0.05,
-                                     loss_spec=GAMMA, data=data, mixing=mixing,
-                                     seed=seed)
+        pilot_cfg = dogsim.RunConfig(algorithm="dog", T=500, eta=0.05,
+                                     loss_spec=GAMMA, data=data, mixing=mixing)
         pilot = run_experiment(pilot_cfg)
         g_pilot, s_pilot = dogsim.estimate_gradient_bounds(pilot.grad_norms)
         r_pilot = max(1.0, 4.0 * float(
             (pilot.final_models.mean(axis=0) ** 2).sum()))
         eta = dogsim.auto_learning_rate(8, 500, g_pilot, s_pilot, r_pilot, 0.0,
                                         mixing.rho)
-        cfg = dogsim.RunConfig(algorithm="dog", n=8, T=500, eta=eta,
-                               loss_spec=GAMMA, data=data, mixing=mixing,
-                               seed=seed)
+        cfg = dogsim.RunConfig(algorithm="dog", T=500, eta=eta,
+                               loss_spec=GAMMA, data=data, mixing=mixing)
         res = run_experiment(cfg)
         features, labels = res.pooled_samples()
         comparator = dogsim.offline_comparator(features, labels, GAMMA.gamma)
@@ -248,9 +246,9 @@ def test_criterion_09_regret_bound():
         g_hat, s_hat = dogsim.estimate_gradient_bounds(res.grad_norms)
         lipschitz = dogsim.smoothness_bound(features, GAMMA.gamma)
         r_hat = max(r_pilot, float(comparator @ comparator))
-        bounds.append(dogsim.regret_bound(dogsim.BoundParams(
+        bounds.append(dogsim.regret_bound(
             n=8, T=500, eta=eta, G=g_hat, sigma=s_hat, L=lipschitz,
-            rho=mixing.rho, R=r_hat, M=0.0)))
+            rho=mixing.rho, R=r_hat, M=0.0))
     ok = float(np.mean(regrets)) <= float(np.mean(bounds))
     print(f"  mean regret {np.mean(regrets):.1f} <= mean bound {np.mean(bounds):.1f}")
     _report(9, "regret within a-priori bound", ok, time.perf_counter() - start, 60)
@@ -280,11 +278,10 @@ def test_criterion_11_equivalences():
         warnings.simplefilter("ignore", RuntimeWarning)
         identity = _mix("disconnected", 6)
         dog = run_experiment(dogsim.RunConfig(
-            algorithm="dog", n=6, T=200, eta=ETA, loss_spec=GAMMA,
-            data=data, mixing=identity, seed=42))
+            algorithm="dog", T=200, eta=ETA, loss_spec=GAMMA,
+            data=data, mixing=identity))
     local = run_experiment(dogsim.RunConfig(
-        algorithm="local_ogd", n=6, T=200, eta=ETA, loss_spec=GAMMA,
-        data=data, seed=42))
+        algorithm="local_ogd", T=200, eta=ETA, loss_spec=GAMMA, data=data))
     ok = float(np.abs(dog.final_models - local.final_models).max()) <= 1e-12
     ok &= float(np.abs(dog.cum_loss - local.cum_loss).max()) <= 1e-12
 
@@ -292,8 +289,8 @@ def test_criterion_11_equivalences():
     finals = {}
     for alg in ("dog", "cog", "local_ogd"):
         res = run_experiment(dogsim.RunConfig(
-            algorithm=alg, n=1, T=200, eta=ETA, loss_spec=GAMMA,
-            data=single, mixing=_mix("ring", 1), seed=7))
+            algorithm=alg, T=200, eta=ETA, loss_spec=GAMMA,
+            data=single, mixing=_mix("ring", 1)))
         finals[alg] = res.final_models
     ok &= float(np.abs(finals["dog"] - finals["cog"]).max()) <= 1e-12
     ok &= float(np.abs(finals["dog"] - finals["local_ogd"]).max()) <= 1e-12

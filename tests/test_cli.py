@@ -243,6 +243,20 @@ def test_sweep_p_suffix_on_a_kind_without_p_is_a_config_error(tmp_path, capsys, 
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(bad) in err
+
+
+@pytest.mark.parametrize("axis, values, repeated, cell", [
+    ("nodes", "4,4", "4", "nodes_4"),
+    ("beta", "0.3,0.7,0.3", "0.3", "beta_0.3_dog"),
+    ("topology", "watts_strogatz:0.5,ring,watts_strogatz:0.5", "watts_strogatz:0.5", "topology_watts_strogatz_p0.5"),
+])
+def test_sweep_repeated_value_is_a_config_error(tmp_path, capsys, axis, values, repeated, cell):
+    cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), str(out), "--axis", axis, "--values", values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(repeated) in err and cell in err
+    assert not out.exists()
     assert not out.exists()
 
 

@@ -40,8 +40,8 @@ def _synthetic_cfg(algorithm, n=6, T=50, eta=0.1, beta=0.5, seed=42, **kwargs):
     data = SyntheticSpec(dim=4, beta=beta, n=n, seed=seed)
     mixing = kwargs.pop("mixing", _mix("ring", n))
     return RunConfig(
-        algorithm=algorithm, n=n, T=T, eta=eta, loss_spec=GAMMA,
-        data=data, mixing=mixing, seed=seed, **kwargs,
+        algorithm=algorithm, T=T, eta=eta, loss_spec=GAMMA,
+        data=data, mixing=mixing, **kwargs,
     )
 
 
@@ -200,8 +200,8 @@ def _reference_run(algorithm, w, feats, labels, eta, radius):
 def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T, seed, project_radius):
     spec = SyntheticSpec(dim=dim, beta=0.5, n=n, seed=seed)
     mixing = _mix("ring", n)
-    cfg = RunConfig(algorithm=algorithm, n=n, T=T, eta=0.3, loss_spec=GAMMA,
-                    data=spec, mixing=mixing, seed=seed, project_radius=project_radius)
+    cfg = RunConfig(algorithm=algorithm, T=T, eta=0.3, loss_spec=GAMMA,
+                    data=spec, mixing=mixing, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
     expected, *columns = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
     res = run_experiment(cfg)
@@ -293,8 +293,8 @@ def _node_streams(rng, n, rounds, dim):
 def test_node_streams_data_source():
     rng = np.random.default_rng(6)
     streams = _node_streams(rng, 4, 20, 3)
-    cfg = RunConfig(algorithm="dog", n=4, T=20, eta=0.1, loss_spec=GAMMA,
-                    data=streams, mixing=_mix("ring", 4), seed=0)
+    cfg = RunConfig(algorithm="dog", T=20, eta=0.1, loss_spec=GAMMA,
+                    data=streams, mixing=_mix("ring", 4))
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a.avg_loss.shape == (20,)
@@ -307,8 +307,7 @@ def test_recorded_samples_match_pure_generator():
     # n=600 gives 6-round tiles, so its T=20 takes four, the last one short
     for n, T, dim in ((5, 10, 4), (600, 20, 3)):
         spec = SyntheticSpec(dim=dim, beta=0.3, n=n, seed=21)
-        cfg = RunConfig(algorithm="local_ogd", n=n, T=T, eta=0.1, loss_spec=GAMMA,
-                        data=spec, seed=21)
+        cfg = RunConfig(algorithm="local_ogd", T=T, eta=0.1, loss_spec=GAMMA, data=spec)
         res = run_experiment(cfg)
         features, labels = res.pooled_samples()
         assert features.shape == (T * n, dim) and labels.shape == (T * n,)
@@ -322,7 +321,7 @@ def test_recorded_samples_match_pure_generator():
 def test_short_node_streams_are_rejected():
     streams = _node_streams(np.random.default_rng(1), 3, 5, 2)
     with pytest.raises(DimensionMismatch, match="5 rounds"):
-        RunConfig(algorithm="local_ogd", n=3, T=6, eta=0.1, loss_spec=GAMMA, data=streams)
+        RunConfig(algorithm="local_ogd", T=6, eta=0.1, loss_spec=GAMMA, data=streams)
 
 
 def test_both_data_sources_share_the_block_interface():
@@ -351,8 +350,8 @@ def test_across_horizon_consensus_decay():
     for T in horizons:
         eta = auto_learning_rate(16, T, G=2.0, sigma=1.0, R=1.0, M=0.0, rho=mixing.rho)
         data = SyntheticSpec(dim=10, beta=0.3, n=16, seed=42)
-        cfg = RunConfig(algorithm="dog", n=16, T=T, eta=eta, loss_spec=GAMMA,
-                        data=data, mixing=mixing, seed=42)
+        cfg = RunConfig(algorithm="dog", T=T, eta=eta, loss_spec=GAMMA,
+                        data=data, mixing=mixing)
         res = run_experiment(cfg)
         means.append(np.mean(res.consensus_error))
     slope = np.polyfit(np.log(horizons), np.log(means), 1)[0]
@@ -362,26 +361,41 @@ def test_across_horizon_consensus_decay():
 def test_config_validation():
     data = SyntheticSpec(dim=4, beta=0.5, n=6, seed=0)
     with pytest.raises(ValueError):
-        RunConfig(algorithm="sgd", n=6, T=5, eta=0.1, loss_spec=GAMMA,
+        RunConfig(algorithm="sgd", T=5, eta=0.1, loss_spec=GAMMA,
                   data=data, mixing=_mix("ring", 6))
     with pytest.raises(ValueError):
-        RunConfig(algorithm="dog", n=6, T=5, eta=0.1, loss_spec=GAMMA, data=data)
+        RunConfig(algorithm="dog", T=5, eta=0.1, loss_spec=GAMMA, data=data)
     with pytest.raises(DimensionMismatch):
-        RunConfig(algorithm="dog", n=6, T=5, eta=0.1, loss_spec=GAMMA,
+        RunConfig(algorithm="dog", T=5, eta=0.1, loss_spec=GAMMA,
                   data=data, mixing=_mix("ring", 4))
     with pytest.raises(ValueError):
-        RunConfig(algorithm="dog", n=6, T=5, eta=-0.1, loss_spec=GAMMA,
+        RunConfig(algorithm="dog", T=5, eta=-0.1, loss_spec=GAMMA,
                   data=data, mixing=_mix("ring", 6))
     with pytest.raises(ValueError):
-        RunConfig(algorithm="dog", n=6, T=5, eta="auto", loss_spec=GAMMA,
+        RunConfig(algorithm="dog", T=5, eta="auto", loss_spec=GAMMA,
                   data=data, mixing=_mix("ring", 6))  # bounds missing
 
 
 def test_auto_eta_resolves_in_run():
     data = SyntheticSpec(dim=4, beta=0.5, n=6, seed=1)
-    cfg = RunConfig(algorithm="dog", n=6, T=50, eta="auto", loss_spec=GAMMA,
+    cfg = RunConfig(algorithm="dog", T=50, eta="auto", loss_spec=GAMMA,
                     data=data, mixing=_mix("ring", 6),
-                    bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0), seed=1)
+                    bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0))
     res = run_experiment(cfg)
     expected = auto_learning_rate(6, 50, 2.0, 1.0, 1.0, 0.0, _mix("ring", 6).rho)
-    assert res.resolved["eta"] == pytest.approx(expected, rel=1e-15)
+    assert res.eta == pytest.approx(expected, rel=1e-15)
+
+
+def test_auto_eta_without_a_value_is_rejected_at_construction():
+    data = SyntheticSpec(dim=4, beta=0.5, n=6, seed=1)
+    with pytest.raises(DegenerateParameters, match="rho < 1"):
+        RunConfig(algorithm="dog", T=50, eta="auto", loss_spec=GAMMA,
+                  data=data, mixing=_identity_mixing(6),
+                  bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0))
+
+
+def test_node_count_comes_from_the_data():
+    streams = _node_streams(np.random.default_rng(2), 3, 8, 2)
+    for data in (SyntheticSpec(dim=4, beta=0.5, n=6, seed=1), streams):
+        cfg = RunConfig(algorithm="local_ogd", T=8, eta=0.1, loss_spec=GAMMA, data=data)
+        assert cfg.n == data.n

@@ -14,7 +14,6 @@ from dogsim.errors import (
 )
 from dogsim.losses import batch_loss_and_gradient
 from dogsim.metrics import (
-    BoundParams,
     average_loss,
     consensus_error,
     estimate_gradient_bounds,
@@ -221,27 +220,27 @@ def test_estimate_gradient_bounds():
 
 
 def test_regret_bound_hand_computed_example():
-    p = BoundParams(n=2, T=4, eta=0.1, G=1, sigma=1, L=1, rho=0.5, R=1, M=0)
+    p = dict(n=2, T=4, eta=0.1, G=1, sigma=1, L=1, rho=0.5, R=1, M=0)
     # c0 = 16, c1 = 32, c2 = 4; terms 0.4 + 1.28 + 0.256 + 10 + 3.2
-    assert regret_bound(p) == pytest.approx(15.136, rel=1e-12)
+    assert regret_bound(**p) == pytest.approx(15.136, rel=1e-12)
 
 
 def test_regret_bound_distance_term_only():
-    p = BoundParams(n=3, T=10, eta=0.2, G=0, sigma=0, L=0, rho=0, R=2.0, M=0)
-    assert regret_bound(p) == pytest.approx(3 * 2.0 / (2 * 0.2), rel=1e-12)
+    p = dict(n=3, T=10, eta=0.2, G=0, sigma=0, L=0, rho=0, R=2.0, M=0)
+    assert regret_bound(**p) == pytest.approx(3 * 2.0 / (2 * 0.2), rel=1e-12)
 
 
 def test_regret_bound_monotone_in_drift_budget():
     base = dict(n=2, T=50, eta=0.05, G=1.0, sigma=0.5, L=1.0, rho=0.3, R=1.0)
-    values = [regret_bound(BoundParams(M=m, **base)) for m in (0.0, 0.5, 1.0, 5.0)]
+    values = [regret_bound(M=m, **base) for m in (0.0, 0.5, 1.0, 5.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_regret_bound_degenerate():
     with pytest.raises(DegenerateParameters):
-        regret_bound(BoundParams(n=1, T=1, eta=0.1, G=1, sigma=0, L=1, rho=1.0, R=1, M=0))
+        regret_bound(n=1, T=1, eta=0.1, G=1, sigma=0, L=1, rho=1.0, R=1, M=0)
     with pytest.raises(DegenerateParameters):
-        regret_bound(BoundParams(n=1, T=1, eta=0.0, G=1, sigma=0, L=1, rho=0.5, R=1, M=0))
+        regret_bound(n=1, T=1, eta=0.0, G=1, sigma=0, L=1, rho=0.5, R=1, M=0)
 
 
 def test_auto_eta_near_bound_minimizer_on_grid():
@@ -253,8 +252,7 @@ def test_auto_eta_near_bound_minimizer_on_grid():
     eta_star = auto_learning_rate(n, T, G=G, sigma=0.0, R=R, M=M, rho=rho)
     grid = np.logspace(-5, 1, 400)
     values = [
-        regret_bound(BoundParams(n=n, T=T, eta=float(e), G=G, sigma=0.0, L=L,
-                                 rho=rho, R=R, M=M))
+        regret_bound(n=n, T=T, eta=float(e), G=G, sigma=0.0, L=L, rho=rho, R=R, M=M)
         for e in grid
     ]
     best = float(grid[int(np.argmin(values))])
