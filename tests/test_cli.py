@@ -243,6 +243,7 @@ def test_sweep_p_suffix_on_a_kind_without_p_is_a_config_error(tmp_path, capsys, 
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(bad) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axis, values, repeated, cell", [
@@ -256,7 +257,6 @@ def test_sweep_repeated_value_is_a_config_error(tmp_path, capsys, axis, values, 
     assert cli.main(["sweep", str(cfg), str(out), "--axis", axis, "--values", values]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(repeated) in err and cell in err
-    assert not out.exists()
     assert not out.exists()
 
 
