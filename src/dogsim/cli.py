@@ -229,54 +229,33 @@ def _mixing_matrix(ef: ExperimentFile) -> mixing.MixingMatrix:
     return mixing.build_mixing(graph, ef.scheme)
 
 
-def build_data(ef: ExperimentFile, rounds: int, datasets: dict | None = None):
+def build_data(ef: ExperimentFile, rounds: int, sources: dict):
     """The config's data source for `rounds` rounds: the synthetic stream, or
     the LIBSVM file parsed, normalized and split into node streams. Both
     hand out samples through ``block(first, last)``.
 
-    `datasets` maps a file path to its normalized `Dataset`; a file found
-    there is not read again, and one parsed here is added to it."""
+    `sources` memoizes every source under what it is built from, so calls
+    that would build equal sources share one. A synthetic stream is keyed
+    by its `SyntheticSpec` and held as a `SharedStream`, which generates a
+    block once for every run that reads it. A file is parsed and normalized
+    once per path, and split once per argument list of `split_stoch_adv`."""
     if ef.file is None:
-        return SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
-    datasets = {} if datasets is None else datasets
-    if ef.file not in datasets:
-        datasets[ef.file] = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
-    return ingest.split_stoch_adv(
-        datasets[ef.file], ef.stochastic_fraction, ef.n, rounds, seed=ef.seed
-    )
+        spec = SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
+        if spec not in sources:
+            sources[spec] = SharedStream(spec)
+        return sources[spec]
+    if ef.file not in sources:
+        sources[ef.file] = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
+    split = (ef.file, ef.stochastic_fraction, ef.n, rounds, ef.seed)
+    if split not in sources:
+        sources[split] = ingest.split_stoch_adv(sources[ef.file], *split[1:])
+    return sources[split]
 
 
-def _data_key(ef: ExperimentFile) -> tuple:
-    """What a run's data stream depends on; runs with equal keys read
-    identical samples."""
-    if ef.file is None:
-        return (ef.dim, ef.beta, ef.n, ef.seed)
-    return (ef.file, ef.stochastic_fraction, ef.n, ef.T, ef.seed)
-
-
-class _SweepData:
-    """The data sources of one sweep call, one per data key, each built by
-    the first cell that reads it and handed to every later one. A synthetic
-    stream is a `SharedStream`, so its block is generated once however many
-    cells read it; a file's node streams are split once per key, from one
-    parse of the file."""
-
-    def __init__(self):
-        self.sources = {}
-        self.datasets = {}
-
-    def source(self, ef: ExperimentFile):
-        key = _data_key(ef)
-        if key not in self.sources:
-            data = build_data(ef, ef.T, self.datasets)
-            self.sources[key] = SharedStream(data) if ef.file is None else data
-        return self.sources[key]
-
-
-def build_run(ef: ExperimentFile, sweep: _SweepData | None = None):
-    """Assemble (RunConfig, MixingMatrix) from a validated config. The
-    RunConfig resolves its step size when it is built, so every config
-    error surfaces here. A sweep cell takes its data source from `sweep`."""
+def build_run(ef: ExperimentFile, sources: dict):
+    """Assemble (RunConfig, MixingMatrix) from a validated config, with its
+    data source from `sources` (see `build_data`). The RunConfig resolves
+    its step size when it is built, so every config error surfaces here."""
     with _config_errors():
         mix = _mixing_matrix(ef)
         cfg = engine.RunConfig(
@@ -284,7 +263,7 @@ def build_run(ef: ExperimentFile, sweep: _SweepData | None = None):
             T=ef.T,
             eta=ef.eta,
             loss_spec=LossSpec(gamma=ef.gamma),
-            data=build_data(ef, ef.T) if sweep is None else sweep.source(ef),
+            data=build_data(ef, ef.T, sources),
             mixing=mix,
             bounds=ef.bounds,
             project_radius=ef.project_radius,
@@ -345,7 +324,7 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
     try:
         _check_threads(threads)
         ef = load_config(config_path)
-        cfg = build_run(ef)[0]
+        cfg = build_run(ef, {})[0]
         result = engine.run_experiment(cfg)
         summary = _summarize(result, cfg)
         out = Path(outdir)
@@ -368,7 +347,7 @@ def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
         avg = metrics.average_loss(result.avg_loss)
         final_ce = result.consensus_error[-1]
         features, labels = result.pooled_samples()
-        gamma = result.loss_spec.gamma
+        gamma = cfg.loss_spec.gamma
         comparator = metrics.offline_comparator(features, labels, gamma)
         regret = metrics.static_regret(result.cum_loss, features, labels, gamma, comparator)
         lines += [
@@ -392,12 +371,13 @@ def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_number(convert, text: str, value: str):
-    """convert(text), where text is all or part of the sweep value `value`."""
+def _sweep_value(section: str, key: str, text: str, value: str):
+    """text converted by the `_KEYS` converter of [section] key, where text
+    is all or part of the sweep value `value`."""
     try:
-        return convert(text)
-    except ValueError:
-        raise ConfigError(f"invalid sweep value {value!r}")
+        return _KEYS[section][key][1](text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid sweep value {value!r} ({exc})") from None
 
 
 def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
@@ -406,23 +386,21 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
         if ef.file is not None:
             raise ConfigError("beta sweep requires synthetic data")
         for value in values:
-            beta = _sweep_number(_finite, value, value)
+            beta = _sweep_value("data", "beta", value, value)
             for alg in (engine.DOG, engine.LOCAL_OGD):
                 yield f"beta_{value}_{alg}", value, alg, replace(ef, beta=beta, algorithm=alg)
     elif axis == "nodes":
         for value in values:
-            n = _sweep_number(int, value, value)
+            n = _sweep_value("network", "n", value, value)
             yield f"nodes_{value}", value, ef.algorithm, replace(ef, n=n)
     elif axis == "topology":
         for value in values:
             kind, _, p_raw = value.partition(":")
-            if kind not in topology.KINDS:
-                raise ConfigError(f"unknown topology {kind!r} in sweep values")
-            patched = replace(ef, kind=kind, algorithm=engine.DOG)
+            patched = replace(ef, kind=_sweep_value("network", "kind", kind, value), algorithm=engine.DOG)
             if p_raw:
                 if kind != topology.WATTS_STROGATZ:
                     raise ConfigError(f"topology {value!r} takes no ':p' suffix; only watts_strogatz reads p")
-                patched = replace(patched, p=_sweep_number(_finite, p_raw, value))
+                patched = replace(patched, p=_sweep_value("network", "p", p_raw, value))
             name = f"topology_{value.replace(':', '_p')}"
             yield name, value, engine.DOG, patched
     else:
@@ -432,17 +410,18 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
 def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) -> int:
     """Run one experiment per axis value; writes per-cell metrics and a summary.
 
-    Cells whose runs read the same samples share one data source, built
-    once: the DOG and Local OGD cells of each beta value, and every cell of
-    a topology sweep. The cells of a nodes sweep share nothing, since each
-    n is a different stream. Like `dogsim run`, a running cell holds all
-    its samples, one T·n·(dim+1)·8-byte block, which its data source reads
-    on the cell's first round. A shared synthetic stream keeps its block
-    until the last cell that reads it has run; every other block is freed
-    once its cell's CSV and summary row are written. A nodes sweep thus
-    holds at most one unshared block at a time. Each cell still runs on
-    its own, and its bytes are those of a standalone run. A value given
-    twice would write its cell twice, and is a config error.
+    Every cell is built before any runs, from one `build_data` memo, so
+    cells whose data sources are built from the same arguments share one
+    source: the DOG and Local OGD cells of each beta value, and every cell
+    of a topology sweep. A nodes sweep shares only its parsed data file,
+    since each n is its own stream. Like `dogsim run`, a running cell holds
+    all its samples, one T·n·(dim+1)·8-byte block, which its data source
+    reads on the cell's first round. Once built, only the cells hold their
+    sources, and each cell is dropped once its CSV and summary row are
+    written, so a shared block is freed after the last cell that reads it
+    and a nodes sweep holds one cell's block at a time. Each cell still
+    runs on its own, and its bytes are those of a standalone run. A value
+    given twice would write its cell twice, and is a config error.
 
     `threads` is validated and otherwise unused."""
     prefix = ""  # names the cell being built or run in a diagnostic
@@ -460,14 +439,14 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
         # Build every cell before running any, so a config error writes
         # nothing. A shared stream generates its block lazily, inside the
         # run of the first cell that reads it.
-        built, sweep = [], _SweepData()
+        built, sources = [], {}
         for name, value, alg, cell_ef in cells:
             prefix = f"sweep cell {name} "
-            built.append((name, value, alg, build_run(cell_ef, sweep=sweep)[0]))
+            built.append((name, value, alg, build_run(cell_ef, sources)[0]))
         # From here only the cells hold their data sources, and each cell
         # is dropped once it has run, so a shared stream is freed after the
         # last cell that reads it.
-        del sweep
+        del sources
         rows = []
         while built:
             name, value, alg, cfg = built.pop(0)
@@ -515,7 +494,7 @@ def cmd_data(config_path, count: int, output) -> int:
         if count < 0:
             raise ConfigError(f"count must be >= 0, got {count}")
         with _config_errors():
-            features, labels = build_data(ef, count).block(1, count + 1)
+            features, labels = build_data(ef, count, {}).block(1, count + 1)
         node_major = features.transpose(1, 0, 2).reshape(-1, features.shape[-1])
         _write_text(Path(output), ingest.serialize_libsvm(node_major, labels.T.reshape(-1)))
     except _REPORTED as exc:

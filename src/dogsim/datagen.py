@@ -20,8 +20,9 @@ Two paths produce the same bits:
                        TILE_SAMPLES samples each, which bounds its scratch
                        memory; a run asks for all of its rounds at once.
 
-``SharedStream`` hands the runs of a sweep that read one stream the same
-block, generated once and kept read-only.
+``SharedStream`` hands every run that reads one stream the same block,
+generated once and kept read-only; the CLI reads all synthetic data
+through one.
 
 Draw plan per sample, in order, all from 53-bit uniforms u = (raw >> 11) * 2^-53:
     u[0]            label: y = +1 if u[0] < 0.5 else -1
@@ -181,8 +182,8 @@ def synthetic_block(spec: SyntheticSpec, first: int, last: int) -> tuple:
 
 
 class SharedStream:
-    """A synthetic stream read by several runs, with the ``n``, ``dim`` and
-    ``block(first, last)`` of ``SyntheticSpec``.
+    """A synthetic stream that any number of runs read, with the ``n``,
+    ``dim`` and ``block(first, last)`` of ``SyntheticSpec``.
 
     Each block is generated on its first request and kept, read-only, for
     every later request of the same rounds, so runs of the same T generate

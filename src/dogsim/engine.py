@@ -10,9 +10,9 @@ model, metrics are recorded, and the models advance:
 Models are stacked as rows of an (n, d) array, so the gossip update is
 W @ X. A run reads all T rounds of samples in one ``block(1, T + 1)`` call
 on its data source, as (T, n, dim) features and (T, n) labels:
-``SyntheticSpec`` generates them, a ``SharedStream`` hands every run of a
-sweep the one block it generated, and ``NodeStreams`` fancy-indexes them
-out of its dataset. That block is the run's record of its samples, for
+``SyntheticSpec`` generates them, a ``SharedStream`` hands every run that
+reads it the one block it generated, and ``NodeStreams`` fancy-indexes
+them out of its dataset. That block is the run's record of its samples, for
 the comparator and the regret. Gradients are always evaluated at the
 round-start models, all nodes in one batched kernel call, and the
 per-round metrics come back as (T,) columns.

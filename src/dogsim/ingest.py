@@ -172,16 +172,14 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
     to its nearest centroid so far and folds in only the newest one, O(m*k*d)
     in all; those distances feed the sampling. Each Lloyd step takes its
     assignment from `_nearest`: one matrix product plus an exact check on
-    the rows it cannot certify. When no cluster is empty, the centroids are
-    per-column ``bincount`` sums over the cluster sizes: the same additions
-    in the same row order as ``members.mean(axis=0)``, so the same bits up to
-    the sign of a zero, which no distance sees. For d = 1 numpy's mean sums
-    pairwise, so d = 1 keeps the one-cluster-at-a-time loop, and so does a
-    step that empties a cluster: that cluster is re-seeded with the point
-    farthest from its own centroid, read after the clusters before it have
-    moved. Those point-to-own-centroid distances are built once, at the
-    step's first re-seed, and then refreshed only for the members of each
-    cluster moved since. Stops when assignments stabilize or max_iters is
+    the rows it cannot certify. Each non-empty cluster then moves to the
+    per-column ``bincount`` sums over its size: the same additions in the
+    same row order as ``members.mean(axis=0)``, so the same bits up to the
+    sign of a zero, which no distance sees. For d = 1 numpy's mean sums
+    pairwise, so d = 1 takes each cluster's mean. Each empty cluster c, in
+    ascending order, is re-seeded with the point farthest from its own
+    centroid, read after the clusters before c have moved and before the
+    others have. Stops when assignments stabilize or max_iters is
     reached.
     """
     pts = np.asarray(points, dtype=float)
@@ -215,22 +213,20 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
             break
         assign = new_assign
         counts = np.bincount(assign, minlength=k)
-        if d > 1 and counts.all():
-            sums = [np.bincount(assign, weights=col, minlength=k) for col in columns]
-            centroids = np.stack(sums, axis=1) / counts[:, None]
-            continue
-        dist_own = None
-        for c in range(k):
-            own = assign == c
-            members = pts[own]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-                if dist_own is not None:
-                    dist_own[own] = ((members - centroids[c]) ** 2).sum(axis=1)
-            else:
-                if dist_own is None:
-                    dist_own = ((pts - centroids[assign]) ** 2).sum(axis=1)
-                centroids[c] = pts[int(dist_own.argmax())]
+        filled = np.flatnonzero(counts)
+        moved = centroids.copy()
+        if d == 1:
+            for c in filled:
+                moved[c] = pts[assign == c].mean(axis=0)
+        else:
+            sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
+            moved[filled] = sums[filled] / counts[filled, None]
+        if len(filled) < k:
+            before = ((pts - centroids[assign]) ** 2).sum(axis=1)
+            after = ((pts - moved[assign]) ** 2).sum(axis=1)
+            for c in np.flatnonzero(counts == 0):
+                moved[c] = pts[int(np.where(assign < c, after, before).argmax())]
+        centroids = moved
     return assign.tolist()
 
 

@@ -1,10 +1,15 @@
+import itertools
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dogsim import cli
+from dogsim import cli, engine, topology
+from dogsim.datagen import SyntheticSpec, synthetic_block
 from dogsim.errors import ConfigError
 from dogsim.ingest import parse_libsvm, serialize_libsvm
 
@@ -758,6 +763,73 @@ def test_file_data_nodes_sweep_splits_once_per_cell(tmp_path, monkeypatch):
     clusterings = _count_calls(monkeypatch, ingest, "kmeans")
     assert _file_sweep(tmp_path, monkeypatch) == 0
     assert len(clusterings) == len(_SWEEP_NODES)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    # few values each, so that cells often build equal specs
+    st.sampled_from((1, 3)),  # dim
+    st.sampled_from((0.25, 1.0)),  # beta
+    st.sampled_from((2, 3)),  # n
+    st.sampled_from((0, 7)),  # seed
+    st.sampled_from((0, 1, 4)),  # T
+    st.sampled_from(engine.ALGORITHMS),
+    st.sampled_from(topology.KINDS),
+    st.floats(1e-3, 10.0),  # eta
+), min_size=1, max_size=6))
+def test_synthetic_sources_are_shared_iff_their_specs_are_equal(cells):
+    base = cli.parse_config(BASE_CONFIG)
+    sources, built = {}, []
+    for dim, beta, n, seed, T, alg, kind, eta in cells:
+        ef = replace(base, dim=dim, beta=beta, n=n, seed=seed, T=T, algorithm=alg, kind=kind, eta=eta)
+        data = cli.build_data(ef, T, sources)
+        spec = SyntheticSpec(dim=dim, beta=beta, n=n, seed=seed)
+        features, labels = data.block(1, T + 1)
+        expected = synthetic_block(spec, 1, T + 1)
+        assert _same_bits(features, expected[0]) and _same_bits(labels, expected[1])
+        assert not features.flags.writeable and not labels.flags.writeable
+        built.append((spec, data))
+    for spec_a, a in built:
+        for spec_b, b in built:
+            assert (a is b) == (spec_a == spec_b)
+
+
+def test_file_sources_parse_once_per_path_and_split_once_per_argument_list(tmp_path, monkeypatch):
+    from dogsim import ingest
+
+    parses = _count_calls(monkeypatch, ingest, "parse_libsvm")
+    paths = [str(tmp_path / name) for name in ("a.libsvm", "b.libsvm")]
+    for path in paths:
+        Path(path).write_text(_pinned_libsvm_text())
+    base = cli.parse_config(FILE_CONFIG)
+    sources, built = {}, []
+    for file, fraction, n, rounds, seed, kind in itertools.product(
+        paths, (0.5, 1.0), (2, 3), (10, 20), (11, 12), ("ring", "complete")
+    ):
+        ef = replace(base, file=file, stochastic_fraction=fraction, n=n, seed=seed, kind=kind)
+        built.append(((file, fraction, n, rounds, seed), cli.build_data(ef, rounds, sources)))
+    assert len(parses) == len(paths)
+    for split_a, a in built:
+        for split_b, b in built:
+            assert (a is b) == (split_a == split_b)
+
+
+@pytest.mark.parametrize("axis, values, bad, reason", [
+    ("nodes", "3,0", "0", "must be >= 1"),
+    ("beta", "0.3,1.5", "1.5", "must be in [0, 1]"),
+    ("topology", "ring,watts_strogatz:2", "watts_strogatz:2", "must be in [0, 1]"),
+    ("topology", "ring,star", "star", "expected one of " + ", ".join(topology.KINDS)),
+])
+def test_sweep_value_is_checked_by_the_converter_of_its_key(tmp_path, capsys, axis, values, bad, reason):
+    cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), str(out), "--axis", axis, "--values", values]) == 1
+    assert capsys.readouterr().err == f"config error: invalid sweep value {bad!r} ({reason})\n"
+    assert not out.exists()
 
 
 RUN_CONFIG = """\
