@@ -19,7 +19,7 @@ from .metrics import (
     static_regret,
 )
 from .mixing import MixingMatrix, build_mixing, spectral_gap, verify_doubly_stochastic
-from .topology import Graph, build_topology, is_connected
+from .topology import Graph, build_topology
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "build_topology",
     "consensus_error",
     "estimate_gradient_bounds",
-    "is_connected",
     "kmeans",
     "normalize",
     "offline_comparator",

@@ -56,8 +56,8 @@ class Bounds:
 
     def __post_init__(self):
         for name in ("G", "sigma", "R", "M"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class RunConfig:
         if isinstance(self.eta, str):
             if self.eta != AUTO:
                 raise ValueError(f"eta must be a positive number or 'auto', got {self.eta!r}")
-        elif self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        elif not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.algorithm == DOG and self.mixing is None:
             raise ValueError("dog requires a mixing matrix")
         if self.mixing is not None and self.mixing.n != self.n:
@@ -110,8 +110,8 @@ class RunConfig:
             raise ValueError("eta='auto' requires bounds (G, sigma, R, M)")
         if self.eta == AUTO and self.mixing is None:
             raise ValueError("eta='auto' requires a mixing matrix for rho")
-        if self.project_radius is not None and self.project_radius <= 0:
-            raise ValueError("project_radius must be positive")
+        if self.project_radius is not None and not 0 < self.project_radius < math.inf:
+            raise ValueError(f"project_radius must be finite and > 0, got {self.project_radius}")
         resolve_eta(self)
 
     @property

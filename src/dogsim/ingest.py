@@ -69,6 +69,8 @@ class NodeStreams:
     def block(self, first: int, last: int) -> tuple:
         """Samples of every node for rounds first..last-1 (1-based), as
         (features (k, n, dim), labels (k, n)), k = last - first."""
+        if not 1 <= first <= last <= self.rounds + 1:
+            raise ValueError(f"block({first}, {last}) needs 1 <= first <= last <= {self.rounds + 1}")
         rows = self.index[:, first - 1 : last - 1].T
         return self.dataset.features[rows], self.dataset.labels[rows]
 
@@ -161,9 +163,11 @@ _TINY = 2.0**-1074
 _NORM_LIMIT = 2.0**1020
 #: Elements per (rows, k, d) block of the exact path: 0.5 MB of float64.
 _EXACT_BLOCK = 1 << 16
+#: Lloyd's steps stop here if the assignments have not stabilized.
+_MAX_LLOYD_STEPS = 100
 
 
-def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
+def kmeans(points, k: int, seed: int = 0) -> list:
     """Lloyd's algorithm with k-means++ seeding; returns cluster ids.
 
     Every assignment, in seeding and in Lloyd's steps, is the one the exact
@@ -179,8 +183,8 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
     pairwise, so d = 1 takes each cluster's mean. Each empty cluster c, in
     ascending order, is re-seeded with the point farthest from its own
     centroid, read after the clusters before c have moved and before the
-    others have. Stops when assignments stabilize or max_iters is
-    reached.
+    others have. Stops when assignments stabilize or after
+    `_MAX_LLOYD_STEPS` steps.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
@@ -207,7 +211,7 @@ def kmeans(points, k: int, max_iters: int = 100, seed: int = 0) -> list:
         pp = (pts * pts).sum(axis=1)
     columns = np.ascontiguousarray(pts.T)
     assign = np.full(m, -1, dtype=np.intp)
-    for _ in range(max_iters):
+    for _ in range(_MAX_LLOYD_STEPS):
         new_assign = _nearest(pts, pp, centroids)
         if np.array_equal(new_assign, assign):
             break

@@ -15,6 +15,7 @@ produce bitwise identical numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +26,14 @@ from .errors import EmptyDataset
 @dataclass(frozen=True)
 class LossSpec:
     """The online loss: the logistic loss plus (gamma / 2) ||x||^2, with
-    gamma >= 0. The offline comparator and the smoothness bound read the
-    same gamma."""
+    finite gamma >= 0. The offline comparator and the smoothness bound
+    read the same gamma."""
 
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 def softplus_sigmoid(z: np.ndarray) -> tuple:

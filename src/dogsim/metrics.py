@@ -9,8 +9,9 @@ comparator sequences of path length at most M, on nine keyword constants:
 n, T and rho from the run's config, eta from its result, G, sigma and L
 measured on the run, R and M from the config's bounds. No dynamic
 comparator is computed: the summary sets the bound beside the static
-regret, whose fixed comparator has path length 0, so the bound holds
-there for any M >= 0.
+regret, whose fixed comparator x* has path length 0. It bounds that
+regret only when the bounds' R >= ||x*||^2, which nothing checks: on the
+desk config at beta = 0.3, ||x*||^2 is 8.9 against R = 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .errors import (
 from .losses import softplus_sigmoid
 
 CSV_HEADER = "t,avg_loss,consensus_error,cum_loss"
+
+#: Damped Newton steps the comparator may take before it gives up.
+_MAX_NEWTON_STEPS = 100
 
 
 def fmt17(x: float) -> str:
@@ -88,9 +92,7 @@ def _separable(features: np.ndarray, labels: np.ndarray) -> bool:
     return res.status == 0
 
 
-def offline_comparator(
-    features, labels, gamma: float, grad_tol: float = 1e-8, max_iters: int = 100
-) -> np.ndarray:
+def offline_comparator(features, labels, gamma: float, grad_tol: float = 1e-8) -> np.ndarray:
     """Best fixed model in hindsight over N pooled samples.
 
     Minimizes F(x) = sum_e softplus(-y_e a_e.x) + (gamma_total / 2) ||x||^2,
@@ -106,7 +108,7 @@ def offline_comparator(
 
     Raises:
         NonConvergence: separable data with gamma = 0, a stalled line search
-            or max_iters reached; carries the gradient norm.
+            or `_MAX_NEWTON_STEPS` steps taken; carries the gradient norm.
     """
     features, labels = _pooled_arrays(features, labels)
     gamma_total = gamma * labels.size
@@ -116,7 +118,7 @@ def offline_comparator(
     if gamma_total == 0.0 and _separable(features, labels):
         raise NonConvergence("separable data: no finite comparator", float(np.linalg.norm(grad)))
     slack = 16.0 * np.finfo(float).eps
-    for _ in range(max_iters):
+    for _ in range(_MAX_NEWTON_STEPS):
         norm = float(np.linalg.norm(grad))
         if norm <= grad_tol:
             return x
@@ -181,7 +183,7 @@ def regret_bound(*, n: int, T: int, eta: float, G: float, sigma: float, L: float
     (n nodes, T rounds, step eta, gradient bound G, noise sigma, smoothness
     L, mixing rate rho < 1) against comparator sequences of path length at
     most M (R bounds the comparators' squared norm); it also bounds static
-    regret, for any M >= 0.
+    regret against a fixed x* with ||x*||^2 <= R, for any M >= 0.
 
     With c0 = 2L(G^2+s^2)/(1-rho)^2, c1 = 4L^2(G^2+s^2)/(1-rho)^2 and
     c2 = 2 + 1/(1-rho):

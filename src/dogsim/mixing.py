@@ -5,9 +5,9 @@ closed-form constructions keep W symmetric.
 
 The contraction rate of gossip averaging is rho = ||W - 11^T/n||_2, for a
 symmetric W the largest eigenvalue magnitude of W - 11^T/n; the smaller
-rho, the faster disagreement between nodes dies out. rho = 1
-(disconnected graph) is allowed at construction time and flagged by the
-engine instead.
+rho, the faster disagreement between nodes dies out. Every W built here
+has a positive diagonal, so rho < 1 exactly on a connected graph (Xiao &
+Boyd, 2004); on a disconnected one `build_mixing` stores rho = 1 exactly.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ class MixingMatrix:
 
     @property
     def contracts(self) -> bool:
-        """Whether gossip contracts disagreement: rho < 1 beyond rounding.
-        The identity W of an edgeless graph has rho = 1 up to rounding."""
-        return self.rho < 1.0 - 1e-12
+        """Whether gossip contracts disagreement: the graph is connected."""
+        return self.rho < 1.0
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,9 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     uniform:    W_ij = 1/n on edges, W_ii = 1 - N_i/n.
     max_degree: W_ij = 1/(N_max + 1) on edges, W_ii = 1 - N_i/(N_max + 1).
 
-    Both are symmetric and well defined for any simple graph; an edgeless
-    graph yields the identity (rho = 1).
+    Both are symmetric with a positive diagonal; an edgeless graph yields
+    the identity. A rho within 1e-12 of 1, where rounding leaves that of a
+    disconnected graph, is stored as exactly 1.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown mixing scheme {scheme!r}")
@@ -76,7 +76,8 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     w[i, j] = off
     w[j, i] = off
     np.fill_diagonal(w, 1.0 - deg * off)
-    return MixingMatrix(w, spectral_gap(w))
+    rho = spectral_gap(w)
+    return MixingMatrix(w, 1.0 if rho > 1.0 - 1e-12 else rho)
 
 
 def spectral_gap(w: np.ndarray) -> float:

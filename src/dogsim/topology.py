@@ -167,13 +167,3 @@ def _watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
                 break
     return Graph(n, list(edges))
 
-
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has a single connected component (n == 1 counts)."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    i, j = g.edges.T
-    adjacency = coo_matrix((np.ones(len(i)), (i, j)), shape=(g.n, g.n))
-    count, _ = connected_components(adjacency, directed=False)
-    return count == 1

@@ -117,11 +117,16 @@ def test_nonpositive_threads_is_config_error(tmp_path, capsys, command, threads)
 
 _AUTO = BASE_CONFIG.replace("eta = 0.2", "eta = auto")
 _DEGENERATE_AUTO_ETA = {
-    # the identity W has rho = 1 up to rounding; the step size needs rho < 1
+    # the identity W has rho = 1; the step size needs rho < 1
     "disconnected": _AUTO.replace("kind = ring", "kind = disconnected")
     + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n",
     # the step size divides by n T G^2 + T sigma^2
     "zero_gradient_bounds": _AUTO + "\n[bounds]\nG = 0\nsigma = 0\nR = 1\nM = 0\n",
+    # random_k with n=4, k=1, seed 0 has two components; the eigensolve's
+    # rho there is 2 ulps below 1, which build_mixing stores as exactly 1
+    "split_random_k": _AUTO.replace("kind = ring", "kind = random_k\nk = 1")
+    .replace("n = 6", "n = 4").replace("seed = 42", "seed = 0")
+    + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n",
 }
 
 
@@ -143,6 +148,15 @@ def test_auto_eta_on_a_disconnected_graph_is_config_error_at_any_size(tmp_path, 
     assert cli.main(["run", str(_write(tmp_path, text)), str(out)]) == 1
     assert "rho < 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rho = 1
+def test_fixed_eta_on_a_split_random_k_graph_reports_no_bound(tmp_path):
+    text = _DEGENERATE_AUTO_ETA["split_random_k"].replace("eta = auto", "eta = 0.2")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(_write(tmp_path, text)), str(out)]) == 0
+    assert "regret_bound=unavailable (rho >= 1)\n" in (out / "summary.txt").read_text()
+    assert "rho = 1\n" in (out / "resolved.cfg").read_text()
 
 
 def test_resolved_config_roundtrips(tmp_path):
@@ -300,7 +314,7 @@ PINNED_TOPOLOGY_DIGESTS = {
     "topology_complete/metrics.csv": "eb07cce216c3c040505e2bb72b0955004c128a5de52c550ad033013b0fffc21f",
     "topology_complete/resolved.cfg": "d31b38a8876b8d103028797214d266ddeecc3aec2d4b061a90e63501f0c6cdde",
     "topology_disconnected/metrics.csv": "ebe81867d9a833dcfef4488ced407dea5a7616f8bc5df7bdc30368086cfec813",
-    "topology_disconnected/resolved.cfg": "0fb005a26e924c3fc25e9d42cd076f875edff1df260b2c4f1b57d7778e67ec22",
+    "topology_disconnected/resolved.cfg": "da1499354b8a533b6754ca101c14a2dfc364f9ffe5a19991e92211fe1bcf64a8",
     "topology_random_k/metrics.csv": "dcdbc45e368395c6500e964d30379d939a21615e2eb3439fbccf0ac8b164ed42",
     "topology_random_k/resolved.cfg": "11fb654a42084da766cd6c694278bcd9ed9716b27ea3b92033a0e01f4968083c",
     "topology_ring/metrics.csv": "9410c7c10619c52885e03dad37d682c4a21450dff59f569ec3d8c98acdb3b6c4",

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -374,6 +375,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(algorithm="dog", T=5, eta="auto", loss_spec=GAMMA,
                   data=data, mixing=_mix("ring", 6))  # bounds missing
+
+
+_FINITE_BOUNDS = {"G": 2.0, "sigma": 1.0, "R": 1.0, "M": 0.0}
+_NON_FINITE_FIELDS = {
+    "eta": lambda v: _synthetic_cfg(DOG, eta=v),
+    "project_radius": lambda v: _synthetic_cfg(DOG, project_radius=v),
+    "gamma": lambda v: LossSpec(gamma=v),
+    **{f"bounds.{name}": (lambda v, name=name: Bounds(**{**_FINITE_BOUNDS, name: v}))
+       for name in _FINITE_BOUNDS},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_FIELDS))
+def test_constructors_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        _NON_FINITE_FIELDS[field](value)
 
 
 def test_auto_eta_resolves_in_run():

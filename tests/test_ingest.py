@@ -427,3 +427,12 @@ def test_split_matches_per_sample_reference():
                 k += 1
         assert streams.index[i].tolist() == [merged[t % len(merged)] for t in range(rounds)]
 
+
+@pytest.mark.parametrize("first, last", [(0, 3), (1, 8), (1, 5), (3, 2), (5, 5)])
+def test_node_stream_block_rejects_rounds_outside_the_streams(first, last):
+    # 3-round streams: as with synthetic_block, 1 <= first <= last <= rounds + 1
+    streams = split_stoch_adv(_toy_dataset(12), 1.0, n=2, rounds=3, seed=0)
+    with pytest.raises(ValueError):
+        streams.block(first, last)
+    assert streams.block(1, 4)[1].shape == (3, 2)
+    assert streams.block(4, 4)[1].shape == (0, 2)

@@ -133,11 +133,11 @@ def test_spectral_gap_matches_svd_reference(kind, scheme, n, data):
 
 @pytest.mark.parametrize("scheme", [UNIFORM, MAX_DEGREE])
 def test_disconnected_never_contracts(scheme):
-    # I - 11^T/n has eigenvalue 1 with multiplicity n - 1: rounding must not
-    # pull rho below 1, or eta = auto would get a value on a disconnected graph.
+    # I - 11^T/n has eigenvalue 1 with multiplicity n - 1, and rho is stored
+    # as exactly 1 on any disconnected graph, so eta = auto never gets a value.
     for n in range(2, 301):
         m = build_mixing(build_topology("disconnected", n), scheme)
-        assert m.rho >= 1.0 and not m.contracts, n
+        assert m.rho == 1.0 and not m.contracts, n
 
 
 def test_power_iteration_matches_dense_eigensolve():

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dogsim.datagen import SyntheticSpec
+from dogsim.engine import Bounds, RunConfig
+from dogsim.errors import DegenerateParameters
+from dogsim.losses import LossSpec
+from dogsim.metrics import regret_bound
 from dogsim.mixing import SCHEMES, UNIFORM, build_mixing, spectral_gap
 from dogsim.topology import (
     KINDS,
     Graph,
     build_topology,
-    is_connected,
 )
 
 
@@ -71,11 +75,13 @@ def test_random_k_degree_at_least_k():
 
 
 def test_is_connected():
-    assert is_connected(build_topology("ring", 4))
-    assert not is_connected(build_topology("disconnected", 3))
-    assert is_connected(build_topology("disconnected", 1))
-    two_components = Graph(4, [(0, 1), (2, 3)])
-    assert not is_connected(two_components)
+    # Gossip contracts exactly on connected graphs, under either scheme.
+    for scheme in SCHEMES:
+        assert build_mixing(build_topology("ring", 4), scheme).contracts
+        assert not build_mixing(build_topology("disconnected", 3), scheme).contracts
+        assert build_mixing(build_topology("disconnected", 1), scheme).contracts
+        two_components = Graph(4, [(0, 1), (2, 3)])
+        assert not build_mixing(two_components, scheme).contracts
 
 
 def test_rejects_bad_parameters():
@@ -223,11 +229,11 @@ def test_generators_equal_the_frozenset_reference(args):
     assert np.array_equal(g.edges, expected)
     degrees = [sum(i in e for e in reference) for i in range(n)]
     assert g.degrees().tolist() == degrees
-    assert is_connected(g) == _reference_is_connected(n, reference)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_topology_args(), st.sampled_from(SCHEMES))
+@example(("random_k", 4, 0, 1, 0.0), "max_degree")  # two components; eigensolve rho = 1 - 2 ulp
 def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
     kind, n, seed, k, p = args
     reference = _reference_build_topology(kind, n, seed=seed, k=k, p=p)
@@ -240,4 +246,23 @@ def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
         expected[i, i] = 1.0 - deg[i] * off
     m = build_mixing(build_topology(kind, n, seed=seed, k=k, p=p), scheme)
     assert m.entries.tobytes() == expected.tobytes()
-    assert m.rho == spectral_gap(expected)
+    # rho is the eigensolve's on a connected graph and exactly 1 otherwise,
+    # so auto eta and the regret bound have a value exactly when it contracts.
+    connected = _reference_is_connected(n, reference)
+    assert m.contracts == connected
+    assert m.rho == (spectral_gap(expected) if connected else 1.0)
+
+    def auto_config():
+        return RunConfig(algorithm="dog", T=10, eta="auto", loss_spec=LossSpec(),
+                         data=SyntheticSpec(dim=2, beta=0.5, n=n, seed=0), mixing=m,
+                         bounds=Bounds(G=1.0, sigma=1.0, R=1.0, M=0.0))
+
+    def bound():
+        return regret_bound(n=n, T=10, eta=0.1, G=1.0, sigma=1.0, L=1.0, rho=m.rho, R=1.0, M=0.0)
+
+    if connected:
+        assert auto_config().eta == "auto" and bound() > 0
+    else:
+        for build in (auto_config, bound):
+            with pytest.raises(DegenerateParameters):
+                build()
