@@ -6,7 +6,7 @@ online objective, synthetic and LIBSVM data streams, per-round metrics,
 and closed-form regret/consensus bound checks.
 """
 
-from .datagen import SyntheticSpec, synthetic_block, synthetic_sample
+from .datagen import SyntheticSpec, SyntheticStream, synthetic_block, synthetic_sample
 from .engine import Bounds, RunConfig, RunResult, auto_learning_rate, run_experiment
 from .ingest import Dataset, NodeStreams, kmeans, normalize, parse_libsvm, split_stoch_adv
 from .losses import LossSpec, smoothness_bound
@@ -33,6 +33,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "SyntheticSpec",
+    "SyntheticStream",
     "auto_learning_rate",
     "average_loss",
     "build_mixing",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import engine, ingest, metrics, mixing, topology
-from .datagen import SharedStream, SyntheticSpec
+from .datagen import SyntheticSpec, SyntheticStream
 from .errors import (
     ConfigError,
     DegenerateParameters,
@@ -110,8 +110,7 @@ class ExperimentFile:
     """Fully validated experiment description; None marks a key not given.
 
     Synthetic data sets `beta` and `dim`, file data `file` and
-    `stochastic_fraction`. `rho` is what a resolved.cfg read back reports;
-    runs recompute it."""
+    `stochastic_fraction`."""
 
     kind: str
     n: int
@@ -129,7 +128,6 @@ class ExperimentFile:
     file: str | None
     stochastic_fraction: float | None
     bounds: engine.Bounds | None
-    rho: float | None = None
 
 
 def _parse_ini(text: str) -> dict:
@@ -199,6 +197,8 @@ def parse_config(text: str) -> ExperimentFile:
     if needed not in data:
         raise ConfigError(f"missing required key {needed!r} in [data]", header)
 
+    # A resolved.cfg's rho is checked as finite and dropped: runs recompute it.
+    values.pop("rho", None)
     bounds = None
     if "bounds" in sections:
         try:
@@ -235,14 +235,14 @@ def build_data(ef: ExperimentFile, rounds: int, sources: dict):
     hand out samples through ``block(first, last)``.
 
     `sources` memoizes every source under what it is built from, so calls
-    that would build equal sources share one. A synthetic stream is keyed
-    by its `SyntheticSpec` and held as a `SharedStream`, which generates a
-    block once for every run that reads it. A file is parsed and normalized
-    once per path, and split once per argument list of `split_stoch_adv`."""
+    that would build equal sources share one. A `SyntheticStream` is keyed
+    by its `SyntheticSpec`, and generates its block once for every run that
+    reads it. A file is parsed and normalized once per path, and split once
+    per argument list of `split_stoch_adv`."""
     if ef.file is None:
         spec = SyntheticSpec(dim=ef.dim, beta=ef.beta, n=ef.n, seed=ef.seed)
         if spec not in sources:
-            sources[spec] = SharedStream(spec)
+            sources[spec] = SyntheticStream(spec)
         return sources[spec]
     if ef.file not in sources:
         sources[ef.file] = ingest.normalize(ingest.parse_libsvm(Path(ef.file).read_text()))
@@ -317,6 +317,16 @@ def _report(exc: Exception, prefix: str = "") -> int:
     return code
 
 
+_RHO_WARNING = "warning: rho >= 1, gossip cannot contract disagreement"
+
+
+def _warn_rho(cfg: engine.RunConfig, prefix: str = ""):
+    """Print the rho warning to stderr for a dog run whose gossip does not
+    contract; COG and Local OGD runs do not gossip."""
+    if cfg.algorithm == engine.DOG and not cfg.mixing.contracts:
+        print(f"{prefix}{_RHO_WARNING}", file=sys.stderr)
+
+
 def cmd_run(config_path, outdir, threads: int = 1) -> int:
     """Run one experiment; writes metrics.csv, resolved.cfg, summary.txt.
 
@@ -325,12 +335,13 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
         _check_threads(threads)
         ef = load_config(config_path)
         cfg = build_run(ef, {})[0]
+        _warn_rho(cfg)
         result = engine.run_experiment(cfg)
         summary = _summarize(result, cfg)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "metrics.csv", _metrics_csv(result))
-        _write_text(out / "resolved.cfg", render_resolved(ef, result.eta, cfg.mixing.rho))
+        _write_text(out / "resolved.cfg", render_resolved(ef, cfg.eta, cfg.mixing.rho))
         _write_text(out / "summary.txt", summary)
     except _REPORTED as exc:
         return _report(exc)
@@ -360,7 +371,7 @@ def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
             lipschitz = smoothness_bound(features, gamma)
             try:
                 bound = metrics.regret_bound(
-                    n=cfg.n, T=cfg.T, eta=result.eta, G=g_hat, sigma=sigma_hat,
+                    n=cfg.n, T=cfg.T, eta=cfg.eta, G=g_hat, sigma=sigma_hat,
                     L=lipschitz, rho=cfg.mixing.rho, R=cfg.bounds.R, M=cfg.bounds.M,
                 )
                 lines.append(f"regret_bound={fmt17(bound)}")
@@ -451,6 +462,7 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
         while built:
             name, value, alg, cfg = built.pop(0)
             prefix = f"sweep cell {name} "
+            _warn_rho(cfg, prefix)
             result = engine.run_experiment(cfg)
             cell_dir = Path(outdir) / name
             cell_dir.mkdir(parents=True, exist_ok=True)
@@ -483,7 +495,7 @@ def cmd_matrix(config_path) -> int:
     except _REPORTED as exc:
         return _report(exc)
     if not mix.contracts:
-        print("warning: rho >= 1, gossip cannot contract disagreement", file=sys.stderr)
+        print(_RHO_WARNING, file=sys.stderr)
     return 0
 
 

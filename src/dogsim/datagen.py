@@ -20,9 +20,10 @@ Two paths produce the same bits:
                        TILE_SAMPLES samples each, which bounds its scratch
                        memory; a run asks for all of its rounds at once.
 
-``SharedStream`` hands every run that reads one stream the same block,
-generated once and kept read-only; the CLI reads all synthetic data
-through one.
+``SyntheticStream`` serves a spec's samples to the round loop: it keeps the
+last block it generated, read-only, for every later request of the same
+rounds. A spec describes a stream and is the key under which runs share
+one.
 
 Draw plan per sample, in order, all from 53-bit uniforms u = (raw >> 11) * 2^-53:
     u[0]            label: y = +1 if u[0] < 0.5 else -1
@@ -81,10 +82,6 @@ class SyntheticSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-
-    def block(self, first: int, last: int) -> tuple:
-        """Samples of every node for rounds first..last-1; see ``synthetic_block``."""
-        return synthetic_block(self, first, last)
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -181,19 +178,21 @@ def synthetic_block(spec: SyntheticSpec, first: int, last: int) -> tuple:
     return features, labels
 
 
-class SharedStream:
-    """A synthetic stream that any number of runs read, with the ``n``,
-    ``dim`` and ``block(first, last)`` of ``SyntheticSpec``.
+class SyntheticStream:
+    """The samples of one spec's stream, with ``n``, ``dim`` and
+    ``block(first, last)`` like ``NodeStreams``.
 
-    Each block is generated on its first request and kept, read-only, for
-    every later request of the same rounds, so runs of the same T generate
-    their one block once. It holds that block, T·n·(dim+1)·8 bytes, until
-    it is dropped.
+    A block is generated on its first request and kept, read-only, for
+    every later request of the same rounds; only the last range requested
+    is kept. Every run of a stream asks for the same ``(1, T + 1)``, so runs
+    that share a stream generate their block once. It holds that block,
+    T·n·(dim+1)·8 bytes, until it is dropped.
     """
 
     def __init__(self, spec: SyntheticSpec):
         self.spec = spec
-        self._blocks = {}
+        self._range = None
+        self._block = None
 
     @property
     def n(self) -> int:
@@ -205,22 +204,14 @@ class SharedStream:
 
     def block(self, first: int, last: int) -> tuple:
         """``synthetic_block(spec, first, last)``, as read-only arrays."""
-        key = (first, last)
-        if key not in self._blocks:
+        if self._range != (first, last):
             features, labels = synthetic_block(self.spec, first, last)
             features.setflags(write=False)
             labels.setflags(write=False)
-            self._blocks[key] = features, labels
-        return self._blocks[key]
-
-
-class SyntheticStream:
-    """One-round view of ``synthetic_block`` for callers that step by round."""
-
-    def __init__(self, spec: SyntheticSpec):
-        self.spec = spec
+            self._range, self._block = (first, last), (features, labels)
+        return self._block
 
     def round_batch(self, round: int) -> tuple:
         """All nodes' samples for one round: (features (n, dim), labels (n,))."""
-        features, labels = synthetic_block(self.spec, round, round + 1)
+        features, labels = self.block(round, round + 1)
         return features[0], labels[0]

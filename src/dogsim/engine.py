@@ -9,29 +9,27 @@ model, metrics are recorded, and the models advance:
 
 Models are stacked as rows of an (n, d) array, so the gossip update is
 W @ X. A run reads all T rounds of samples in one ``block(1, T + 1)`` call
-on its data source, as (T, n, dim) features and (T, n) labels:
-``SyntheticSpec`` generates them, a ``SharedStream`` hands every run that
-reads it the one block it generated, and ``NodeStreams`` fancy-indexes
-them out of its dataset. That block is the run's record of its samples, for
-the comparator and the regret. Gradients are always evaluated at the
-round-start models, all nodes in one batched kernel call, and the
-per-round metrics come back as (T,) columns.
+on its data source, as (T, n, dim) features and (T, n) labels: a
+``SyntheticStream`` generates them once for every run that reads it, and
+``NodeStreams`` fancy-indexes them out of its dataset. That block is the
+run's record of its samples, for the comparator and the regret. Gradients
+are always evaluated at the round-start models, all nodes in one batched
+kernel call, and the per-round metrics come back as (T,) columns.
 
 A ``RunConfig`` holds each run fact once: n, dim and the seed belong to its
 data source, rho to its mixing matrix. It resolves its step size when it
-is built, and the ``RunResult`` reports the one used as ``eta``.
+is built and holds the one the run uses as ``eta``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .datagen import SharedStream, SyntheticSpec
+from .datagen import SyntheticStream
 from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected
 from .ingest import NodeStreams
 from .losses import LossSpec, batch_loss_and_gradient
@@ -66,9 +64,10 @@ class RunConfig:
 
     `algorithm` is dog, cog or local_ogd, and T >= 0 the number of rounds.
     `eta` is a positive step size, or 'auto' for `auto_learning_rate` on
-    `bounds` (G, sigma, R, M) and the rho of `mixing`. `data` is the sample
-    source; it fixes the node count `n`, the dimension `dim` and the seed,
-    and node streams must cover T rounds. `mixing` is the n x n gossip
+    `bounds` (G, sigma, R, M) and the rho of `mixing`; once built, it holds
+    the float the run uses. `data` is the sample source, a SyntheticStream
+    or NodeStreams; it fixes the node count `n`, the dimension `dim` and the
+    seed, and node streams must cover T rounds. `mixing` is the n x n gossip
     matrix, required by dog and by eta='auto'. `project_radius`, if set,
     projects each model row onto that ball after every step. Every field
     is checked at construction, eta included: eta='auto' without a value
@@ -79,12 +78,16 @@ class RunConfig:
     T: int
     eta: Union[float, str]
     loss_spec: LossSpec
-    data: Union[SyntheticSpec, SharedStream, NodeStreams]
+    data: Union[SyntheticStream, NodeStreams]
     mixing: MixingMatrix | None = None
     bounds: Bounds | None = None
     project_radius: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.data, (SyntheticStream, NodeStreams)):
+            raise TypeError(
+                f"data must be a SyntheticStream or NodeStreams, got {type(self.data).__name__}"
+            )
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.n < 1:
@@ -106,13 +109,18 @@ class RunConfig:
             raise DimensionMismatch(
                 f"node streams provide {self.data.rounds} rounds, config T={self.T}"
             )
-        if self.eta == AUTO and self.bounds is None:
-            raise ValueError("eta='auto' requires bounds (G, sigma, R, M)")
-        if self.eta == AUTO and self.mixing is None:
-            raise ValueError("eta='auto' requires a mixing matrix for rho")
         if self.project_radius is not None and not 0 < self.project_radius < math.inf:
             raise ValueError(f"project_radius must be finite and > 0, got {self.project_radius}")
-        resolve_eta(self)
+        if self.eta == AUTO:
+            if self.bounds is None:
+                raise ValueError("eta='auto' requires bounds (G, sigma, R, M)")
+            if self.mixing is None:
+                raise ValueError("eta='auto' requires a mixing matrix for rho")
+            b = self.bounds
+            eta = auto_learning_rate(self.n, self.T, b.G, b.sigma, b.R, b.M, self.mixing.rho)
+        else:
+            eta = float(self.eta)
+        object.__setattr__(self, "eta", eta)
 
     @property
     def n(self) -> int:
@@ -132,7 +140,6 @@ class RunResult:
     consensus_error: np.ndarray  # (T,) 0 for cog
     cum_loss: np.ndarray  # (T,) running total loss over nodes and rounds
     final_models: np.ndarray  # (n, d); (1, d) for cog
-    eta: float  # the step size the run used
     grad_norms: np.ndarray  # (T, n)
     loss_spec: LossSpec
     sample_features: np.ndarray  # (T, n, d)
@@ -168,19 +175,6 @@ def auto_learning_rate(
     return math.sqrt((1.0 - rho) * (n * M * math.sqrt(R) + n * R) / denom)
 
 
-def resolve_eta(cfg: RunConfig) -> float:
-    """The run's step size: cfg.eta, or the closed form for eta='auto'.
-
-    Raises:
-        DegenerateParameters: the closed form has no value (rho >= 1, or
-            G = sigma = 0).
-    """
-    if cfg.eta != AUTO:
-        return float(cfg.eta)
-    b = cfg.bounds
-    return auto_learning_rate(cfg.n, cfg.T, b.G, b.sigma, b.R, b.M, cfg.mixing.rho)
-
-
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run T rounds from all-zero models; deterministic for a fixed config.
 
@@ -188,14 +182,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         DivergenceDetected: a model entry became non-finite, named by round.
     """
     n, dim = cfg.n, cfg.dim
-    eta = resolve_eta(cfg)
-    if cfg.algorithm == DOG and not cfg.mixing.contracts:
-        warnings.warn(
-            f"mixing rho={cfg.mixing.rho:.6g} >= 1: gossip cannot contract disagreement",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
     rows = 1 if cfg.algorithm == COG else n
     x = np.zeros((rows, dim))
     w = cfg.mixing.entries if cfg.algorithm == DOG else None
@@ -212,7 +198,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
             ce[t] = consensus_error(x)
         grad_norms[t] = np.sqrt((grads * grads).sum(axis=1))
 
-        x = _step(cfg.algorithm, x, w, grads, eta)
+        x = _step(cfg.algorithm, x, w, grads, cfg.eta)
         if cfg.project_radius is not None:
             x = _project_rows(x, cfg.project_radius)
         if not np.isfinite(x).all():
@@ -223,7 +209,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         consensus_error=ce,
         cum_loss=np.cumsum(losses.sum(axis=1)),
         final_models=x,
-        eta=eta,
         grad_norms=grad_norms,
         loss_spec=cfg.loss_spec,
         sample_features=feats,

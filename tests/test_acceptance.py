@@ -10,7 +10,6 @@ desk-scale run.
 
 import itertools
 import time
-import warnings
 
 import numpy as np
 
@@ -44,12 +43,10 @@ def _trend_run(alg, kind, n, beta, seed, T=2000, p=0.0, eta=ETA):
     key = (alg, kind, n, beta, seed, T, p, eta)
     if key not in _RUN_CACHE:
         mixing = _mix(kind, n, seed=seed, p=p)
-        data = SyntheticSpec(dim=10, beta=beta, n=n, seed=seed)
+        data = SyntheticStream(SyntheticSpec(dim=10, beta=beta, n=n, seed=seed))
         cfg = dogsim.RunConfig(algorithm=alg, T=T, eta=eta, loss_spec=GAMMA,
                                data=data, mixing=mixing)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _RUN_CACHE[key] = run_experiment(cfg)
+        _RUN_CACHE[key] = run_experiment(cfg)
     return _RUN_CACHE[key]
 
 
@@ -227,7 +224,7 @@ def test_criterion_09_regret_bound():
     mixing = _mix("ring", 8)
     regrets, bounds = [], []
     for seed in SEEDS:
-        data = SyntheticSpec(dim=10, beta=0.5, n=8, seed=seed)
+        data = SyntheticStream(SyntheticSpec(dim=10, beta=0.5, n=8, seed=seed))
         pilot_cfg = dogsim.RunConfig(algorithm="dog", T=500, eta=0.05,
                                      loss_spec=GAMMA, data=data, mixing=mixing)
         pilot = run_experiment(pilot_cfg)
@@ -273,19 +270,17 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 def test_criterion_11_equivalences():
     start = time.perf_counter()
-    data = SyntheticSpec(dim=10, beta=0.5, n=6, seed=42)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        identity = _mix("disconnected", 6)
-        dog = run_experiment(dogsim.RunConfig(
-            algorithm="dog", T=200, eta=ETA, loss_spec=GAMMA,
-            data=data, mixing=identity))
+    data = SyntheticStream(SyntheticSpec(dim=10, beta=0.5, n=6, seed=42))
+    identity = _mix("disconnected", 6)
+    dog = run_experiment(dogsim.RunConfig(
+        algorithm="dog", T=200, eta=ETA, loss_spec=GAMMA,
+        data=data, mixing=identity))
     local = run_experiment(dogsim.RunConfig(
         algorithm="local_ogd", T=200, eta=ETA, loss_spec=GAMMA, data=data))
     ok = float(np.abs(dog.final_models - local.final_models).max()) <= 1e-12
     ok &= float(np.abs(dog.cum_loss - local.cum_loss).max()) <= 1e-12
 
-    single = SyntheticSpec(dim=10, beta=0.5, n=1, seed=7)
+    single = SyntheticStream(SyntheticSpec(dim=10, beta=0.5, n=1, seed=7))
     finals = {}
     for alg in ("dog", "cog", "local_ogd"):
         res = run_experiment(dogsim.RunConfig(

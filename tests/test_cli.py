@@ -150,7 +150,6 @@ def test_auto_eta_on_a_disconnected_graph_is_config_error_at_any_size(tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rho = 1
 def test_fixed_eta_on_a_split_random_k_graph_reports_no_bound(tmp_path):
     text = _DEGENERATE_AUTO_ETA["split_random_k"].replace("eta = auto", "eta = 0.2")
     out = tmp_path / "out"
@@ -191,7 +190,6 @@ def test_sweep_beta_runs_both_algorithms(tmp_path):
         assert (out / cell / "metrics.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # disconnected cell has rho = 1
 def test_sweep_topology_runs_dog_only(tmp_path):
     out = tmp_path / "sweep"
     values = ["disconnected", "ring", "watts_strogatz:1"]
@@ -324,7 +322,6 @@ PINNED_TOPOLOGY_DIGESTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the disconnected cell has rho = 1
 def test_topology_sweep_bytes_are_pinned(tmp_path, capsys):
     import hashlib
 
@@ -384,6 +381,33 @@ def test_matrix_disconnected_warns(tmp_path, capsys):
     rho_line = next(ln for ln in captured.out.splitlines() if ln.startswith("rho="))
     assert float(rho_line[4:]) == pytest.approx(1.0, abs=1e-8)
     assert "warning" in captured.err
+
+
+def test_each_dog_run_that_cannot_contract_prints_one_plain_warning(tmp_path, capsys):
+    warning = "warning: rho >= 1, gossip cannot contract disagreement"
+    split = BASE_CONFIG.replace("kind = ring", "kind = disconnected")
+    run_cfg = _write(tmp_path, split, "split.cfg")
+    cog_cfg = _write(tmp_path, split.replace("kind = dog", "kind = cog"), "cog.cfg")
+    sweep_cfg = _write(tmp_path, BASE_CONFIG)  # k = 0, so watts_strogatz is disconnected too
+    topologies = "ring,watts_strogatz:0.5,complete,disconnected"
+    # a second main() call warns again, as the first did
+    for attempt in ("first", "second"):
+        assert cli.main(["run", str(run_cfg), str(tmp_path / attempt / "run")]) == 0
+        assert capsys.readouterr().err.splitlines() == [warning]
+        assert cli.main(["run", str(cog_cfg), str(tmp_path / attempt / "cog")]) == 0
+        assert capsys.readouterr().err == ""
+        sweep = ["sweep", str(sweep_cfg), str(tmp_path / attempt / "topology"),
+                 "--axis", "topology", "--values", topologies]
+        assert cli.main(sweep) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep cell topology_watts_strogatz_p0.5 {warning}",
+            f"sweep cell topology_disconnected {warning}",
+        ]
+        sweep = ["sweep", str(run_cfg), str(tmp_path / attempt / "beta"), "--axis", "beta", "--values", "0.5"]
+        assert cli.main(sweep) == 0
+        assert capsys.readouterr().err.splitlines() == [f"sweep cell beta_0.5_dog {warning}"]
+        assert cli.main(["matrix", str(run_cfg)]) == 0
+        assert capsys.readouterr().err.splitlines() == [warning]
 
 
 def test_data_dump_synthetic_intervals(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dogsim import datagen
 from dogsim.datagen import (
     STREAM_TAG,
-    SharedStream,
     SyntheticSpec,
     SyntheticStream,
     synthetic_block,
@@ -157,18 +156,24 @@ def test_block_split_anywhere_is_bitwise_identical(seed, n, dim, first, length, 
     step=st.integers(1, 9),
     data=st.data(),
 )
-def test_shared_stream_matches_synthetic_block(seed, n, dim, beta, T, step, data):
+def test_synthetic_stream_matches_synthetic_block(seed, n, dim, beta, T, step, data):
     spec = SyntheticSpec(dim=dim, beta=beta, n=n, seed=seed)
     # the tiles of a T-round run, the last one short unless step divides T,
     # mixed with ranges that start where a tile does but end elsewhere
     tiles = [(lo, min(lo + step, T + 1)) for lo in range(1, T + 1, step)]
     ranges = st.tuples(st.integers(1, T + 1), st.integers(0, 2 * step)).map(lambda r: (r[0], r[0] + r[1]))
     requests = data.draw(st.lists(st.one_of(st.sampled_from(tiles), ranges), min_size=1, max_size=3 * len(tiles)))
-    shared = SharedStream(spec)
-    assert (shared.n, shared.dim) == (n, dim)
+    # and one round read through round_batch, anywhere among them
+    requests.insert(data.draw(st.integers(0, len(requests))), (data.draw(st.integers(1, T)), None))
+    stream = SyntheticStream(spec)
+    assert (stream.n, stream.dim) == (n, dim)
     for first, last in requests:
-        features, labels = shared.block(first, last)
-        expected_features, expected_labels = synthetic_block(spec, first, last)
+        if last is None:
+            features, labels = stream.round_batch(first)
+            expected_features, expected_labels = (a[0] for a in synthetic_block(spec, first, first + 1))
+        else:
+            features, labels = stream.block(first, last)
+            expected_features, expected_labels = synthetic_block(spec, first, last)
         assert features.tobytes() == expected_features.tobytes()
         assert labels.tobytes() == expected_labels.tobytes()
         assert features.shape == expected_features.shape and labels.shape == expected_labels.shape

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -32,13 +31,11 @@ def _mix(kind, n, scheme="max_degree", seed=0, k=0, p=0.0):
 
 
 def _identity_mixing(n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _mix("disconnected", n)
+    return _mix("disconnected", n)
 
 
 def _synthetic_cfg(algorithm, n=6, T=50, eta=0.1, beta=0.5, seed=42, **kwargs):
-    data = SyntheticSpec(dim=4, beta=beta, n=n, seed=seed)
+    data = SyntheticStream(SyntheticSpec(dim=4, beta=beta, n=n, seed=seed))
     mixing = kwargs.pop("mixing", _mix("ring", n))
     return RunConfig(
         algorithm=algorithm, T=T, eta=eta, loss_spec=GAMMA,
@@ -202,7 +199,7 @@ def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T,
     spec = SyntheticSpec(dim=dim, beta=0.5, n=n, seed=seed)
     mixing = _mix("ring", n)
     cfg = RunConfig(algorithm=algorithm, T=T, eta=0.3, loss_spec=GAMMA,
-                    data=spec, mixing=mixing, project_radius=project_radius)
+                    data=SyntheticStream(spec), mixing=mixing, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
     expected, *columns = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
     res = run_experiment(cfg)
@@ -230,9 +227,7 @@ def test_average_iterate_identity_over_run():
 
 def test_dog_identity_mixing_equals_local_ogd_run():
     mixing = _identity_mixing(5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dog = run_experiment(_synthetic_cfg("dog", n=5, mixing=mixing))
+    dog = run_experiment(_synthetic_cfg("dog", n=5, mixing=mixing))
     local = run_experiment(_synthetic_cfg("local_ogd", n=5, mixing=mixing))
     assert np.abs(dog.final_models - local.final_models).max() <= 1e-12
     assert np.abs(dog.avg_loss - local.avg_loss).max() <= 1e-12
@@ -262,11 +257,6 @@ def test_consensus_error_within_dissensus_bound_on_runs():
         g_hat, s_hat = estimate_gradient_bounds(res.grad_norms)
         bound = 2 * n * 300 * 0.1**2 * (g_hat**2 + s_hat**2) / (1 - mixing.rho) ** 2
         assert total <= bound + 1e-8
-
-
-def test_rho_one_warns_for_dog():
-    with pytest.warns(RuntimeWarning):
-        run_experiment(_synthetic_cfg("dog", n=4, T=2, mixing=_identity_mixing(4)))
 
 
 def test_divergence_detected_names_round():
@@ -308,7 +298,7 @@ def test_recorded_samples_match_pure_generator():
     # n=600 gives 6-round tiles, so its T=20 takes four, the last one short
     for n, T, dim in ((5, 10, 4), (600, 20, 3)):
         spec = SyntheticSpec(dim=dim, beta=0.3, n=n, seed=21)
-        cfg = RunConfig(algorithm="local_ogd", T=T, eta=0.1, loss_spec=GAMMA, data=spec)
+        cfg = RunConfig(algorithm="local_ogd", T=T, eta=0.1, loss_spec=GAMMA, data=SyntheticStream(spec))
         res = run_experiment(cfg)
         features, labels = res.pooled_samples()
         assert features.shape == (T * n, dim) and labels.shape == (T * n,)
@@ -327,7 +317,7 @@ def test_short_node_streams_are_rejected():
 
 def test_both_data_sources_share_the_block_interface():
     spec = SyntheticSpec(dim=3, beta=0.4, n=4, seed=9)
-    for got, want in zip(spec.block(3, 8), synthetic_block(spec, 3, 8)):
+    for got, want in zip(SyntheticStream(spec).block(3, 8), synthetic_block(spec, 3, 8)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -350,7 +340,7 @@ def test_across_horizon_consensus_decay():
     means = []
     for T in horizons:
         eta = auto_learning_rate(16, T, G=2.0, sigma=1.0, R=1.0, M=0.0, rho=mixing.rho)
-        data = SyntheticSpec(dim=10, beta=0.3, n=16, seed=42)
+        data = SyntheticStream(SyntheticSpec(dim=10, beta=0.3, n=16, seed=42))
         cfg = RunConfig(algorithm="dog", T=T, eta=eta, loss_spec=GAMMA,
                         data=data, mixing=mixing)
         res = run_experiment(cfg)
@@ -360,7 +350,7 @@ def test_across_horizon_consensus_decay():
 
 
 def test_config_validation():
-    data = SyntheticSpec(dim=4, beta=0.5, n=6, seed=0)
+    data = SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=0))
     with pytest.raises(ValueError):
         RunConfig(algorithm="sgd", T=5, eta=0.1, loss_spec=GAMMA,
                   data=data, mixing=_mix("ring", 6))
@@ -395,25 +385,30 @@ def test_constructors_reject_non_finite_values(field, value):
 
 
 def test_auto_eta_resolves_in_run():
-    data = SyntheticSpec(dim=4, beta=0.5, n=6, seed=1)
+    data = SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=1))
     cfg = RunConfig(algorithm="dog", T=50, eta="auto", loss_spec=GAMMA,
                     data=data, mixing=_mix("ring", 6),
                     bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0))
-    res = run_experiment(cfg)
     expected = auto_learning_rate(6, 50, 2.0, 1.0, 1.0, 0.0, _mix("ring", 6).rho)
-    assert res.eta == pytest.approx(expected, rel=1e-15)
+    assert cfg.eta == pytest.approx(expected, rel=1e-15)
 
 
 def test_auto_eta_without_a_value_is_rejected_at_construction():
-    data = SyntheticSpec(dim=4, beta=0.5, n=6, seed=1)
+    data = SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=1))
     with pytest.raises(DegenerateParameters, match="rho < 1"):
         RunConfig(algorithm="dog", T=50, eta="auto", loss_spec=GAMMA,
                   data=data, mixing=_identity_mixing(6),
                   bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0))
 
 
+def test_a_bare_spec_is_not_a_data_source():
+    spec = SyntheticSpec(dim=4, beta=0.5, n=6, seed=1)
+    with pytest.raises(TypeError, match="SyntheticSpec"):
+        RunConfig(algorithm="local_ogd", T=8, eta=0.1, loss_spec=GAMMA, data=spec)
+
+
 def test_node_count_comes_from_the_data():
     streams = _node_streams(np.random.default_rng(2), 3, 8, 2)
-    for data in (SyntheticSpec(dim=4, beta=0.5, n=6, seed=1), streams):
+    for data in (SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=1)), streams):
         cfg = RunConfig(algorithm="local_ogd", T=8, eta=0.1, loss_spec=GAMMA, data=data)
         assert cfg.n == data.n

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dogsim.datagen import SyntheticSpec
+from dogsim.datagen import SyntheticSpec, SyntheticStream
 from dogsim.engine import Bounds, RunConfig
 from dogsim.errors import DegenerateParameters
 from dogsim.losses import LossSpec
@@ -254,14 +254,14 @@ def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
 
     def auto_config():
         return RunConfig(algorithm="dog", T=10, eta="auto", loss_spec=LossSpec(),
-                         data=SyntheticSpec(dim=2, beta=0.5, n=n, seed=0), mixing=m,
+                         data=SyntheticStream(SyntheticSpec(dim=2, beta=0.5, n=n, seed=0)), mixing=m,
                          bounds=Bounds(G=1.0, sigma=1.0, R=1.0, M=0.0))
 
     def bound():
         return regret_bound(n=n, T=10, eta=0.1, G=1.0, sigma=1.0, L=1.0, rho=m.rho, R=1.0, M=0.0)
 
     if connected:
-        assert auto_config().eta == "auto" and bound() > 0
+        assert auto_config().eta > 0 and bound() > 0
     else:
         for build in (auto_config, bound):
             with pytest.raises(DegenerateParameters):
