@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .datagen import SyntheticStream
-from .errors import DegenerateParameters, DimensionMismatch, DivergenceDetected
+from .errors import DegenerateParameters, DivergenceDetected
 from .ingest import NodeStreams
 from .losses import LossSpec, batch_loss_and_gradient
 from .metrics import consensus_error
@@ -102,13 +102,11 @@ class RunConfig:
         if self.algorithm == DOG and self.mixing is None:
             raise ValueError("dog requires a mixing matrix")
         if self.mixing is not None and self.mixing.n != self.n:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"mixing matrix is {self.mixing.n}x{self.mixing.n}, data has n={self.n}"
             )
         if isinstance(self.data, NodeStreams) and self.data.rounds < self.T:
-            raise DimensionMismatch(
-                f"node streams provide {self.data.rounds} rounds, config T={self.T}"
-            )
+            raise ValueError(f"node streams provide {self.data.rounds} rounds, config T={self.T}")
         if self.project_radius is not None and not 0 < self.project_radius < math.inf:
             raise ValueError(f"project_radius must be finite and > 0, got {self.project_radius}")
         if self.eta == AUTO:

@@ -1,12 +1,15 @@
-"""Exception types shared across the simulator."""
+"""Exception types the program catches by name.
+
+An argument a function cannot use raises ValueError. A `SimulationError`
+subclass exists only where a caller catches it by name: the CLI's exit
+codes (`ConfigError`, `DivergenceDetected`, `NonConvergence`), its summary
+(`DegenerateParameters`, reported as an unavailable bound) and its
+config-error wrapper (the base class).
+"""
 
 
 class SimulationError(Exception):
-    """Base class for all dogsim errors."""
-
-
-class DimensionMismatch(SimulationError):
-    """Vector or matrix shapes are incompatible."""
+    """Base class of the exception types below."""
 
 
 class NonConvergence(SimulationError):
@@ -20,26 +23,6 @@ class NonConvergence(SimulationError):
         self.residual = residual
 
 
-class ParseError(SimulationError):
-    """Malformed input text; `line` is 1-based."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class EmptyDataset(SimulationError):
-    """An operation required a non-empty dataset."""
-
-
-class TooFewPoints(SimulationError):
-    """Fewer points than clusters requested."""
-
-
-class InsufficientData(SimulationError):
-    """Dataset too small for the requested node count and horizon."""
-
-
 class DegenerateParameters(SimulationError):
     """Bound or learning-rate formula evaluated outside its valid domain."""
 
@@ -50,10 +33,6 @@ class DivergenceDetected(SimulationError):
     def __init__(self, round: int):
         super().__init__(f"non-finite model entry at round {round}")
         self.round = round
-
-
-class EmptyRun(SimulationError):
-    """A metric was requested on a run with no recorded rounds."""
 
 
 class ConfigError(SimulationError):

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, InsufficientData, ParseError, TooFewPoints
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -79,6 +77,7 @@ def parse_libsvm(text: str) -> Dataset:
     """Parse LIBSVM text: "<label> <index>:<value> ...", 1-based ascending
     indices, finite values. Labels +1/1 map to +1; -1 and 0 map to -1. Blank
     lines and lines starting with '#' are skipped; d is the largest index.
+    Malformed text raises ValueError, its message prefixed "line N: " (1-based).
     """
     labels, rows, cols, vals = [], [], [], []
     dim = 0
@@ -88,36 +87,37 @@ def parse_libsvm(text: str) -> Dataset:
             continue
         tokens = stripped.split()
         try:
-            raw = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"unparseable label {tokens[0]!r}", lineno)
-        if raw == 1.0:
-            labels.append(1.0)
-        elif raw in (-1.0, 0.0):
-            labels.append(-1.0)
-        else:
-            raise ParseError(f"label must be +1, 1, -1, or 0, got {tokens[0]!r}", lineno)
-        row = len(labels) - 1
-        prev = 0
-        for tok in tokens[1:]:
-            idx_s, _, val_s = tok.partition(":")
-            if not val_s:
-                raise ParseError(f"malformed token {tok!r}", lineno)
             try:
-                idx = int(idx_s)
-                val = float(val_s)
+                raw = float(tokens[0])
             except ValueError:
-                raise ParseError(f"malformed token {tok!r}", lineno)
-            if idx < 1:
-                raise ParseError(f"index must be >= 1, got {idx}", lineno)
-            if idx <= prev:
-                raise ParseError(f"indices not ascending at {tok!r}", lineno)
-            if not math.isfinite(val):
-                raise ParseError(f"non-finite value in {tok!r}", lineno)
-            prev = idx
-            rows.append(row)
-            cols.append(idx - 1)
-            vals.append(val)
+                raise ValueError(f"unparseable label {tokens[0]!r}") from None
+            if raw == 1.0:
+                labels.append(1.0)
+            elif raw in (-1.0, 0.0):
+                labels.append(-1.0)
+            else:
+                raise ValueError(f"label must be +1, 1, -1, or 0, got {tokens[0]!r}")
+            row = len(labels) - 1
+            prev = 0
+            for tok in tokens[1:]:
+                idx_s, _, val_s = tok.partition(":")
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)  # "" when the token has no ':'
+                except ValueError:
+                    raise ValueError(f"malformed token {tok!r}") from None
+                if idx < 1:
+                    raise ValueError(f"index must be >= 1, got {idx}")
+                if idx <= prev:
+                    raise ValueError(f"indices not ascending at {tok!r}")
+                if not math.isfinite(val):
+                    raise ValueError(f"non-finite value in {tok!r}")
+                prev = idx
+                rows.append(row)
+                cols.append(idx - 1)
+                vals.append(val)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         dim = max(dim, prev)
     features = np.zeros((len(labels), dim))
     features[rows, cols] = vals
@@ -145,7 +145,7 @@ def normalize(d: Dataset) -> Dataset:
     within floating tolerance.
     """
     if not len(d):
-        raise EmptyDataset("cannot normalize an empty dataset")
+        raise ValueError("cannot normalize an empty dataset")
     mean = d.features.mean(axis=0)
     std = d.features.std(axis=0)  # population (ddof=0)
     centered = d.features - mean
@@ -191,7 +191,7 @@ def kmeans(points, k: int, seed: int = 0) -> list:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > m:
-        raise TooFewPoints(f"need at least {k} points for {k} clusters, got {m}")
+        raise ValueError(f"need at least {k} points for {k} clusters, got {m}")
     rng = np.random.default_rng(seed)
 
     centroids = np.empty((k, d))
@@ -321,9 +321,7 @@ def split_stoch_adv(
         raise ValueError(f"n must be >= 1, got {n}")
     total = len(d)
     if total < n * rounds:
-        raise InsufficientData(
-            f"need at least n*T = {n * rounds} samples, dataset has {total}"
-        )
+        raise ValueError(f"need at least n*T = {n * rounds} samples, dataset has {total}")
     ss = np.random.SeedSequence(seed)
     rng_shuffle, kmeans_ss = [np.random.default_rng(s) for s in ss.spawn(2)]
     order = rng_shuffle.permutation(total)
@@ -340,7 +338,7 @@ def split_stoch_adv(
     for i in range(n):
         merged = _interleave(stoch_idx[i::n], adv_idx[assign == i])
         if not len(merged) and rounds > 0:
-            raise InsufficientData(f"node {i} received no samples")
+            raise ValueError(f"node {i} received no samples")
         index[i] = np.resize(merged, rounds)
     return NodeStreams(d, index)
 

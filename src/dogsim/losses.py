@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset
-
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -73,5 +71,5 @@ def smoothness_bound(features: np.ndarray, gamma: float) -> float:
     """
     features = np.asarray(features, dtype=float)
     if features.size == 0:
-        raise EmptyDataset("smoothness bound needs at least one sample")
+        raise ValueError("smoothness bound needs at least one sample")
     return 0.25 * float((features * features).sum(axis=1).max()) + gamma

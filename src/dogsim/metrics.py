@@ -6,7 +6,7 @@ hindsight, found by damped Newton on the pooled empirical loss over the
 run's recorded samples, passed as (T*n, d) features and (T*n,) labels.
 `regret_bound` is the paper's a-priori bound on dynamic regret against
 comparator sequences of path length at most M, on nine keyword constants:
-n, T and rho from the run's config, eta from its result, G, sigma and L
+n, T and rho from the run's config, eta from `cfg.eta`, G, sigma and L
 measured on the run, R and M from the config's bounds. No dynamic
 comparator is computed: the summary sets the bound beside the static
 regret, whose fixed comparator x* has path length 0. It bounds that
@@ -18,19 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateParameters,
-    DimensionMismatch,
-    EmptyDataset,
-    EmptyRun,
-    NonConvergence,
-)
+from .errors import DegenerateParameters, NonConvergence
 from .losses import softplus_sigmoid
 
 CSV_HEADER = "t,avg_loss,consensus_error,cum_loss"
 
 #: Damped Newton steps the comparator may take before it gives up.
 _MAX_NEWTON_STEPS = 100
+#: Gradient norm at which the comparator's Newton iteration stops.
+_GRAD_TOL = 1e-8
 
 
 def fmt17(x: float) -> str:
@@ -41,7 +37,7 @@ def fmt17(x: float) -> str:
 def average_loss(avg_loss) -> float:
     """(1/T) sum_t avg_loss(t), i.e. (1/nT) of the total instantaneous loss."""
     if len(avg_loss) == 0:
-        raise EmptyRun("average loss needs at least one recorded round")
+        raise ValueError("average loss needs at least one recorded round")
     return float(np.mean(avg_loss))
 
 
@@ -57,11 +53,11 @@ def _pooled_arrays(features, labels) -> tuple:
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if features.ndim != 2 or labels.shape != features.shape[:1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"features {features.shape} and labels {labels.shape} are not (N, d) and (N,)"
         )
     if labels.size == 0:
-        raise EmptyDataset("pooled loss needs at least one sample")
+        raise ValueError("pooled loss needs at least one sample")
     return features, labels
 
 
@@ -92,12 +88,12 @@ def _separable(features: np.ndarray, labels: np.ndarray) -> bool:
     return res.status == 0
 
 
-def offline_comparator(features, labels, gamma: float, grad_tol: float = 1e-8) -> np.ndarray:
+def offline_comparator(features, labels, gamma: float) -> np.ndarray:
     """Best fixed model in hindsight over N pooled samples.
 
     Minimizes F(x) = sum_e softplus(-y_e a_e.x) + (gamma_total / 2) ||x||^2,
     gamma_total = gamma * N, for features (N, d) and labels (N,), by damped
-    Newton from the origin until ||grad F|| <= grad_tol. Each step is the
+    Newton from the origin until ||grad F|| <= `_GRAD_TOL`. Each step is the
     minimum-norm least-squares solution of the Newton system, so directions
     orthogonal to every feature vector stay at zero (up to rounding; exactly
     for a feature that is zero in every sample). The backtracking test
@@ -120,7 +116,7 @@ def offline_comparator(features, labels, gamma: float, grad_tol: float = 1e-8) -
     slack = 16.0 * np.finfo(float).eps
     for _ in range(_MAX_NEWTON_STEPS):
         norm = float(np.linalg.norm(grad))
-        if norm <= grad_tol:
+        if norm <= _GRAD_TOL:
             return x
         hess = (features * (sig * (1.0 - sig))[:, None]).T @ features
         hess[np.diag_indices_from(hess)] += gamma_total
@@ -144,13 +140,11 @@ def static_regret(cum_loss, features, labels, gamma: float, comparator: np.ndarr
     """Total loss of the run, the last entry of its cum_loss column, minus
     the pooled loss of the fixed comparator."""
     if len(cum_loss) == 0:
-        raise EmptyRun("regret needs at least one recorded round")
+        raise ValueError("regret needs at least one recorded round")
     features, labels = _pooled_arrays(features, labels)
     comparator = np.asarray(comparator, dtype=float)
     if comparator.shape != (features.shape[1],):
-        raise DimensionMismatch(
-            f"comparator dim {comparator.shape} != feature dim {features.shape[1]}"
-        )
+        raise ValueError(f"comparator dim {comparator.shape} != feature dim {features.shape[1]}")
     total_star = _pooled(features, labels, gamma * labels.size, comparator)[0]
     return float(cum_loss[-1]) - total_star
 
@@ -165,7 +159,7 @@ def estimate_gradient_bounds(grad_norms: np.ndarray) -> tuple:
     """
     norms = np.asarray(grad_norms, dtype=float)
     if norms.size == 0:
-        raise EmptyRun("no gradients recorded")
+        raise ValueError("no gradients recorded")
     if norms.ndim != 2:
         raise ValueError("expected a (rounds, nodes) array of gradient norms")
     g_hat = float(norms.max())

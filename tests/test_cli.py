@@ -463,6 +463,21 @@ def test_non_finite_file_value_is_a_config_error_with_its_line(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("+1 1:0.5\n-1 2:1\n+1 1:-1\n", "need at least n*T = 180 samples, dataset has 3"),
+    ("# only a comment\n\n", "cannot normalize an empty dataset"),
+])
+def test_unusable_data_file_is_a_config_error(tmp_path, capsys, text, message):
+    data_path = tmp_path / "data.libsvm"
+    data_path.write_text(text)
+    cfg = _write(tmp_path, BASE_CONFIG.replace(
+        "beta = 0.5\ndim = 4", f"file = {data_path}\nstochastic_fraction = 0.5"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), str(out)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
 def test_missing_section_and_duplicates(tmp_path, capsys):
     no_loss = BASE_CONFIG.replace("[loss]\ngamma = 0.001\n", "")
     assert cli.cmd_run(_write(tmp_path, no_loss), tmp_path / "o1") == 1

@@ -6,12 +6,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from dogsim.datagen import SyntheticSpec, SyntheticStream
-from dogsim.errors import (
-    DegenerateParameters,
-    DimensionMismatch,
-    EmptyRun,
-    NonConvergence,
-)
+from dogsim.errors import DegenerateParameters, NonConvergence
 from dogsim.losses import batch_loss_and_gradient
 from dogsim.metrics import (
     average_loss,
@@ -28,7 +23,7 @@ def test_average_loss_values():
     assert average_loss(np.array([2.0])) == 2.0  # node losses (1, 3) -> mean 2
     assert average_loss(np.array([0.0, 0.0])) == 0.0
     assert average_loss(np.array([1.0, 2.0])) == 1.5
-    with pytest.raises(EmptyRun):
+    with pytest.raises(ValueError, match="average loss needs at least one recorded round"):
         average_loss(np.empty(0))
 
 
@@ -77,7 +72,7 @@ def test_comparator_huge_regularizer_pins_origin():
 def test_comparator_mixed_dataset_first_order_optimality():
     rng = np.random.default_rng(3)
     features, labels = _draw(rng, 100, 4)
-    out = offline_comparator(features, labels, 1e-2, grad_tol=1e-9)
+    out = offline_comparator(features, labels, 1e-2)
 
     def objective(x):
         return sum(_losses(x, features, labels, 1e-2))
@@ -195,13 +190,13 @@ def test_static_regret_single_event_nonnegative():
 
 def test_static_regret_dimension_mismatch():
     features, labels = np.array([[1.0, 2.0]]), np.ones(1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"comparator dim \(3,\) != feature dim 2"):
         static_regret(np.zeros(1), features, labels, 0.0, np.zeros(3))
 
 
 def test_static_regret_needs_a_round():
     features, labels = np.array([[1.0, 2.0]]), np.ones(1)
-    with pytest.raises(EmptyRun):
+    with pytest.raises(ValueError, match="regret needs at least one recorded round"):
         static_regret(np.empty(0), features, labels, 1e-2, np.zeros(2))
 
 
@@ -215,7 +210,7 @@ def test_estimate_gradient_bounds():
     g_hat, s_hat = estimate_gradient_bounds(np.array([[1.0], [3.0]]))
     assert g_hat == 3.0
     assert s_hat == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    with pytest.raises(EmptyRun):
+    with pytest.raises(ValueError, match="no gradients recorded"):
         estimate_gradient_bounds(np.empty((0, 4)))
 
 

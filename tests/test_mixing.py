@@ -170,12 +170,14 @@ def test_zero_pattern_respects_graph():
 
 
 def test_verify_doubly_stochastic_examples():
-    assert verify_doubly_stochastic(np.full((3, 3), 1.0 / 3.0), 1e-9).ok
-    report = verify_doubly_stochastic(np.array([[0.9, 0.2], [0.1, 0.8]]), 1e-9)
-    assert not report.ok
+    report = verify_doubly_stochastic(np.full((3, 3), 1.0 / 3.0))
+    assert max(report.max_row_dev, report.max_col_dev) <= 1e-9 and report.min_entry >= -1e-9
+    report = verify_doubly_stochastic(np.array([[0.9, 0.2], [0.1, 0.8]]))
     assert report.max_row_dev == pytest.approx(0.1, abs=1e-15)
     assert report.max_col_dev == pytest.approx(0.0, abs=1e-15)
-    assert verify_doubly_stochastic(np.eye(4), 1e-12).ok
+    assert report.min_entry == 0.1
+    report = verify_doubly_stochastic(np.eye(4))
+    assert max(report.max_row_dev, report.max_col_dev) <= 1e-12 and report.min_entry >= -1e-12
 
 
 def test_operator_norm_of_doubly_stochastic_is_one():
