@@ -1,20 +1,32 @@
 """Round loop for the decentralized online gradient method and its baselines.
 
 Per round, every node evaluates its instantaneous loss at its current
-model, metrics are recorded, and the models advance:
+model and the models advance:
 
     dog:       x_i <- sum_j W_ij x_j - eta * grad_i   (gossip then step)
     local_ogd: x_i <- x_i - eta * grad_i              (no communication)
     cog:       x   <- x - eta * mean_i grad_i         (one shared model)
 
 Models are stacked as rows of an (n, d) array, so the gossip update is
-W @ X. A run reads all T rounds of samples in one ``block(1, T + 1)`` call
-on its data source, as (T, n, dim) features and (T, n) labels: a
-``SyntheticStream`` generates them once for every run that reads it, and
-``NodeStreams`` fancy-indexes them out of its dataset. That block is the
-run's record of its samples, for the comparator and the regret. Gradients
-are always evaluated at the round-start models, all nodes in one batched
-kernel call, and the per-round metrics come back as (T,) columns.
+W @ X; cog's one row broadcasts against the n samples. A run reads all T
+rounds of samples in one ``block(1, T + 1)`` call on its data source, as
+(T, n, dim) features and (T, n) labels: a ``SyntheticStream`` generates
+them once for every run that reads it, and ``NodeStreams`` fancy-indexes
+them out of its dataset. That block is the run's record of its samples,
+for the comparator and the regret.
+
+A round computes only what the next model needs: the margins of all nodes
+at their round-start models, one call of the logistic kernel
+``softplus_sigmoid``, the gradients, the step, the projection and a
+finiteness check, so a divergence raises in the round it happens. It keeps
+its round-start models and gradients in buffers of one tile of
+``datagen.tile_rounds(n)`` rounds, about 4,096 node-rounds: at most
+2 * tile_rounds(n) * n * dim * 8 bytes of scratch (655 kB at dim = 10 and
+n <= 4096), whatever T is. After each tile its rows of the metric columns
+are filled in bulk: the loss regularizer, ``metrics.consensus_error`` on
+the stack of models and the gradient norms, each reduced over the same
+axes in the same order as one call per round, so every column holds the
+same bits as when it was filled round by round.
 
 A ``RunConfig`` holds each run fact once: n, dim and the seed belong to its
 data source, rho to its mixing matrix. It resolves its step size when it
@@ -29,10 +41,10 @@ from typing import Union
 
 import numpy as np
 
-from .datagen import SyntheticStream
+from .datagen import SyntheticStream, tile_rounds
 from .errors import DegenerateParameters, DivergenceDetected
 from .ingest import NodeStreams
-from .losses import LossSpec, batch_loss_and_gradient
+from .losses import LossSpec, softplus_sigmoid
 from .metrics import consensus_error
 from .mixing import MixingMatrix
 
@@ -179,28 +191,41 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     Raises:
         DivergenceDetected: a model entry became non-finite, named by round.
     """
-    n, dim = cfg.n, cfg.dim
-    rows = 1 if cfg.algorithm == COG else n
-    x = np.zeros((rows, dim))
+    n, dim, T = cfg.n, cfg.dim, cfg.T
+    gamma = cfg.loss_spec.gamma
+    x = np.zeros((1 if cfg.algorithm == COG else n, dim))
     w = cfg.mixing.entries if cfg.algorithm == DOG else None
 
-    feats, labels = cfg.data.block(1, cfg.T + 1)
-    losses = np.empty((cfg.T, n))
-    ce = np.zeros(cfg.T)
-    grad_norms = np.empty((cfg.T, n))
+    feats, labels = cfg.data.block(1, T + 1)
+    losses = np.empty((T, n))
+    ce = np.zeros(T)
+    grad_norms = np.empty((T, n))
+    tile = tile_rounds(n)
+    models = np.empty((min(tile, T),) + x.shape)  # round-start models of one tile
+    grads = np.empty((min(tile, T), n, dim))  # and their gradients
 
-    for t in range(cfg.T):
-        x_rows = np.broadcast_to(x[0], (n, dim)) if cfg.algorithm == COG else x
-        losses[t], grads = batch_loss_and_gradient(x_rows, feats[t], labels[t], cfg.loss_spec.gamma)
-        if cfg.algorithm != COG:
-            ce[t] = consensus_error(x)
-        grad_norms[t] = np.sqrt((grads * grads).sum(axis=1))
-
-        x = _step(cfg.algorithm, x, w, grads, cfg.eta)
-        if cfg.project_radius is not None:
-            x = _project_rows(x, cfg.project_radius)
-        if not np.isfinite(x).all():
-            raise DivergenceDetected(t + 1)
+    # A diverging run overflows on its way to the non-finite model that
+    # DivergenceDetected reports; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, T, tile):
+            hi = min(lo + tile, T)
+            neg_labels = -labels[lo:hi]
+            for t in range(lo, hi):
+                models[t - lo] = x
+                g, neg_y = grads[t - lo], neg_labels[t - lo]
+                losses[t], sig = softplus_sigmoid(neg_y * (feats[t] * x).sum(axis=1))
+                np.multiply((neg_y * sig)[:, None], feats[t], out=g)
+                g += gamma * x
+                x = _step(cfg.algorithm, x, w, g, cfg.eta)
+                if cfg.project_radius is not None:
+                    x = _project_rows(x, cfg.project_radius)
+                if not np.isfinite(x).all():
+                    raise DivergenceDetected(t + 1)
+            k = hi - lo
+            losses[lo:hi] += 0.5 * gamma * (models[:k] * models[:k]).sum(axis=2)
+            if cfg.algorithm != COG:
+                ce[lo:hi] = consensus_error(models[:k])
+            grad_norms[lo:hi] = np.sqrt((grads[:k] * grads[:k]).sum(axis=2))
 
     return RunResult(
         avg_loss=losses.mean(axis=1),

@@ -41,11 +41,14 @@ def average_loss(avg_loss) -> float:
     return float(np.mean(avg_loss))
 
 
-def consensus_error(x_rows: np.ndarray) -> float:
-    """(1/n) sum_i ||x_i - mean||^2; zero iff all rows agree."""
+def consensus_error(x_rows: np.ndarray) -> float | np.ndarray:
+    """(1/n) sum_i ||x_i - mean||^2 of (n, d) rows, a float; zero iff all
+    rows agree. A (k, n, d) stack gives the (k,) errors of its slices, bit
+    for bit those of one call per slice."""
     x_rows = np.asarray(x_rows, dtype=float)
-    centered = x_rows - x_rows.mean(axis=0)
-    return float((centered * centered).sum() / x_rows.shape[0])
+    centered = x_rows - x_rows.mean(axis=-2, keepdims=True)
+    errors = (centered * centered).sum(axis=(-2, -1)) / x_rows.shape[-2]
+    return errors if errors.ndim else float(errors)
 
 
 def _pooled_arrays(features, labels) -> tuple:

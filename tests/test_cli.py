@@ -1,5 +1,8 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -173,6 +176,23 @@ def test_divergent_run_exits_two(tmp_path, capsys):
         code = cli.cmd_run(_write(tmp_path, bad), tmp_path / "out")
     assert code == 2
     assert "round" in capsys.readouterr().err
+
+
+def test_diverging_run_prints_one_error_line(tmp_path):
+    # At n = 600 a tile is 6 rounds, so round 302 falls inside one. The
+    # overflows on the way there print no numpy warnings.
+    cfg = (BASE_CONFIG.replace("n = 6", "n = 600").replace("eta = 0.2", "eta = 10000")
+           .replace("T = 30", "T = 400").replace("seed = 42", "seed = 3")
+           .replace("beta = 0.5", "beta = 0.3").replace("dim = 4", "dim = 10"))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dogsim", "run", str(_write(tmp_path, cfg)), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "runtime error: non-finite model entry at round 302\n"
+    assert proc.stdout == ""
 
 
 def test_sweep_beta_runs_both_algorithms(tmp_path):

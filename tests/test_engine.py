@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dogsim.datagen import SyntheticSpec, SyntheticStream, synthetic_block
+from dogsim.datagen import SyntheticSpec, SyntheticStream, synthetic_block, tile_rounds
 from dogsim.engine import (
     COG,
     DOG,
     LOCAL_OGD,
     Bounds,
     RunConfig,
+    _project_rows,
     _step,
     auto_learning_rate,
     run_experiment,
@@ -207,6 +208,45 @@ def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T,
     assert res.final_models.tobytes() == expected.tobytes()
     for got, want in zip((res.avg_loss, res.consensus_error, res.cum_loss), columns):
         assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("project_radius", [None, 0.05])
+@pytest.mark.parametrize("algorithm", ["dog", "local_ogd", "cog"])
+@settings(max_examples=1, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_run_matches_iterated_single_round_helpers_bitwise_across_tiles(
+    algorithm, project_radius, data, seed
+):
+    # n * dim > 128 takes numpy's pairwise sums past their first block, and
+    # T spans two whole tiles of rounds and a short third one.
+    n = data.draw(st.integers(16, 600), label="n")
+    dim = data.draw(st.integers(128 // n + 1, 10), label="dim")
+    tile = tile_rounds(n)
+    T = 2 * tile + data.draw(st.integers(1, tile - 1), label="last tile")
+    spec = SyntheticSpec(dim=dim, beta=0.5, n=n, seed=seed)
+    mixing = _mix("ring", n)
+    cfg = RunConfig(algorithm=algorithm, T=T, eta=0.3, loss_spec=GAMMA,
+                    data=SyntheticStream(spec), mixing=mixing, project_radius=project_radius)
+    feats, labels = synthetic_block(spec, 1, T + 1)
+    expected, *columns = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
+    res = run_experiment(cfg)
+    assert res.final_models.tobytes() == expected.tobytes()
+    for got, want in zip((res.avg_loss, res.consensus_error, res.cum_loss), columns):
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+    assert res.grad_norms.tobytes() == _grad_norms_round_by_round(cfg, feats, labels).tobytes()
+
+
+def _grad_norms_round_by_round(cfg, feats, labels):
+    """The (T, n) gradient norms from one batched kernel call per round."""
+    x = np.zeros((1 if cfg.algorithm == COG else cfg.n, cfg.dim))
+    norms = []
+    for t in range(cfg.T):
+        grads = _grads(np.broadcast_to(x, feats[t].shape), feats[t], labels[t])
+        norms.append(np.sqrt((grads * grads).sum(axis=1)))
+        x = _step(cfg.algorithm, x, cfg.mixing.entries, grads, cfg.eta)
+        if cfg.project_radius is not None:
+            x = _project_rows(x, cfg.project_radius)
+    return np.array(norms)
 
 
 def test_average_iterate_identity_over_run():

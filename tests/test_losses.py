@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dogsim.losses import LossSpec, batch_loss_and_gradient, smoothness_bound
+from dogsim.losses import LossSpec, batch_loss_and_gradient, smoothness_bound, softplus_sigmoid
 
 
 def _loss_and_gradient(x, a, y, gamma=0.0):
@@ -134,3 +136,35 @@ def test_batch_kernel_matches_scalar_path_bitwise():
         v, g = _loss_and_gradient(x_rows[i], feats[i], labels[i], 0.01)
         assert v == values[i]
         assert np.array_equal(g, grads[i])
+
+
+def _two_branch_softplus_sigmoid(z):
+    """The kernel as it was first written: three exp calls, and the sigmoid
+    filled branch by branch through boolean masks."""
+    values = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    sig = np.empty_like(z)
+    pos = z >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    return values, sig
+
+
+_SPECIAL_MARGINS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                    709.8, -709.8, 745.2, -745.2, 1e300, -1e300, 37.0, -37.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40))
+def test_one_exp_kernel_matches_two_branch_formula_bitwise(margins):
+    z = np.array(_SPECIAL_MARGINS + margins)
+    values, sig = softplus_sigmoid(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_values, want_sig = _two_branch_softplus_sigmoid(z)
+    assert values.tobytes() == want_values.tobytes()
+    # IEEE 754 gives a NaN no meaningful sign: a NaN margin only has to
+    # stay NaN. Every other element matches bit for bit, its sign included.
+    nan = np.isnan(z)
+    assert np.isnan(sig[nan]).all() and np.isnan(want_sig[nan]).all()
+    assert np.array_equal(np.signbit(sig[~nan]), np.signbit(want_sig[~nan]))
+    assert sig[~nan].tobytes() == want_sig[~nan].tobytes()

@@ -38,6 +38,19 @@ def test_consensus_error_values():
     assert consensus_error(shifted) == pytest.approx(consensus_error(x), abs=1e-9)
 
 
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 5), n=st.integers(1, 300), dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_consensus_error_of_a_stack_is_its_slices_bitwise(k, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, n, dim)) * 10.0 ** rng.uniform(-3, 3, (k, n, 1))
+    errors = consensus_error(stack)
+    assert errors.shape == (k,)
+    for i in range(k):
+        one = consensus_error(stack[i])
+        assert type(one) is float
+        assert errors[i].tobytes() == np.float64(one).tobytes()
+
+
 def _draw(rng, count, d):
     """count samples of width d, each its features then its label."""
     features, labels = np.empty((count, d)), np.empty(count)

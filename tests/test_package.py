@@ -41,3 +41,13 @@ def test_every_error_type_is_caught_by_name():
         if isinstance(value, type) and issubclass(value, errors.SimulationError)
     }
     assert defined - caught == set()
+
+
+def test_the_logistic_kernel_has_one_home():
+    # The round loop reaches exp and log1p only through losses.softplus_sigmoid.
+    engine = Path(dogsim.__file__).parent / "engine.py"
+    calls = {
+        node.attr for node in ast.walk(ast.parse(engine.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+    }
+    assert calls & {"exp", "log1p"} == set()
