@@ -12,6 +12,7 @@ the one dataset, so a block of rounds is one fancy index.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -73,15 +74,99 @@ class NodeStreams:
         return self.dataset.features[rows], self.dataset.labels[rows]
 
 
+#: Lines per chunk of `parse_libsvm`. Each chunk's tokens are converted in
+#: bulk, so the parse holds one chunk's token strings at a time, not the
+#: whole file's, which would raise its peak memory.
+_PARSE_CHUNK = 512
+#: Every byte but ' ' and ':'. UTF-8 writes no other character with either
+#: byte, so deleting these from a chunk's encoded tokens leaves its separators.
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" :")))
+
+
 def parse_libsvm(text: str) -> Dataset:
     """Parse LIBSVM text: "<label> <index>:<value> ...", 1-based ascending
     indices, finite values. Labels +1/1 map to +1; -1 and 0 map to -1. Blank
     lines and lines starting with '#' are skipped; d is the largest index.
     Malformed text raises ValueError, its message prefixed "line N: " (1-based).
+
+    The lines are read in chunks of `_PARSE_CHUNK`. `_parse_chunk` converts
+    a chunk's tokens in bulk and checks the grammar with numpy; a chunk it
+    cannot certify goes through `_parse_lines`, the per-line reference and
+    the only code that writes "line N: " errors. Either way a chunk gives
+    the same arrays, so the result and the first error do not depend on the
+    chunk size.
     """
-    labels, rows, cols, vals = [], [], [], []
+    lines = text.splitlines()
+    chunks = []
+    for first in range(0, len(lines), _PARSE_CHUNK):
+        block = lines[first : first + _PARSE_CHUNK]
+        chunks.append(_parse_chunk(block) or _parse_lines(block, first + 1))
+    # Allocate before converting the columns: an index past intp then fails
+    # numpy's shape check, whichever path read it.
+    dim = max((chunk[4] for chunk in chunks), default=0)
+    features = np.zeros((sum(len(chunk[0]) for chunk in chunks), dim))
+    labels, counts, cols, vals = (
+        np.concatenate([np.empty(0, dtype)] + [np.asarray(chunk[i], dtype) for chunk in chunks])
+        for i, dtype in enumerate((float, np.intp, np.intp, float))
+    )
+    features[np.repeat(np.arange(len(labels)), counts), cols] = vals
+    return Dataset(features, labels)
+
+
+def _parse_chunk(lines):
+    """The rows of `lines` as (labels, entries per row, columns, values, d),
+    or None when the bulk checks cannot certify every line.
+
+    Each line is split once. The chunk's feature tokens are joined by
+    spaces; each has exactly one ':' when the joined text's separators read
+    ": : ... :". Their colons are then made spaces and the text split again,
+    so indices and values alternate. `int` runs once per distinct index
+    string and `float` over the values and labels, the calls `_parse_lines`
+    makes. Numpy then checks that the labels are 1, -1 or 0, that the
+    indices are >= 1 and strictly ascending within a line, and that the
+    values are finite.
+    """
+    labels, counts, tokens = [], [], []
+    for line in lines:
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            labels.append(parts[0])
+            counts.append(len(parts) - 1)
+            tokens += parts[1:]
+    joined = " ".join(tokens)
+    separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+    if separators != (b": " * len(tokens))[:-1]:
+        return None  # some token has no ':', or more than one
+    pieces = joined.replace(":", " ").split(" ") if tokens else []
+    index_s = pieces[0::2]
+    try:
+        raw = np.fromiter(map(float, labels), float, len(labels))
+        ints = {s: int(s) for s in set(index_s)}
+        index = np.fromiter(map(ints.__getitem__, index_s), np.intp, len(index_s))
+        vals = np.fromiter(map(float, pieces[1::2]), float, len(index_s))
+    except (ValueError, OverflowError):  # "1:x", or an index outside intp
+        return None
+    counts = np.array(counts, dtype=np.intp)
+    prev = np.zeros_like(index)  # the line's previous index, 0 at its first
+    prev[1:] = index[:-1]
+    starts = np.cumsum(counts) - counts
+    prev[starts[counts > 0]] = 0
+    if not (
+        ((raw == 1.0) | (raw == -1.0) | (raw == 0.0)).all()
+        and (index > prev).all()
+        and np.isfinite(vals).all()
+    ):
+        return None
+    return np.where(raw == 1.0, 1.0, -1.0), counts, index - 1, vals, int(index.max(initial=0))
+
+
+def _parse_lines(lines, first_lineno: int):
+    """The rows of `lines` as `_parse_chunk` gives them, one line at a time;
+    a malformed line raises ValueError "line N: ...", N counted from
+    `first_lineno`. This is the grammar's reference."""
+    labels, counts, cols, vals = [], [], [], []
     dim = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=first_lineno):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -92,12 +177,11 @@ def parse_libsvm(text: str) -> Dataset:
             except ValueError:
                 raise ValueError(f"unparseable label {tokens[0]!r}") from None
             if raw == 1.0:
-                labels.append(1.0)
+                label = 1.0
             elif raw in (-1.0, 0.0):
-                labels.append(-1.0)
+                label = -1.0
             else:
                 raise ValueError(f"label must be +1, 1, -1, or 0, got {tokens[0]!r}")
-            row = len(labels) - 1
             prev = 0
             for tok in tokens[1:]:
                 idx_s, _, val_s = tok.partition(":")
@@ -113,15 +197,14 @@ def parse_libsvm(text: str) -> Dataset:
                 if not math.isfinite(val):
                     raise ValueError(f"non-finite value in {tok!r}")
                 prev = idx
-                rows.append(row)
                 cols.append(idx - 1)
                 vals.append(val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        labels.append(label)
+        counts.append(len(tokens) - 1)
         dim = max(dim, prev)
-    features = np.zeros((len(labels), dim))
-    features[rows, cols] = vals
-    return Dataset(features, np.array(labels))
+    return labels, counts, cols, vals, dim
 
 
 def serialize_libsvm(features, labels) -> str:
@@ -185,6 +268,14 @@ def kmeans(points, k: int, seed: int = 0) -> list:
     centroid, read after the clusters before c have moved and before the
     others have. Stops when assignments stabilize or after
     `_MAX_LLOYD_STEPS` steps.
+
+    A step's result depends only on the assignments and centroids before
+    it, so the loop keys that state by its sha256. When step s repeats the
+    state of step f, the steps from f on cycle with period p = s - f, and
+    (`_MAX_LLOYD_STEPS` - s) mod p more steps reach the state the cap
+    leaves. This happens when k exceeds the number of distinct points:
+    re-seeded clusters tie exactly and empty again. Only the digests are
+    kept, so the memory is O(steps) at any m.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
@@ -211,7 +302,19 @@ def kmeans(points, k: int, seed: int = 0) -> list:
         pp = (pts * pts).sum(axis=1)
     columns = np.ascontiguousarray(pts.T)
     assign = np.full(m, -1, dtype=np.intp)
-    for _ in range(_MAX_LLOYD_STEPS):
+    first_seen = {}  # sha256 of (assign, centroids) before a step -> that step
+    stop = _MAX_LLOYD_STEPS
+    for step in range(_MAX_LLOYD_STEPS):
+        state = hashlib.sha256(assign)
+        state.update(centroids)
+        first = first_seen.setdefault(state.digest(), step)
+        if first < step:
+            # The steps from `first` on repeat with period step - first, so
+            # the state the cap leaves is this many steps ahead; every later
+            # repeat gives the same stop.
+            stop = step + (_MAX_LLOYD_STEPS - step) % (step - first)
+        if step == stop:
+            break
         new_assign = _nearest(pts, pp, centroids)
         if np.array_equal(new_assign, assign):
             break
@@ -242,6 +345,8 @@ def _nearest(pts, pp, centroids) -> np.ndarray:
     A_ij = fl(pp_i + cc_j - 2 fl(p_i . c_j)), and the row is certified when
     every other A_ij exceeds the row's minimum by more than 2 s_i, where
     s_i >= max_j |A_ij - E_ij|: then E is smallest at the same j, uniquely.
+    The minimum is read at the row's argmin (`take_along_axis`), not by a
+    second reduction, and the entries within 2 s_i of it are counted.
 
     The slack, with gamma_n = n u / (1 - n u) (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., section 3.1), holds for
@@ -281,9 +386,9 @@ def _nearest(pts, pp, centroids) -> np.ndarray:
         approx = pp[:, None] + cc - 2.0 * (pts @ centroids.T)
         bound = pp + cc.max()
         slack = 8 * (d + 4) * (_U * bound + _TINY)
-        near = approx - approx.min(axis=1)[:, None] <= 2 * slack[:, None]
-        unsure = np.flatnonzero((near.sum(axis=1) > 1) | ~(bound <= _NORM_LIMIT))
         assign = approx.argmin(axis=1)
+        near = approx - np.take_along_axis(approx, assign[:, None], axis=1) <= 2 * slack[:, None]
+        unsure = np.flatnonzero((np.count_nonzero(near, axis=1) > 1) | ~(bound <= _NORM_LIMIT))
         if len(unsure):
             assign[unsure] = _nearest_exact(pts[unsure], centroids)
     return assign

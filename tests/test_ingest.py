@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from unittest import mock
 
@@ -75,6 +76,104 @@ def test_parse_rejects_non_finite_value_with_line(token):
     with pytest.raises(ValueError, match=r"^line 3: non-finite value in") as err:
         parse_libsvm(f"+1 1:1\n# comment\n-1 {token}\n")
     assert token in str(err.value)
+
+
+_LABELS = ["+1", "1", "1.0", "-1", "0", "-0"]
+_BAD_LABELS = ["+3", "what", "nan"]
+# No ':' or two, an empty side, index 0, a descending pair, non-finite
+# values, and spellings that int() and float() accept or refuse.
+_ODD_TOKENS = ["5", "1:2:3", "1:", ":5", "0:1", "3:1 2:1", "1:nan", "1:inf", "1:1e400",
+               "1_0:2", "١:2", "2:٣", "١٠:2", "1180591620717411303424:1"]
+
+
+@st.composite
+def _libsvm_line(draw):
+    """A blank, comment or data line; data lines are valid except where a
+    bad label or odd token is drawn in."""
+    kind = draw(st.sampled_from(["data"] * 8 + ["blank", "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t "]))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# note 1:2", "  #x"]))
+    bad = draw(st.integers(0, 9)) == 0
+    tokens = [draw(st.sampled_from(_LABELS + _BAD_LABELS if bad else _LABELS))]
+    steps = draw(st.lists(st.integers(1, 3), max_size=5))
+    values = st.one_of(st.sampled_from(["0.5", "-2", "1e-3", "+7", ".25"]), _finite.map(repr))
+    tokens += [f"{index}:{draw(values)}" for index in itertools.accumulate(steps)]
+    for _ in range(draw(st.integers(1, 2)) if bad and len(tokens) > 1 else 0):
+        tokens[draw(st.integers(1, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    line = draw(st.sampled_from([" ", "\t", "  ", " \t "])).join(tokens)
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\t "]))
+
+
+def _parse_outcome(text):
+    try:
+        d = parse_libsvm(text)
+    except ValueError as exc:
+        return str(exc)
+    return d.features.shape, d.features.tobytes(), d.labels.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_libsvm_line(), max_size=24), newline=st.sampled_from(["\n", "\r\n"]))
+def test_parse_matches_the_per_line_reference(lines, newline):
+    # With 3-line chunks, the first bad line can sit in any chunk.
+    text = newline.join(lines + [""])
+    with mock.patch.object(ingest, "_PARSE_CHUNK", 3):
+        chunked = _parse_outcome(text)
+    with mock.patch.object(ingest, "_PARSE_CHUNK", len(lines) + 1), \
+            mock.patch.object(ingest, "_parse_chunk", return_value=None):
+        reference = _parse_outcome(text)
+    assert chunked == reference
+
+
+@pytest.mark.parametrize("line, token", [
+    ("+1 1 2:3:4", "1"),  # with colons made spaces: 1:2 3:4
+    ("-1 1: :5", "1:"),  # with the empty pieces dropped: 1:5
+])
+def test_parse_rejects_tokens_that_pair_up_once_split(line, token):
+    with pytest.raises(ValueError, match=rf"^line 2: malformed token '{token}'$"):
+        parse_libsvm(f"+1 1:1\n{line}\n")
+
+
+def _bench_scale_libsvm_text():
+    """4000 lines of 18 features, the libsvm_sweep shape: rows around eight
+    centers, a fifth of the entries zero and omitted, every label spelling."""
+    rng = np.random.default_rng(41)
+    centers = rng.normal(0.0, 3.0, (8, 18))
+    x = centers[rng.integers(0, 8, 4000)] + rng.standard_normal((4000, 18))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    spellings = np.array(["+1", "1", "-1", "0"])[rng.integers(0, 4, 4000)]
+    lines = [" ".join([label] + ["%d:%.17g" % (j, v) for j, v in enumerate(row, start=1) if v != 0.0])
+             for label, row in zip(spellings, x.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def test_parse_chunk_size_does_not_change_the_bytes(monkeypatch):
+    text = "# header\n\n" + "".join(_bench_scale_libsvm_text().splitlines(keepends=True)[:1500])
+    results = []
+    for chunk in (1, 3, 7, ingest._PARSE_CHUNK):
+        monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+        with mock.patch.object(ingest, "_parse_lines", wraps=ingest._parse_lines) as per_line:
+            d = parse_libsvm(text)
+        assert per_line.call_count == 0  # the bulk path certified every chunk
+        results.append((d.features.shape, d.features.tobytes(), d.labels.tobytes()))
+    assert all(result == results[-1] for result in results)
+
+
+def test_ingest_bytes_are_pinned_at_bench_scale():
+    # digests of the per-line parse, which the bulk parse must reproduce
+    d = normalize(parse_libsvm(_bench_scale_libsvm_text()))
+    streams = split_stoch_adv(d, 0.5, n=40, rounds=100, seed=7)
+    assert d.features.shape == (4000, 18)
+    assert _sha256(d.features) == "375f6b8d42b95acef94dbeee68312567df5a260e495a10cf465e4393c6a38fb2"
+    assert _sha256(d.labels) == "542e19da6d66be26fbe7198c77a8d8badbf019ed412944ee5ed45806be5ec5d3"
+    assert _sha256(streams.index.astype(np.int64)) == (
+        "c01c13ea2c14a4ca720a1e62cc3c371f2d4ae60ff3344bb730c8036de0c15515")
 
 
 def test_serialize_parse_roundtrip():
@@ -256,6 +355,16 @@ def test_kmeans_matches_broadcast_reference(kind, m, d, data):
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     points = _kmeans_points(kind, m, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     assert kmeans(points, k, seed=seed) == _kmeans_broadcast_reference(points, k, seed=seed)
+
+
+def test_kmeans_stops_a_cycle_where_the_step_cap_would():
+    # three distinct rows and four clusters: the empty-cluster re-seeds and
+    # the exact ties they make cycle, so the assignments never stabilize
+    points = _kmeans_points("duplicates", 8, 2, np.random.default_rng(3))
+    with mock.patch.object(ingest, "_nearest", wraps=ingest._nearest) as nearest:
+        assign = kmeans(points, 4, seed=3)
+    assert nearest.call_count < 100
+    assert assign == _kmeans_broadcast_reference(points, 4, seed=3)
 
 
 def _exact_argmin(points, centroids):
