@@ -2,9 +2,10 @@
 
 Config files are INI-style text with sections [network], [algorithm],
 [loss], [data], and optional [bounds] / [resolved]. `_KEYS` lists every
-key with its converter and default; unknown sections or keys, and values
-that do not convert or are out of range, are rejected with their line
-number.
+key with its field, converter and default, and is the only declaration of
+the schema: `ExperimentFile`'s fields and the sweep axes' values follow
+it. Unknown sections or keys, and values that do not convert or are out
+of range, are rejected with their line number.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure (divergence or a
 non-converging solver), 3 I/O error. Diagnostics go to stderr.
@@ -16,7 +17,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 from pathlib import Path
 
 from . import engine, ingest, metrics, mixing, topology
@@ -105,29 +106,36 @@ _KEYS = {
 _OPTIONAL_SECTIONS = ("bounds", "resolved")
 
 
-@dataclass(frozen=True)
-class ExperimentFile:
-    """Fully validated experiment description; None marks a key not given.
+ExperimentFile = make_dataclass(
+    "ExperimentFile",
+    [field for section, keys in _KEYS.items() if section not in _OPTIONAL_SECTIONS
+     for field, _, _ in keys.values()] + ["bounds"],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Fully validated experiment description; None marks a key not given.
 
+    One field per `_KEYS` key outside the optional sections, in its order,
+    then `bounds` (an `engine.Bounds`). `eta` is a float or "auto".
     Synthetic data sets `beta` and `dim`, file data `file` and
-    `stochastic_fraction`."""
+    `stochastic_fraction`.""",
+    },
+)
 
-    kind: str
-    n: int
-    k: int
-    p: float
-    scheme: str
-    algorithm: str
-    eta: object  # float or "auto"
-    T: int
-    seed: int
-    project_radius: float | None
-    gamma: float
-    beta: float | None
-    dim: int | None
-    file: str | None
-    stochastic_fraction: float | None
-    bounds: engine.Bounds | None
+
+def _check_data(values: dict, lines: dict, header: int | None = None):
+    """Check the [data] fields of `values` (None: not given) against the
+    data mode, naming a key's line from `lines`: file data needs
+    `stochastic_fraction` and synthetic data `beta`; `dim` is synthetic."""
+    if values["file"] is None:
+        mode, excluded, needed = "synthetic", ("stochastic_fraction",), "beta"
+    else:
+        mode, excluded, needed = "file", ("beta", "dim"), "stochastic_fraction"
+    for key in excluded:
+        if values[key] is not None:
+            raise ConfigError(f"key {key!r} is not valid with {mode} data", lines.get(key))
+    if values[needed] is None:
+        raise ConfigError(f"missing required key {needed!r} in [data]", header)
 
 
 def _parse_ini(text: str) -> dict:
@@ -185,17 +193,9 @@ def parse_config(text: str) -> ExperimentFile:
                 values[field] = default
 
     header, data = sections["data"]
-    if "file" in data:
-        mode, excluded, needed = "file", ("beta", "dim"), "stochastic_fraction"
-    else:
-        mode, excluded, needed = "synthetic", ("stochastic_fraction",), "beta"
-        if values["dim"] is None:
-            values["dim"] = 10
-    for key in excluded:
-        if key in data:
-            raise ConfigError(f"key {key!r} is not valid with {mode} data", data[key][1])
-    if needed not in data:
-        raise ConfigError(f"missing required key {needed!r} in [data]", header)
+    _check_data(values, {key: lineno for key, (_, lineno) in data.items()}, header)
+    if values["file"] is None and values["dim"] is None:
+        values["dim"] = 10
 
     # A resolved.cfg's rho is checked as finite and dropped: runs recompute it.
     values.pop("rho", None)
@@ -382,57 +382,64 @@ def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_value(section: str, key: str, text: str, value: str):
-    """text converted by the `_KEYS` converter of [section] key, where text
-    is all or part of the sweep value `value`."""
-    try:
-        return _KEYS[section][key][1](text)
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep value {value!r} ({exc})") from None
+#: sweep axis -> (the (section, key) that each ':'-separated part of a
+#: value sets, the algorithms each value runs: () runs the config's own)
+_AXES = {
+    "beta": ((("data", "beta"),), (engine.DOG, engine.LOCAL_OGD)),
+    "nodes": ((("network", "n"),), ()),
+    "topology": ((("network", "kind"), ("network", "p")), (engine.DOG,)),
+}
 
 
 def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
-    """Yield (cell_name, value, algorithm, config) for one sweep axis."""
-    if axis == "beta":
-        if ef.file is not None:
-            raise ConfigError("beta sweep requires synthetic data")
-        for value in values:
-            beta = _sweep_value("data", "beta", value, value)
-            for alg in (engine.DOG, engine.LOCAL_OGD):
-                yield f"beta_{value}_{alg}", value, alg, replace(ef, beta=beta, algorithm=alg)
-    elif axis == "nodes":
-        for value in values:
-            n = _sweep_value("network", "n", value, value)
-            yield f"nodes_{value}", value, ef.algorithm, replace(ef, n=n)
-    elif axis == "topology":
-        for value in values:
-            kind, _, p_raw = value.partition(":")
-            patched = replace(ef, kind=_sweep_value("network", "kind", kind, value), algorithm=engine.DOG)
-            if p_raw:
-                if kind != topology.WATTS_STROGATZ:
-                    raise ConfigError(f"topology {value!r} takes no ':p' suffix; only watts_strogatz reads p")
-                patched = replace(patched, p=_sweep_value("network", "p", p_raw, value))
-            name = f"topology_{value.replace(':', '_p')}"
-            yield name, value, engine.DOG, patched
-    else:
+    """Yield (cell_name, value, config) per value of `axis` and algorithm.
+
+    Each part of a value is stripped of blanks and converted by its key's
+    `_KEYS` converter; an empty later part sets nothing. A cell is named
+    <axis>_<part 0>, then _<key><part> per later part, then _<algorithm>
+    when a value runs more than one. Each cell's config is checked as a
+    config file is, and one equal to an earlier cell's is a config error."""
+    if axis not in _AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    keys, algorithms = _AXES[axis]
+    seen = {}
+    for raw in values:
+        parts = [part.strip() for part in raw.split(":", len(keys) - 1)]
+        value = ":".join(parts)
+        fields = {}
+        for i, ((section, key), part) in enumerate(zip(keys, parts)):
+            if i and not part:
+                continue
+            if key == "p" and parts[0] != topology.WATTS_STROGATZ:
+                raise ConfigError(f"topology {value!r} takes no ':p' suffix; only watts_strogatz reads p")
+            field, convert, _ = _KEYS[section][key]
+            try:
+                fields[field] = convert(part)
+            except ValueError as exc:
+                raise ConfigError(f"invalid sweep value {value!r} ({exc})") from None
+        name = "_".join([axis, parts[0]] + [key + part for (_, key), part in zip(keys[1:], parts[1:])])
+        for alg in algorithms or (ef.algorithm,):
+            cell = replace(ef, **fields, algorithm=alg)
+            _check_data(vars(cell), {})
+            if cell in seen:
+                raise ConfigError(f"sweep value {value!r} repeats cell {seen[cell]}")
+            seen[cell] = f"{name}_{alg}" if len(algorithms) > 1 else name
+            yield seen[cell], value, cell
 
 
 def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) -> int:
-    """Run one experiment per axis value; writes per-cell metrics and a summary.
+    """Run every cell of an axis sweep (see `_sweep_cells`); writes each
+    cell's metrics.csv and one sweep_summary.csv.
 
     Every cell is built before any runs, from one `build_data` memo, so
-    cells whose data sources are built from the same arguments share one
-    source: the DOG and Local OGD cells of each beta value, and every cell
-    of a topology sweep. A nodes sweep shares only its parsed data file,
-    since each n is its own stream. Like `dogsim run`, a running cell holds
-    all its samples, one T·n·(dim+1)·8-byte block, which its data source
-    reads on the cell's first round. Once built, only the cells hold their
-    sources, and each cell is dropped once its CSV and summary row are
-    written, so a shared block is freed after the last cell that reads it
-    and a nodes sweep holds one cell's block at a time. Each cell still
-    runs on its own, and its bytes are those of a standalone run. A value
-    given twice would write its cell twice, and is a config error.
+    cells whose data sources are built from the same arguments share one:
+    the DOG and Local OGD cells of each beta value, and every cell of a
+    topology sweep. A nodes sweep shares only its parsed data file. Like
+    `dogsim run`, a running cell holds all its samples, one
+    T·n·(dim+1)·8-byte block. Each cell is dropped once its CSV and summary
+    row are written, so a shared block is freed after the last cell that
+    reads it and a nodes sweep holds one cell's block at a time. A cell's
+    bytes are those of a standalone `dogsim run` of its config.
 
     `threads` is validated and otherwise unused."""
     prefix = ""  # names the cell being built or run in a diagnostic
@@ -442,25 +449,17 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
         if not values:
             raise ConfigError("sweep needs at least one axis value")
         cells = list(_sweep_cells(ef, axis, values))
-        names = set()
-        for name, value, *_ in cells:
-            if name in names:
-                raise ConfigError(f"sweep value {value!r} repeats cell {name}")
-            names.add(name)
         # Build every cell before running any, so a config error writes
         # nothing. A shared stream generates its block lazily, inside the
         # run of the first cell that reads it.
         built, sources = [], {}
-        for name, value, alg, cell_ef in cells:
+        for name, value, cell_ef in cells:
             prefix = f"sweep cell {name} "
-            built.append((name, value, alg, build_run(cell_ef, sources)[0]))
-        # From here only the cells hold their data sources, and each cell
-        # is dropped once it has run, so a shared stream is freed after the
-        # last cell that reads it.
-        del sources
+            built.append((name, value, build_run(cell_ef, sources)[0]))
+        del sources  # from here only the cells hold their data sources
         rows = []
         while built:
-            name, value, alg, cfg = built.pop(0)
+            name, value, cfg = built.pop(0)
             prefix = f"sweep cell {name} "
             _warn_rho(cfg, prefix)
             result = engine.run_experiment(cfg)
@@ -468,7 +467,7 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
             cell_dir.mkdir(parents=True, exist_ok=True)
             _write_text(cell_dir / "metrics.csv", _metrics_csv(result))
             final_avg = metrics.average_loss(result.avg_loss) if result.avg_loss.size else float("nan")
-            rows.append(f"{value},{alg},{fmt17(final_avg)}")
+            rows.append(f"{value},{cfg.algorithm},{fmt17(final_avg)}")
             del result, cfg  # frees the cell's samples before the next cell runs
         prefix = ""
         _write_text(
@@ -532,7 +531,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run an axis sweep")
     sweep.add_argument("config")
     sweep.add_argument("outdir")
-    sweep.add_argument("--axis", required=True, choices=("beta", "nodes", "topology"))
+    sweep.add_argument("--axis", required=True, choices=tuple(_AXES))
     sweep.add_argument("--values", required=True,
                        help="comma-separated axis values")
     sweep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
@@ -555,7 +554,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return cmd_run(args.config, args.outdir, threads=args.threads)
     if args.command == "sweep":
-        values = [v for v in args.values.split(",") if v]
+        values = [v for v in args.values.split(",") if v.strip()]
         return cmd_sweep(args.config, args.axis, values, args.outdir, threads=args.threads)
     if args.command == "matrix":
         return cmd_matrix(args.config)

@@ -48,23 +48,6 @@ def softplus_sigmoid(z: np.ndarray) -> tuple:
     return values, sig
 
 
-def batch_loss_and_gradient(
-    x_rows: np.ndarray, features: np.ndarray, labels: np.ndarray, gamma: float
-) -> tuple:
-    """Vectorized evaluation: row i pairs model x_rows[i] with sample
-    (features[i], labels[i]); returns (values (n,), gradients (n, d)).
-
-    The round loop computes the same margins and gradients inline, around
-    one `softplus_sigmoid` call per round, and adds the values' regularizer
-    once per tile of rounds; its outputs equal this function's bit for bit.
-    """
-    z = -(labels * (features * x_rows).sum(axis=1))
-    values, sig = softplus_sigmoid(z)
-    values = values + 0.5 * gamma * (x_rows * x_rows).sum(axis=1)
-    grads = (-labels * sig)[:, None] * features + gamma * x_rows
-    return values, grads
-
-
 def smoothness_bound(features: np.ndarray, gamma: float) -> float:
     """Lipschitz constant of the gradient: 0.25 * max ||a||^2 + gamma.
 

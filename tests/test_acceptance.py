@@ -17,9 +17,12 @@ import dogsim
 from dogsim import cli
 from dogsim.datagen import SyntheticSpec, SyntheticStream
 from dogsim.engine import DOG, _step, run_experiment
-from dogsim.losses import LossSpec, batch_loss_and_gradient
+from dogsim.ingest import Dataset, NodeStreams
+from dogsim.losses import LossSpec
 from dogsim.mixing import build_mixing
 from dogsim.topology import build_topology
+
+from test_losses import batch_loss_and_gradient
 
 GAMMA = LossSpec(gamma=1e-3)
 ETA = 0.2
@@ -124,6 +127,18 @@ def test_criterion_03_spectral_values():
     _report(3, "spectral values", ok, time.perf_counter() - start, 1)
 
 
+def _engine_gradient(x, a, y, gamma):
+    """The round loop's gradient at x on the sample (a, y), read from a
+    two-round Local OGD run with eta = 1: round 1's sample (2x, +1) moves
+    the zero model to exactly x, since the gradient at zero is -a/2, and
+    round 2 steps from x to x - g."""
+    dataset = Dataset(np.stack([2.0 * x, a[0]]), np.array([1.0, y[0]]))
+    cfg = dogsim.RunConfig(algorithm="local_ogd", T=2, eta=1.0, loss_spec=LossSpec(gamma=gamma),
+                           data=NodeStreams(dataset, np.array([[0, 1]])))
+    result = run_experiment(cfg)
+    return x - result.final_models[0], result.grad_norms[1, 0]
+
+
 def test_criterion_04_gradient_correctness():
     start = time.perf_counter()
     rng = np.random.default_rng(4)
@@ -138,13 +153,15 @@ def test_criterion_04_gradient_correctness():
         def loss(v):
             return batch_loss_and_gradient(v[None, :], a, y, gamma)[0][0]
 
-        analytic = batch_loss_and_gradient(x[None, :], a, y, gamma)[1][0]
+        analytic, norm = _engine_gradient(x, a, y, gamma)
         fd = np.zeros(d)
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1e-6
             fd[i] = (loss(x + e) - loss(x - e)) / 2e-6
-        ok &= np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5
+        scale = max(np.linalg.norm(fd), 1e-12)
+        ok &= np.linalg.norm(analytic - fd) / scale <= 1e-5
+        ok &= abs(norm - np.linalg.norm(fd)) / scale <= 1e-5
     _report(4, "gradient correctness", ok, time.perf_counter() - start, 1)
 
 

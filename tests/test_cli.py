@@ -287,6 +287,11 @@ def test_sweep_p_suffix_on_a_kind_without_p_is_a_config_error(tmp_path, capsys, 
     ("nodes", "4,4", "4", "nodes_4"),
     ("beta", "0.3,0.7,0.3", "0.3", "beta_0.3_dog"),
     ("topology", "watts_strogatz:0.5,ring,watts_strogatz:0.5", "watts_strogatz:0.5", "topology_watts_strogatz_p0.5"),
+    # a repeat is a cell whose config equals an earlier cell's, however its value is written
+    ("nodes", "4,+4,04", "+4", "nodes_4"),
+    ("beta", "0.3,0.30", "0.30", "beta_0.3_dog"),
+    ("topology", "watts_strogatz:0.5,watts_strogatz:.5", "watts_strogatz:.5", "topology_watts_strogatz_p0.5"),
+    ("nodes", "4, 4 ", "4", "nodes_4"),
 ])
 def test_sweep_repeated_value_is_a_config_error(tmp_path, capsys, axis, values, repeated, cell):
     cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))
@@ -295,6 +300,14 @@ def test_sweep_repeated_value_is_a_config_error(tmp_path, capsys, axis, values, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(repeated) in err and cell in err
     assert not out.exists()
+
+
+def test_every_sweep_axis_sets_keys_of_the_config_schema():
+    for keys, algorithms in cli._AXES.values():
+        assert all(key in cli._KEYS[section] for section, key in keys)
+        assert set(algorithms) <= set(engine.ALGORITHMS)
+    sub = next(a for a in cli._parser()._actions if a.dest == "command").choices["sweep"]
+    assert next(a for a in sub._actions if a.dest == "axis").choices == tuple(cli._AXES)
 
 
 TOPOLOGY_CONFIG = """\
@@ -733,6 +746,39 @@ def test_beta_sweep_cells_match_single_runs(tmp_path):
             single = BASE_CONFIG.replace("beta = 0.5", f"beta = {beta}").replace("kind = dog", f"kind = {alg}")
             assert cli.main(["run", str(_write(tmp_path, single, f"{cell}.cfg")), str(tmp_path / cell)]) == 0
             assert (out / cell / "metrics.csv").read_bytes() == (tmp_path / cell / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("axis, values, cells", [
+    # blanks around a value are stripped from its cell's name and summary row
+    ("nodes", " 4, 8 ", {"4": ("n = 6", "n = 4"), "8": ("n = 6", "n = 8")}),
+    # a topology cell runs dog whatever the config's algorithm
+    ("topology", "complete,watts_strogatz:0.5", {
+        "complete": ("kind = ring", "kind = complete"),
+        "watts_strogatz:0.5": ("kind = ring", "kind = watts_strogatz\np = 0.5"),
+    }),
+])
+def test_synthetic_sweep_cells_match_single_runs(tmp_path, axis, values, cells):
+    text = BASE_CONFIG.replace("n = 6", "n = 6\nk = 2").replace("kind = dog", "kind = local_ogd")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(_write(tmp_path, text)), str(out), "--axis", axis, "--values", values]) == 0
+    rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == list(cells)
+    for value, (old, new) in cells.items():
+        cell = f"{axis}_{value.replace(':', '_p')}"
+        single = text.replace(old, new)
+        if axis == "topology":
+            single = single.replace("kind = local_ogd", "kind = dog")
+        assert cli.main(["run", str(_write(tmp_path, single, f"{cell}.cfg")), str(tmp_path / cell)]) == 0
+        assert (out / cell / "metrics.csv").read_bytes() == (tmp_path / cell / "metrics.csv").read_bytes()
+
+
+def test_beta_sweep_on_file_data_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
+    cfg = _write(tmp_path, FILE_CONFIG)
+    assert cli.main(["sweep", str(cfg), "out", "--axis", "beta", "--values", "0.3"]) == 1
+    assert capsys.readouterr().err == "config error: key 'beta' is not valid with file data\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_stops_at_a_failing_middle_cell(tmp_path, monkeypatch, capsys):

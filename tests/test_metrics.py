@@ -7,7 +7,6 @@ from scipy.special import expit
 
 from dogsim.datagen import SyntheticSpec, SyntheticStream
 from dogsim.errors import DegenerateParameters, NonConvergence
-from dogsim.losses import batch_loss_and_gradient
 from dogsim.metrics import (
     average_loss,
     consensus_error,
@@ -17,6 +16,8 @@ from dogsim.metrics import (
     regret_bound,
     static_regret,
 )
+
+from test_losses import batch_loss_and_gradient
 
 
 def test_average_loss_values():
