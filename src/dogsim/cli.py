@@ -22,13 +22,7 @@ from pathlib import Path
 
 from . import engine, ingest, metrics, mixing, topology
 from .datagen import SyntheticSpec, SyntheticStream
-from .errors import (
-    ConfigError,
-    DegenerateParameters,
-    DivergenceDetected,
-    NonConvergence,
-    SimulationError,
-)
+from .errors import ConfigError, DivergenceDetected, NonConvergence
 from .losses import LossSpec, smoothness_bound
 from .metrics import fmt17
 
@@ -214,13 +208,12 @@ def load_config(path) -> ExperimentFile:
 
 @contextmanager
 def _config_errors():
-    """Re-raise a ValueError or SimulationError from building a run as a
-    ConfigError; the runtime failures pass through unchanged."""
+    """Re-raise a ValueError from building a run as a ConfigError: an
+    argument the library cannot use, eta = auto without a positive value
+    among them. Every other exception passes through unchanged."""
     try:
         yield
-    except (ConfigError, DivergenceDetected, NonConvergence):
-        raise
-    except (ValueError, SimulationError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -366,17 +359,16 @@ def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
             f"final_consensus_error={fmt17(final_ce)}",
             f"static_regret={fmt17(regret)}",
         ]
-        if cfg.bounds is not None:
+        if cfg.bounds is not None and not cfg.mixing.contracts:
+            lines.append("regret_bound=unavailable (rho >= 1)")
+        elif cfg.bounds is not None:
             g_hat, sigma_hat = metrics.estimate_gradient_bounds(result.grad_norms)
-            lipschitz = smoothness_bound(features, gamma)
-            try:
-                bound = metrics.regret_bound(
-                    n=cfg.n, T=cfg.T, eta=cfg.eta, G=g_hat, sigma=sigma_hat,
-                    L=lipschitz, rho=cfg.mixing.rho, R=cfg.bounds.R, M=cfg.bounds.M,
-                )
-                lines.append(f"regret_bound={fmt17(bound)}")
-            except DegenerateParameters:
-                lines.append("regret_bound=unavailable (rho >= 1)")
+            bound = metrics.regret_bound(
+                n=cfg.n, T=cfg.T, eta=cfg.eta, G=g_hat, sigma=sigma_hat,
+                L=smoothness_bound(features, gamma), rho=cfg.mixing.rho,
+                R=cfg.bounds.R, M=cfg.bounds.M,
+            )
+            lines.append(f"regret_bound={fmt17(bound)}")
     else:
         lines += ["average_loss=nan", "final_consensus_error=nan", "static_regret=nan"]
     return "\n".join(lines) + "\n"
@@ -395,7 +387,7 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
     """Yield (cell_name, value, config) per value of `axis` and algorithm.
 
     Each part of a value is stripped of blanks and converted by its key's
-    `_KEYS` converter; an empty later part sets nothing. A cell is named
+    `_KEYS` converter, so an empty part is an invalid value. A cell is named
     <axis>_<part 0>, then _<key><part> per later part, then _<algorithm>
     when a value runs more than one. Each cell's config is checked as a
     config file is, and one equal to an earlier cell's is a config error."""
@@ -407,9 +399,7 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
         parts = [part.strip() for part in raw.split(":", len(keys) - 1)]
         value = ":".join(parts)
         fields = {}
-        for i, ((section, key), part) in enumerate(zip(keys, parts)):
-            if i and not part:
-                continue
+        for (section, key), part in zip(keys, parts):
             if key == "p" and parts[0] != topology.WATTS_STROGATZ:
                 raise ConfigError(f"topology {value!r} takes no ':p' suffix; only watts_strogatz reads p")
             field, convert, _ = _KEYS[section][key]

@@ -42,7 +42,7 @@ from typing import Union
 import numpy as np
 
 from .datagen import SyntheticStream, tile_rounds
-from .errors import DegenerateParameters, DivergenceDetected
+from .errors import DivergenceDetected
 from .ingest import NodeStreams
 from .losses import LossSpec, softplus_sigmoid
 from .metrics import consensus_error
@@ -82,8 +82,8 @@ class RunConfig:
     seed, and node streams must cover T rounds. `mixing` is the n x n gossip
     matrix, required by dog and by eta='auto'. `project_radius`, if set,
     projects each model row onto that ball after every step. Every field
-    is checked at construction, eta included: eta='auto' without a value
-    (rho >= 1, or G = sigma = 0) raises DegenerateParameters.
+    is checked at construction, eta included: eta='auto' without a positive
+    value (rho >= 1, G = sigma = 0, or R = 0) raises ValueError.
     """
 
     algorithm: str
@@ -176,13 +176,19 @@ def _step(algorithm: str, x: np.ndarray, w: np.ndarray | None, grads: np.ndarray
 def auto_learning_rate(
     n: int, T: int, G: float, sigma: float, R: float, M: float, rho: float
 ) -> float:
-    """Closed-form step size eta = sqrt((1-rho)(n M sqrt(R) + n R) / (n T G^2 + T sigma^2))."""
+    """Closed-form step size eta = sqrt((1-rho)(n M sqrt(R) + n R) / (n T G^2 + T sigma^2)).
+
+    Raises ValueError where it has no positive value: rho >= 1,
+    n T G^2 + T sigma^2 = 0, or a zero numerator (R = 0, or an underflow)."""
     denom = n * T * G**2 + T * sigma**2
     if denom <= 0:
-        raise DegenerateParameters("n T G^2 + T sigma^2 must be positive")
+        raise ValueError("n T G^2 + T sigma^2 must be positive")
     if rho >= 1.0:
-        raise DegenerateParameters(f"auto eta requires rho < 1, got {rho}")
-    return math.sqrt((1.0 - rho) * (n * M * math.sqrt(R) + n * R) / denom)
+        raise ValueError(f"auto eta requires rho < 1, got {rho}")
+    eta = math.sqrt((1.0 - rho) * (n * M * math.sqrt(R) + n * R) / denom)
+    if not eta > 0:
+        raise ValueError(f"auto eta must be > 0, got {eta}; it requires R > 0")
+    return eta
 
 
 def run_experiment(cfg: RunConfig) -> RunResult:

@@ -1,18 +1,14 @@
 """Exception types the program catches by name.
 
-An argument a function cannot use raises ValueError. A `SimulationError`
-subclass exists only where a caller catches it by name: the CLI's exit
-codes (`ConfigError`, `DivergenceDetected`, `NonConvergence`), its summary
-(`DegenerateParameters`, reported as an unavailable bound) and its
-config-error wrapper (the base class).
+An argument a function cannot use raises ValueError, and so does a
+formula evaluated where it has no value (`auto_learning_rate`,
+`regret_bound`). A type is defined here only where the CLI catches it by
+name, as a key of its exit codes: `ConfigError`, `DivergenceDetected` and
+`NonConvergence`.
 """
 
 
-class SimulationError(Exception):
-    """Base class of the exception types below."""
-
-
-class NonConvergence(SimulationError):
+class NonConvergence(Exception):
     """An iterative solver exhausted its iteration budget.
 
     Carries the final residual so callers can report how far off it stopped.
@@ -23,11 +19,7 @@ class NonConvergence(SimulationError):
         self.residual = residual
 
 
-class DegenerateParameters(SimulationError):
-    """Bound or learning-rate formula evaluated outside its valid domain."""
-
-
-class DivergenceDetected(SimulationError):
+class DivergenceDetected(Exception):
     """A model entry became non-finite during a run; `round` is 1-based."""
 
     def __init__(self, round: int):
@@ -35,7 +27,7 @@ class DivergenceDetected(SimulationError):
         self.round = round
 
 
-class ConfigError(SimulationError):
+class ConfigError(Exception):
     """Invalid experiment configuration; `line` is 1-based or None."""
 
     def __init__(self, message: str, line: int | None = None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateParameters, NonConvergence
+from .errors import NonConvergence
 from .losses import softplus_sigmoid
 
 CSV_HEADER = "t,avg_loss,consensus_error,cum_loss"
@@ -187,11 +187,13 @@ def regret_bound(*, n: int, T: int, eta: float, G: float, sigma: float, L: float
 
         eta*T*s^2 + c0*n*T*eta^2 + c1*n*T*eta^3
         + (n/(2 eta)) * (4 sqrt(R) M + R) + c2*n*eta*T*G^2
+
+    Raises ValueError where it has no value: rho >= 1 or eta <= 0.
     """
     if rho >= 1.0:
-        raise DegenerateParameters(f"bound requires rho < 1, got {rho}")
+        raise ValueError(f"bound requires rho < 1, got {rho}")
     if eta <= 0.0:
-        raise DegenerateParameters(f"bound requires eta > 0, got {eta}")
+        raise ValueError(f"bound requires eta > 0, got {eta}")
     gap = 1.0 - rho
     noise = G**2 + sigma**2
     c0 = 2.0 * L * noise / gap**2

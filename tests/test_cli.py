@@ -130,6 +130,8 @@ _DEGENERATE_AUTO_ETA = {
     "split_random_k": _AUTO.replace("kind = ring", "kind = random_k\nk = 1")
     .replace("n = 6", "n = 4").replace("seed = 42", "seed = 0")
     + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n",
+    # the step size's numerator n M sqrt(R) + n R is 0 when R = 0, for any M
+    "zero_radius": _AUTO + "\n[bounds]\nG = 2\nsigma = 1\nR = 0\nM = 1\n",
 }
 
 
@@ -153,8 +155,11 @@ def test_auto_eta_on_a_disconnected_graph_is_config_error_at_any_size(tmp_path, 
     assert not out.exists()
 
 
-def test_fixed_eta_on_a_split_random_k_graph_reports_no_bound(tmp_path):
-    text = _DEGENERATE_AUTO_ETA["split_random_k"].replace("eta = auto", "eta = 0.2")
+@pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+def test_fixed_eta_on_a_split_random_k_graph_reports_no_bound(tmp_path, algorithm):
+    # the bound reads rho whatever the algorithm, so none of them has one here
+    text = (_DEGENERATE_AUTO_ETA["split_random_k"].replace("eta = auto", "eta = 0.2")
+            .replace("kind = dog", f"kind = {algorithm}"))
     out = tmp_path / "out"
     assert cli.main(["run", str(_write(tmp_path, text)), str(out)]) == 0
     assert "regret_bound=unavailable (rho >= 1)\n" in (out / "summary.txt").read_text()
@@ -262,6 +267,9 @@ def test_sweep_config_error_in_a_later_cell_writes_nothing(tmp_path, capsys):
     ("topology", "ring,watts_strogatz:x", "watts_strogatz:x"),
     ("beta", "0.3,nan", "nan"),
     ("topology", "ring,watts_strogatz:inf", "watts_strogatz:inf"),
+    # an empty ':p' part goes through its converter, or the ':p' rule, too
+    ("topology", "ring,watts_strogatz:", "watts_strogatz:"),
+    ("topology", "watts_strogatz:0.5,ring:", "ring:"),
 ])
 def test_sweep_malformed_value_is_a_config_error(tmp_path, capsys, axis, values, bad):
     cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring", "kind = ring\nk = 2"))

@@ -17,7 +17,7 @@ from dogsim.engine import (
     auto_learning_rate,
     run_experiment,
 )
-from dogsim.errors import DegenerateParameters, DivergenceDetected
+from dogsim.errors import DivergenceDetected
 from dogsim.ingest import Dataset, NodeStreams
 from dogsim.losses import LossSpec
 from dogsim.metrics import consensus_error, metrics_to_csv
@@ -130,10 +130,14 @@ def test_auto_learning_rate_closed_form():
 
 
 def test_auto_learning_rate_degenerate():
-    with pytest.raises(DegenerateParameters):
+    with pytest.raises(ValueError, match=r"n T G\^2 \+ T sigma\^2 must be positive"):
         auto_learning_rate(4, 100, G=0, sigma=0, R=1, M=0, rho=0)
-    with pytest.raises(DegenerateParameters):
+    with pytest.raises(ValueError, match="auto eta requires rho < 1, got 1.0"):
         auto_learning_rate(4, 100, G=1, sigma=0, R=1, M=0, rho=1.0)
+    # R = 0 zeroes the numerator for any M: no positive step size
+    for M in (0, 1):
+        with pytest.raises(ValueError, match="auto eta must be > 0, got 0.0; it requires R > 0"):
+            auto_learning_rate(4, 100, G=1, sigma=0, R=0, M=M, rho=0)
 
 
 def test_run_zero_rounds():
@@ -437,7 +441,7 @@ def test_auto_eta_resolves_in_run():
 
 def test_auto_eta_without_a_value_is_rejected_at_construction():
     data = SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=1))
-    with pytest.raises(DegenerateParameters, match="rho < 1"):
+    with pytest.raises(ValueError, match="auto eta requires rho < 1, got 1.0"):
         RunConfig(algorithm="dog", T=50, eta="auto", loss_spec=GAMMA,
                   data=data, mixing=_identity_mixing(6),
                   bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0))

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from dogsim.datagen import SyntheticSpec, SyntheticStream
-from dogsim.errors import DegenerateParameters, NonConvergence
+from dogsim.errors import NonConvergence
 from dogsim.metrics import (
     average_loss,
     consensus_error,
@@ -246,9 +246,9 @@ def test_regret_bound_monotone_in_drift_budget():
 
 
 def test_regret_bound_degenerate():
-    with pytest.raises(DegenerateParameters):
+    with pytest.raises(ValueError, match="bound requires rho < 1, got 1.0"):
         regret_bound(n=1, T=1, eta=0.1, G=1, sigma=0, L=1, rho=1.0, R=1, M=0)
-    with pytest.raises(DegenerateParameters):
+    with pytest.raises(ValueError, match="bound requires eta > 0, got 0.0"):
         regret_bound(n=1, T=1, eta=0.0, G=1, sigma=0, L=1, rho=0.5, R=1, M=0)
 
 

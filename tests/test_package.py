@@ -3,7 +3,7 @@ import types
 from pathlib import Path
 
 import dogsim
-from dogsim import errors
+from dogsim import cli, errors
 
 
 def test_all_is_exactly_the_public_names():
@@ -24,23 +24,39 @@ def test_every_public_class_and_function_has_its_own_docstring():
     assert missing == []
 
 
+def _source_trees():
+    return [ast.parse(path.read_text()) for path in Path(dogsim.__file__).parent.glob("*.py")]
+
+
+_EXIT_CODE_TYPES = {kind.__name__ for kind in cli._EXIT_CODES}
+
+
 def test_every_error_type_is_caught_by_name():
-    # A SimulationError subclass earns its place only where the program
-    # catches it by name: in an except clause or as a key of _EXIT_CODES.
-    caught = set()
-    for path in Path(dogsim.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    # An exception type in dogsim.errors earns its place only where the
+    # program catches it by name: in an except clause or as a key of _EXIT_CODES.
+    caught = set(_EXIT_CODE_TYPES)
+    for tree in _source_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "_EXIT_CODES" for t in node.targets
-            ):
-                caught |= {k.id for k in node.value.keys if isinstance(k, ast.Name)}
     defined = {
         name for name, value in vars(errors).items()
-        if isinstance(value, type) and issubclass(value, errors.SimulationError)
+        if isinstance(value, type) and issubclass(value, Exception)
     }
+    assert defined == {"ConfigError", "DivergenceDetected", "NonConvergence"}
     assert defined - caught == set()
+
+
+def test_every_raise_names_an_argument_error_or_an_exit_code_type():
+    # An unusable argument raises ValueError or TypeError; anything else the
+    # program raises must map to an exit code. A bare re-raise names nothing.
+    raised = set()
+    for tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else ast.dump(exc))
+    assert raised - {"ValueError", "TypeError"} - _EXIT_CODE_TYPES == set()
 
 
 def test_the_logistic_kernel_has_one_home():

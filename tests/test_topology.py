@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dogsim.datagen import SyntheticSpec, SyntheticStream
 from dogsim.engine import Bounds, RunConfig
-from dogsim.errors import DegenerateParameters
 from dogsim.losses import LossSpec
 from dogsim.metrics import regret_bound
 from dogsim.mixing import SCHEMES, UNIFORM, build_mixing, spectral_gap
@@ -264,5 +263,5 @@ def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
         assert auto_config().eta > 0 and bound() > 0
     else:
         for build in (auto_config, bound):
-            with pytest.raises(DegenerateParameters):
+            with pytest.raises(ValueError, match="requires rho < 1, got 1.0"):
                 build()
