@@ -7,7 +7,7 @@ and closed-form regret/consensus bound checks.
 """
 
 from .datagen import SyntheticSpec, SyntheticStream, synthetic_block, synthetic_sample
-from .engine import Bounds, RunConfig, RunResult, auto_learning_rate, run_experiment
+from .engine import RunConfig, RunResult, auto_learning_rate, run_experiment
 from .ingest import Dataset, NodeStreams, kmeans, normalize, parse_libsvm, split_stoch_adv
 from .losses import LossSpec, smoothness_bound
 from .metrics import (
@@ -24,7 +24,6 @@ from .topology import Graph, build_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bounds",
     "Dataset",
     "Graph",
     "LossSpec",

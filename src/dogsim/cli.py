@@ -5,7 +5,8 @@ Config files are INI-style text with sections [network], [algorithm],
 key with its field, converter and default, and is the only declaration of
 the schema: `ExperimentFile`'s fields and the sweep axes' values follow
 it. Unknown sections or keys, and values that do not convert or are out
-of range, are rejected with their line number.
+of range, are rejected with their line number. `build_run` resolves
+eta = auto from the [bounds] keys, so every RunConfig holds a number.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure (divergence or a
 non-converging solver), 3 I/O error. Diagnostics go to stderr.
@@ -48,6 +49,7 @@ def _checked(convert, ok, wanted: str):
 
 
 _positive = _checked(_finite, lambda v: v > 0, "> 0")
+_nonnegative = _checked(_finite, lambda v: v >= 0, ">= 0")
 _unit = _checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
@@ -55,8 +57,11 @@ def _at_least(low: int):
     return _checked(int, lambda v: v >= low, f">= {low}")
 
 
+AUTO = "auto"
+
+
 def _eta(raw: str):
-    return engine.AUTO if raw == engine.AUTO else _positive(raw)
+    return AUTO if raw == AUTO else _positive(raw)
 
 
 def _one_of(choices):
@@ -71,7 +76,8 @@ _REQUIRED = object()
 
 #: section -> key -> (field, converter, default), in the order that
 #: resolved.cfg is written. A _REQUIRED key must be given whenever its
-#: section is present. The [bounds] fields are those of `engine.Bounds`.
+#: section is present; every key of an absent optional section is None.
+#: The [bounds] keys are the a-priori constants of `auto_learning_rate`.
 _KEYS = {
     "network": {
         "kind": ("kind", _one_of(topology.KINDS), _REQUIRED),
@@ -87,14 +93,14 @@ _KEYS = {
         "seed": ("seed", _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)"), 42),
         "project_radius": ("project_radius", _positive, None),
     },
-    "loss": {"gamma": ("gamma", _checked(_finite, lambda v: v >= 0, ">= 0"), 1e-3)},
+    "loss": {"gamma": ("gamma", _nonnegative, 1e-3)},
     "data": {
         "beta": ("beta", _unit, None),
         "dim": ("dim", _at_least(1), None),
         "file": ("file", str, None),
         "stochastic_fraction": ("stochastic_fraction", _unit, None),
     },
-    "bounds": {key: (key, _finite, _REQUIRED) for key in ("G", "sigma", "R", "M")},
+    "bounds": {key: (key, _nonnegative, _REQUIRED) for key in ("G", "sigma", "R", "M")},
     "resolved": {"rho": ("rho", _finite, None)},
 }
 _OPTIONAL_SECTIONS = ("bounds", "resolved")
@@ -102,17 +108,17 @@ _OPTIONAL_SECTIONS = ("bounds", "resolved")
 
 ExperimentFile = make_dataclass(
     "ExperimentFile",
-    [field for section, keys in _KEYS.items() if section not in _OPTIONAL_SECTIONS
-     for field, _, _ in keys.values()] + ["bounds"],
+    [field for section, keys in _KEYS.items() if section != "resolved"
+     for field, _, _ in keys.values()],
     frozen=True,
     namespace={
         "__module__": __name__,
         "__doc__": """Fully validated experiment description; None marks a key not given.
 
-    One field per `_KEYS` key outside the optional sections, in its order,
-    then `bounds` (an `engine.Bounds`). `eta` is a float or "auto".
-    Synthetic data sets `beta` and `dim`, file data `file` and
-    `stochastic_fraction`.""",
+    One field per `_KEYS` key outside [resolved], in its order. `eta` is a
+    float or "auto". Synthetic data sets `beta` and `dim`, file data `file`
+    and `stochastic_fraction`. G, sigma, R and M are all set with [bounds]
+    and all None without it.""",
     },
 )
 
@@ -170,9 +176,10 @@ def parse_config(text: str) -> ExperimentFile:
     values = {}
     for name, keys in _KEYS.items():
         if name not in sections:
-            if name in _OPTIONAL_SECTIONS:
-                continue
-            raise ConfigError(f"missing section [{name}]")
+            if name not in _OPTIONAL_SECTIONS:
+                raise ConfigError(f"missing section [{name}]")
+            values |= {field: None for field, _, _ in keys.values()}
+            continue
         header, entries = sections[name]
         for key, (field, convert, default) in keys.items():
             if key in entries:
@@ -192,14 +199,8 @@ def parse_config(text: str) -> ExperimentFile:
         values["dim"] = 10
 
     # A resolved.cfg's rho is checked as finite and dropped: runs recompute it.
-    values.pop("rho", None)
-    bounds = None
-    if "bounds" in sections:
-        try:
-            bounds = engine.Bounds(**{key: values.pop(key) for key in _KEYS["bounds"]})
-        except ValueError as exc:
-            raise ConfigError(str(exc), sections["bounds"][0]) from None
-    return ExperimentFile(**values, bounds=bounds)
+    del values["rho"]
+    return ExperimentFile(**values)
 
 
 def load_config(path) -> ExperimentFile:
@@ -247,18 +248,24 @@ def build_data(ef: ExperimentFile, rounds: int, sources: dict):
 
 def build_run(ef: ExperimentFile, sources: dict):
     """Assemble (RunConfig, MixingMatrix) from a validated config, with its
-    data source from `sources` (see `build_data`). The RunConfig resolves
-    its step size when it is built, so every config error surfaces here."""
+    data source from `sources` (see `build_data`). eta = auto is resolved
+    here, by `auto_learning_rate` on the [bounds] keys and the mixing
+    matrix's rho, so every config error surfaces here."""
     with _config_errors():
         mix = _mixing_matrix(ef)
+        data = build_data(ef, ef.T, sources)
+        eta = ef.eta
+        if eta == AUTO:
+            if ef.G is None:
+                raise ConfigError("eta = auto requires [bounds] (G, sigma, R, M)")
+            eta = engine.auto_learning_rate(ef.n, ef.T, ef.G, ef.sigma, ef.R, ef.M, mix.rho)
         cfg = engine.RunConfig(
             algorithm=ef.algorithm,
             T=ef.T,
-            eta=ef.eta,
+            eta=eta,
             loss_spec=LossSpec(gamma=ef.gamma),
-            data=build_data(ef, ef.T, sources),
+            data=data,
             mixing=mix,
-            bounds=ef.bounds,
             project_radius=ef.project_radius,
         )
     return cfg, mix
@@ -268,8 +275,6 @@ def render_resolved(ef: ExperimentFile, eta: float, rho: float) -> str:
     """Config text with eta fixed to its numeric value plus computed rho:
     every key that holds a value, in `_KEYS` order."""
     values = {**vars(ef), "eta": eta, "rho": rho}
-    if ef.bounds is not None:
-        values |= vars(ef.bounds)
     lines = []
     for section, keys in _KEYS.items():
         body = [
@@ -330,7 +335,7 @@ def cmd_run(config_path, outdir, threads: int = 1) -> int:
         cfg = build_run(ef, {})[0]
         _warn_rho(cfg)
         result = engine.run_experiment(cfg)
-        summary = _summarize(result, cfg)
+        summary = _summarize(result, cfg, ef)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "metrics.csv", _metrics_csv(result))
@@ -345,7 +350,9 @@ def _metrics_csv(result: engine.RunResult) -> str:
     return metrics.metrics_to_csv(result.avg_loss, result.consensus_error, result.cum_loss)
 
 
-def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
+def _summarize(result: engine.RunResult, cfg: engine.RunConfig, ef: ExperimentFile) -> str:
+    """summary.txt; with [bounds], the regret bound at R = max(R, ||x*||^2),
+    printed as regret_bound_R, so that it covers the static comparator x*."""
     lines = []
     if result.avg_loss.size:
         avg = metrics.average_loss(result.avg_loss)
@@ -359,16 +366,17 @@ def _summarize(result: engine.RunResult, cfg: engine.RunConfig) -> str:
             f"final_consensus_error={fmt17(final_ce)}",
             f"static_regret={fmt17(regret)}",
         ]
-        if cfg.bounds is not None and not cfg.mixing.contracts:
+        if ef.G is not None and not cfg.mixing.contracts:
             lines.append("regret_bound=unavailable (rho >= 1)")
-        elif cfg.bounds is not None:
+        elif ef.G is not None:
             g_hat, sigma_hat = metrics.estimate_gradient_bounds(result.grad_norms)
+            r_used = max(ef.R, float(comparator @ comparator))
             bound = metrics.regret_bound(
                 n=cfg.n, T=cfg.T, eta=cfg.eta, G=g_hat, sigma=sigma_hat,
                 L=smoothness_bound(features, gamma), rho=cfg.mixing.rho,
-                R=cfg.bounds.R, M=cfg.bounds.M,
+                R=r_used, M=ef.M,
             )
-            lines.append(f"regret_bound={fmt17(bound)}")
+            lines += [f"regret_bound_R={fmt17(r_used)}", f"regret_bound={fmt17(bound)}"]
     else:
         lines += ["average_loss=nan", "final_consensus_error=nan", "static_regret=nan"]
     return "\n".join(lines) + "\n"

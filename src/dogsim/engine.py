@@ -29,8 +29,8 @@ axes in the same order as one call per round, so every column holds the
 same bits as when it was filled round by round.
 
 A ``RunConfig`` holds each run fact once: n, dim and the seed belong to its
-data source, rho to its mixing matrix. It resolves its step size when it
-is built and holds the one the run uses as ``eta``.
+data source, rho to its mixing matrix, and ``eta`` is the step size the run
+uses. ``auto_learning_rate`` gives the paper's closed-form one.
 """
 
 from __future__ import annotations
@@ -53,46 +53,27 @@ COG = "cog"
 LOCAL_OGD = "local_ogd"
 ALGORITHMS = (DOG, COG, LOCAL_OGD)
 
-AUTO = "auto"
-
-@dataclass(frozen=True)
-class Bounds:
-    """A-priori constants G, sigma, R, M used by the closed-form step size."""
-
-    G: float
-    sigma: float
-    R: float
-    M: float
-
-    def __post_init__(self):
-        for name in ("G", "sigma", "R", "M"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings, each fact held once.
 
     `algorithm` is dog, cog or local_ogd, and T >= 0 the number of rounds.
-    `eta` is a positive step size, or 'auto' for `auto_learning_rate` on
-    `bounds` (G, sigma, R, M) and the rho of `mixing`; once built, it holds
-    the float the run uses. `data` is the sample source, a SyntheticStream
-    or NodeStreams; it fixes the node count `n`, the dimension `dim` and the
-    seed, and node streams must cover T rounds. `mixing` is the n x n gossip
-    matrix, required by dog and by eta='auto'. `project_radius`, if set,
-    projects each model row onto that ball after every step. Every field
-    is checked at construction, eta included: eta='auto' without a positive
-    value (rho >= 1, G = sigma = 0, or R = 0) raises ValueError.
+    `eta` is the step size the run uses, a number with 0 < eta < inf; for
+    the paper's closed form, pass `auto_learning_rate`'s value. `data` is
+    the sample source, a SyntheticStream or NodeStreams; it fixes the node
+    count `n`, the dimension `dim` and the seed, and node streams must
+    cover T rounds. `mixing` is the n x n gossip matrix, required by dog.
+    `project_radius`, if set, projects each model row onto that ball after
+    every step. Every field is checked at construction.
     """
 
     algorithm: str
     T: int
-    eta: Union[float, str]
+    eta: float
     loss_spec: LossSpec
     data: Union[SyntheticStream, NodeStreams]
     mixing: MixingMatrix | None = None
-    bounds: Bounds | None = None
     project_radius: float | None = None
 
     def __post_init__(self):
@@ -106,10 +87,7 @@ class RunConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.T < 0:
             raise ValueError(f"T must be >= 0, got {self.T}")
-        if isinstance(self.eta, str):
-            if self.eta != AUTO:
-                raise ValueError(f"eta must be a positive number or 'auto', got {self.eta!r}")
-        elif not 0 < self.eta < math.inf:
+        if not 0 < self.eta < math.inf:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.algorithm == DOG and self.mixing is None:
             raise ValueError("dog requires a mixing matrix")
@@ -121,16 +99,6 @@ class RunConfig:
             raise ValueError(f"node streams provide {self.data.rounds} rounds, config T={self.T}")
         if self.project_radius is not None and not 0 < self.project_radius < math.inf:
             raise ValueError(f"project_radius must be finite and > 0, got {self.project_radius}")
-        if self.eta == AUTO:
-            if self.bounds is None:
-                raise ValueError("eta='auto' requires bounds (G, sigma, R, M)")
-            if self.mixing is None:
-                raise ValueError("eta='auto' requires a mixing matrix for rho")
-            b = self.bounds
-            eta = auto_learning_rate(self.n, self.T, b.G, b.sigma, b.R, b.M, self.mixing.rho)
-        else:
-            eta = float(self.eta)
-        object.__setattr__(self, "eta", eta)
 
     @property
     def n(self) -> int:
@@ -178,8 +146,14 @@ def auto_learning_rate(
 ) -> float:
     """Closed-form step size eta = sqrt((1-rho)(n M sqrt(R) + n R) / (n T G^2 + T sigma^2)).
 
-    Raises ValueError where it has no positive value: rho >= 1,
-    n T G^2 + T sigma^2 = 0, or a zero numerator (R = 0, or an underflow)."""
+    G, sigma, R and M are a-priori bounds: the gradient magnitude, the
+    gradient noise, the comparators' squared norm and their path length.
+    Raises ValueError if one of them is not finite and >= 0, and where the
+    step has no positive value: rho >= 1, n T G^2 + T sigma^2 = 0, or a
+    zero numerator (R = 0, or an underflow)."""
+    for name, value in (("G", G), ("sigma", sigma), ("R", R), ("M", M)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
     denom = n * T * G**2 + T * sigma**2
     if denom <= 0:
         raise ValueError("n T G^2 + T sigma^2 must be positive")

@@ -7,11 +7,12 @@ run's recorded samples, passed as (T*n, d) features and (T*n,) labels.
 `regret_bound` is the paper's a-priori bound on dynamic regret against
 comparator sequences of path length at most M, on nine keyword constants:
 n, T and rho from the run's config, eta from `cfg.eta`, G, sigma and L
-measured on the run, R and M from the config's bounds. No dynamic
+measured on the run, R and M from the config's [bounds]. No dynamic
 comparator is computed: the summary sets the bound beside the static
 regret, whose fixed comparator x* has path length 0. It bounds that
-regret only when the bounds' R >= ||x*||^2, which nothing checks: on the
-desk config at beta = 0.3, ||x*||^2 is 8.9 against R = 1.
+regret only when R >= ||x*||^2, so the summary evaluates it at
+R = max(R, ||x*||^2): on the desk config at beta = 0.3, ||x*||^2 is 8.9
+against R = 1.
 """
 
 from __future__ import annotations

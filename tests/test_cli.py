@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dogsim import cli, engine, topology
+from dogsim import cli, engine, metrics, mixing, topology
 from dogsim.datagen import SyntheticSpec, synthetic_block
 from dogsim.errors import ConfigError
 from dogsim.ingest import parse_libsvm, serialize_libsvm
+from dogsim.losses import smoothness_bound
 
 BASE_CONFIG = """\
 [network]
@@ -76,7 +77,8 @@ def test_auto_eta_without_bounds_fails(tmp_path, capsys):
     bad = BASE_CONFIG.replace("eta = 0.2", "eta = auto")
     code = cli.cmd_run(_write(tmp_path, bad), tmp_path / "out")
     assert code == 1
-    assert "bounds" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: eta = auto requires [bounds] (G, sigma, R, M)\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_auto_eta_with_bounds_runs(tmp_path):
@@ -86,7 +88,10 @@ def test_auto_eta_with_bounds_runs(tmp_path):
     out = tmp_path / "out"
     assert cli.cmd_run(_write(tmp_path, cfg_text), out) == 0
     resolved = (out / "resolved.cfg").read_text()
-    assert "eta = " in resolved and "auto" not in resolved
+    rho = mixing.build_mixing(topology.build_topology("ring", 6), "max_degree").rho
+    eta = engine.auto_learning_rate(6, 30, G=2.0, sigma=1.0, R=1.0, M=0.0, rho=rho)
+    assert f"\neta = {metrics.fmt17(eta)}\n" in resolved and "auto" not in resolved
+    assert f"\nrho = {metrics.fmt17(rho)}\n" in resolved
     assert "regret_bound=" in (out / "summary.txt").read_text()
 
 
@@ -650,7 +655,7 @@ def _pinned_libsvm_text() -> str:
 PINNED_FILE_DIGESTS = {
     "metrics.csv": "87f610b5e378e43941cd58c94bb897eb17bc3d328eebae468c154500d6410719",
     "resolved.cfg": "dca205d2883914c76e75bae4994c632d423a7bdc46547d947e73995a99384168",
-    "summary.txt": "f0c003c07850da205e17f5b9d0cc168b4da281e1c8d171866e77ba5f4524c8cd",
+    "summary.txt": "46e0cbdd21300aed3464dd4ac1d5dc4b1d9ecd9d1aeb6c01a3acd8fabdcc1cce",
     "data": "a7b1ed1dd02214d535811b85da58c8952587043b0232b60dff3e7cf2fd6ed080",
 }
 
@@ -989,27 +994,27 @@ M = 0.5
 #: its `cog` variant on a LIBSVM file of 90 rows in 4 columns written by the
 #: test. Recorded before the closure-based round helpers and the
 #: single-sample loss wrappers were deleted; summary.txt carries the
-#: comparator, the static regret and the regret bound.
+#: comparator, the static regret and the regret bound, whose R line was
+#: added later.
 PINNED_RUN_DIGESTS = {
     "dog/metrics.csv": "7b163448b6f54a1368faa8c1ce068319a84a8c548f1a84ecff48c669fc05215d",
     "dog/resolved.cfg": "1ff91c7de09da721e6973be6dbd8d806b46449c2f4f3fc6e4b8dd4c7df126de9",
-    "dog/summary.txt": "13c518d85447b2b0d57d959a1376dbff3c6fdca67472878757bafac5bd94a33b",
+    "dog/summary.txt": "8794d7e19c9ef9dd9d28118a0555ac7f18377c3fdf81db2f000b35a1ea3cf977",
     "cog/metrics.csv": "05f1dfc1314a605a7c569b872cfe2e972ffa6e9557712948920574991b20b13f",
     "cog/resolved.cfg": "c34f11259d6936edd4e4e67d63e9b6748092abf5dccbe57cefcd81eefa087eb5",
-    "cog/summary.txt": "acf8cf2000fd9daf5e727f91e0b614f9c445b59ce482fb6af9148be9e534956d",
+    "cog/summary.txt": "ea5fb6364d87f4ce9d8580e404b651dc741ee70926aab326721d623f02727734",
     "local_ogd/metrics.csv": "ef30e86257bbb443ee3cf96e12f756fb20d3c9606498940e905409f4984714d5",
     "local_ogd/resolved.cfg": "73a10a45fb89b00bd625bcb8e5fa9bebfc68b4ae82d8300a00d31fefa9fbf7f1",
-    "local_ogd/summary.txt": "04cda9f21ad3cf5f1c88b423510467d099c7f365013d1d509c5b894303e5291d",
+    "local_ogd/summary.txt": "bc86d3b519d32e718b46e524775b734b02720a59834f4c0df3d6482c0b472665",
     "file_cog/metrics.csv": "7c499becb143aa58d1809113015f7cf2d65d23df61a46b26e707d66a4b12ec12",
     "file_cog/resolved.cfg": "2b1e97fdb08506e6397f7b0c4e95a93615327d40e18c8a5d009ed7b6413823cf",
-    "file_cog/summary.txt": "e07e4965bf336286b8d63f1218c3c6f6310dbe7610d96552ae238fa07a988f95",
+    "file_cog/summary.txt": "6a40da33ce8cfe4a6881d8ec1811654fb2d476a18f6561dcc5f054f088a0e122",
 }
 
 
-def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
-    import hashlib
-
-    monkeypatch.chdir(tmp_path)
+def _run_config_texts(tmp_path) -> dict:
+    """RUN_CONFIG under each algorithm, and its cog variant on run.libsvm,
+    which this writes to `tmp_path`."""
     rng = np.random.default_rng(77)
     features = rng.standard_normal((90, 4)) + np.array([1.0, -0.5, 0.0, 2.0])
     labels = np.where(rng.random(90) < 0.5, 1.0, -1.0)
@@ -1019,12 +1024,44 @@ def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
     texts["file_cog"] = texts["cog"].replace(
         "beta = 0.4\ndim = 3", "file = run.libsvm\nstochastic_fraction = 0.6"
     ).replace("T = 40", "T = 12")
+    return texts
+
+
+def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    texts = _run_config_texts(tmp_path)
     digests = {}
     for name, text in texts.items():
         assert cli.main(["run", str(_write(tmp_path, text, f"{name}.cfg")), name]) == 0
         for out in ("metrics.csv", "resolved.cfg", "summary.txt"):
             digests[f"{name}/{out}"] = hashlib.sha256((tmp_path / name / out).read_bytes()).hexdigest()
     assert digests == PINNED_RUN_DIGESTS
+
+
+@pytest.mark.parametrize("name, norm_sq", [("dog", 7.65), ("file_cog", 0.56)])
+def test_regret_bound_covers_the_static_comparator(tmp_path, monkeypatch, name, norm_sq):
+    # RUN_CONFIG has R = 1. The bound is evaluated at max(R, ||x*||^2), so
+    # dog's comparator sets it and file_cog's leaves R.
+    monkeypatch.chdir(tmp_path)
+    text = _run_config_texts(tmp_path)[name]
+    assert cli.main(["run", str(_write(tmp_path, text)), "out"]) == 0
+    ef = cli.parse_config(text)
+    cfg, mix = cli.build_run(ef, {})
+    result = engine.run_experiment(cfg)
+    features, labels = result.pooled_samples()
+    star = metrics.offline_comparator(features, labels, ef.gamma)
+    assert round(float(star @ star), 2) == norm_sq
+    r_used = float(star @ star) if name == "dog" else ef.R
+    assert r_used == max(ef.R, float(star @ star))
+    g_hat, sigma_hat = metrics.estimate_gradient_bounds(result.grad_norms)
+    bound = metrics.regret_bound(
+        n=cfg.n, T=cfg.T, eta=cfg.eta, G=g_hat, sigma=sigma_hat,
+        L=smoothness_bound(features, ef.gamma), rho=mix.rho, R=r_used, M=ef.M,
+    )
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert summary[-2:] == [f"regret_bound_R={metrics.fmt17(r_used)}", f"regret_bound={metrics.fmt17(bound)}"]
 
 
 _FILE_DATA = "file = data.libsvm\nstochastic_fraction = 0.5"
@@ -1099,6 +1136,37 @@ def test_resolved_config_reads_back_to_the_same_text(tmp_path, monkeypatch, text
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+_UNIT = st.floats(0.0, 1.0)
+_NONNEGATIVE = st.floats(min_value=0.0, **_FINITE)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, **_FINITE)
+
+
+@st.composite
+def _experiment_files(draw):
+    """A valid ExperimentFile: synthetic or file data, with or without
+    [bounds], with a float eta or auto."""
+    file_data, bounds = draw(st.booleans()), draw(st.booleans())
+    return cli.ExperimentFile(
+        kind=draw(st.sampled_from(topology.KINDS)), n=draw(st.integers(1, 10**6)),
+        k=draw(st.integers(0, 10**3)), p=draw(_UNIT), scheme=draw(st.sampled_from(mixing.SCHEMES)),
+        algorithm=draw(st.sampled_from(engine.ALGORITHMS)), eta=draw(st.just(cli.AUTO) | _POSITIVE),
+        T=draw(st.integers(0, 10**6)), seed=draw(st.integers(0, 2**64 - 1)),
+        project_radius=draw(st.none() | _POSITIVE), gamma=draw(_NONNEGATIVE),
+        beta=None if file_data else draw(_UNIT),
+        dim=None if file_data else draw(st.integers(1, 10**4)),
+        file=draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)) if file_data else None,
+        stochastic_fraction=draw(_UNIT) if file_data else None,
+        **{key: draw(_NONNEGATIVE) if bounds else None for key in ("G", "sigma", "R", "M")},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_experiment_files(), _POSITIVE, st.floats(**_FINITE))
+def test_resolved_config_round_trips_every_field(ef, eta, rho):
+    assert cli.parse_config(cli.render_resolved(ef, eta, rho)) == replace(ef, eta=eta)
+
+
 #: sha256 of `dogsim run` on BASE_CONFIG with project_radius = 0.05, which
 #: the models reach, so the projection changes the metrics.
 PINNED_RADIUS_DIGESTS = {
@@ -1168,12 +1236,15 @@ def test_out_of_range_value_is_a_config_error_with_its_line(tmp_path, capsys, ke
     assert not (tmp_path / "out").exists()
 
 
-def test_negative_bound_is_a_config_error_naming_its_section(tmp_path, capsys):
-    text = BASE_CONFIG + _BOUNDS.replace("sigma = 1", "sigma = -1")
-    assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 1
-    lineno = text.splitlines().index("[bounds]") + 1
+@pytest.mark.parametrize("key", ["G", "sigma", "R", "M"])
+def test_negative_bound_is_a_config_error_with_its_line(tmp_path, capsys, key):
+    lines = (BASE_CONFIG + _BOUNDS).splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} = "))
+    lines[lineno - 1] = f"{key} = -1"
+    assert cli.main(["run", str(_write(tmp_path, "\n".join(lines) + "\n")), str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: line {lineno}:") and "sigma" in err
+    assert err == f"config error: line {lineno}: invalid value for {key!r}: '-1' (must be >= 0)\n"
+    assert not (tmp_path / "out").exists()
 
 
 _EXIT_COMMANDS = {
@@ -1244,7 +1315,8 @@ def test_readme_config_example_parses():
     example = _README.split("```ini\n", 1)[1].split("```", 1)[0]
     ef = cli.parse_config(example)
     assert (ef.kind, ef.n, ef.k, ef.p, ef.algorithm, ef.T, ef.beta, ef.dim) == ("ring", 50, 4, 0.5, "dog", 2000, 0.3, 10)
-    assert ef.bounds is not None and ef.project_radius is None and ef.file is None
+    assert (ef.G, ef.sigma, ef.R, ef.M) == (2.0, 1.0, 1.0, 0.0)
+    assert ef.project_radius is None and ef.file is None
 
 
 def test_readme_python_example_runs(capsys):

@@ -10,7 +10,6 @@ from dogsim.engine import (
     COG,
     DOG,
     LOCAL_OGD,
-    Bounds,
     RunConfig,
     _project_rows,
     _step,
@@ -408,9 +407,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(algorithm="dog", T=5, eta=-0.1, loss_spec=GAMMA,
                   data=data, mixing=_mix("ring", 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # eta = auto is resolved before a RunConfig is built
         RunConfig(algorithm="dog", T=5, eta="auto", loss_spec=GAMMA,
-                  data=data, mixing=_mix("ring", 6))  # bounds missing
+                  data=data, mixing=_mix("ring", 6))
 
 
 _FINITE_BOUNDS = {"G": 2.0, "sigma": 1.0, "R": 1.0, "M": 0.0}
@@ -418,7 +417,8 @@ _NON_FINITE_FIELDS = {
     "eta": lambda v: _synthetic_cfg(DOG, eta=v),
     "project_radius": lambda v: _synthetic_cfg(DOG, project_radius=v),
     "gamma": lambda v: LossSpec(gamma=v),
-    **{f"bounds.{name}": (lambda v, name=name: Bounds(**{**_FINITE_BOUNDS, name: v}))
+    # the [bounds] keys, checked by the closed-form step size that reads them
+    **{f"bounds.{name}": (lambda v, name=name: auto_learning_rate(6, 50, **{**_FINITE_BOUNDS, name: v}, rho=0.5))
        for name in _FINITE_BOUNDS},
 }
 
@@ -430,21 +430,22 @@ def test_constructors_reject_non_finite_values(field, value):
         _NON_FINITE_FIELDS[field](value)
 
 
+@pytest.mark.parametrize("name", sorted(_FINITE_BOUNDS))
+def test_auto_learning_rate_rejects_a_negative_bound(name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+        auto_learning_rate(6, 50, **{**_FINITE_BOUNDS, name: -1.0}, rho=0.5)
+
+
 def test_auto_eta_resolves_in_run():
-    data = SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=1))
-    cfg = RunConfig(algorithm="dog", T=50, eta="auto", loss_spec=GAMMA,
-                    data=data, mixing=_mix("ring", 6),
-                    bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0))
-    expected = auto_learning_rate(6, 50, 2.0, 1.0, 1.0, 0.0, _mix("ring", 6).rho)
-    assert cfg.eta == pytest.approx(expected, rel=1e-15)
-
-
-def test_auto_eta_without_a_value_is_rejected_at_construction():
-    data = SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=1))
-    with pytest.raises(ValueError, match="auto eta requires rho < 1, got 1.0"):
-        RunConfig(algorithm="dog", T=50, eta="auto", loss_spec=GAMMA,
-                  data=data, mixing=_identity_mixing(6),
-                  bounds=Bounds(G=2.0, sigma=1.0, R=1.0, M=0.0))
+    # The run uses the closed-form value it is given: n M sqrt(R) + n R = 6
+    # and n T G^2 + T sigma^2 = 1250 here.
+    mix = _mix("ring", 6)
+    eta = auto_learning_rate(6, 50, G=2.0, sigma=1.0, R=1.0, M=0.0, rho=mix.rho)
+    assert eta == pytest.approx(math.sqrt((1.0 - mix.rho) * 6 / 1250), rel=1e-15)
+    cfg = RunConfig(algorithm="dog", T=50, eta=eta, loss_spec=GAMMA,
+                    data=SyntheticStream(SyntheticSpec(dim=4, beta=0.5, n=6, seed=1)), mixing=mix)
+    assert cfg.eta is eta
+    assert np.isfinite(run_experiment(cfg).final_models).all()
 
 
 def test_a_bare_spec_is_not_a_data_source():

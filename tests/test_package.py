@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import types
 from pathlib import Path
 
@@ -67,3 +68,25 @@ def test_the_logistic_kernel_has_one_home():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
     }
     assert calls & {"exp", "log1p"} == set()
+
+
+def test_every_run_config_field_is_read_by_the_run():
+    # A RunConfig holds only what a run reads: each field is read as
+    # cfg.<field> in run_experiment or as self.<field> by a RunConfig
+    # property. A value only the CLI needs belongs in cli.ExperimentFile.
+    tree = ast.parse((Path(dogsim.__file__).parent / "engine.py").read_text())
+    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run_experiment")
+    config = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    properties = [
+        node for node in config.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+    ]
+    read = {
+        node.attr
+        for owner, name in [(run, "cfg")] + [(prop, "self") for prop in properties]
+        for node in ast.walk(owner)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == name
+    }
+    fields = {field.name for field in dataclasses.fields(dogsim.RunConfig)}
+    assert fields - read == set()

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dogsim.datagen import SyntheticSpec, SyntheticStream
-from dogsim.engine import Bounds, RunConfig
-from dogsim.losses import LossSpec
+from dogsim.engine import auto_learning_rate
 from dogsim.metrics import regret_bound
 from dogsim.mixing import SCHEMES, UNIFORM, build_mixing, spectral_gap
 from dogsim.topology import (
@@ -251,17 +249,15 @@ def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
     assert m.contracts == connected
     assert m.rho == (spectral_gap(expected) if connected else 1.0)
 
-    def auto_config():
-        return RunConfig(algorithm="dog", T=10, eta="auto", loss_spec=LossSpec(),
-                         data=SyntheticStream(SyntheticSpec(dim=2, beta=0.5, n=n, seed=0)), mixing=m,
-                         bounds=Bounds(G=1.0, sigma=1.0, R=1.0, M=0.0))
+    def auto_eta():
+        return auto_learning_rate(n, 10, G=1.0, sigma=1.0, R=1.0, M=0.0, rho=m.rho)
 
     def bound():
         return regret_bound(n=n, T=10, eta=0.1, G=1.0, sigma=1.0, L=1.0, rho=m.rho, R=1.0, M=0.0)
 
     if connected:
-        assert auto_config().eta > 0 and bound() > 0
+        assert auto_eta() > 0 and bound() > 0
     else:
-        for build in (auto_config, bound):
+        for build in (auto_eta, bound):
             with pytest.raises(ValueError, match="requires rho < 1, got 1.0"):
                 build()
