@@ -89,7 +89,7 @@ _KEYS = {
     "algorithm": {
         "kind": ("algorithm", _one_of(engine.ALGORITHMS), _REQUIRED),
         "eta": ("eta", _eta, _REQUIRED),
-        "T": ("T", _at_least(0), _REQUIRED),
+        "T": ("T", _at_least(1), _REQUIRED),
         "seed": ("seed", _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)"), 42),
         "project_radius": ("project_radius", _positive, None),
     },
@@ -97,7 +97,7 @@ _KEYS = {
     "data": {
         "beta": ("beta", _unit, None),
         "dim": ("dim", _at_least(1), None),
-        "file": ("file", str, None),
+        "file": ("file", _checked(str, bool, "non-empty"), None),
         "stochastic_fraction": ("stochastic_fraction", _unit, None),
     },
     "bounds": {key: (key, _nonnegative, _REQUIRED) for key in ("G", "sigma", "R", "M")},
@@ -204,7 +204,10 @@ def parse_config(text: str) -> ExperimentFile:
 
 
 def load_config(path) -> ExperimentFile:
-    return parse_config(Path(path).read_text())
+    """Read and parse a config file; text that does not decode is a config
+    error, as in a data file."""
+    with _config_errors():
+        return parse_config(Path(path).read_text())
 
 
 @contextmanager
@@ -292,11 +295,6 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
-def _check_threads(threads: int):
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-
-
 #: exception -> (exit code, stderr label). Anything else raised by a
 #: subcommand is a bug and propagates as a traceback.
 _EXIT_CODES = {
@@ -325,12 +323,9 @@ def _warn_rho(cfg: engine.RunConfig, prefix: str = ""):
         print(f"{prefix}{_RHO_WARNING}", file=sys.stderr)
 
 
-def cmd_run(config_path, outdir, threads: int = 1) -> int:
-    """Run one experiment; writes metrics.csv, resolved.cfg, summary.txt.
-
-    `threads` is validated and otherwise unused."""
+def cmd_run(config_path, outdir) -> int:
+    """Run one experiment; writes metrics.csv, resolved.cfg, summary.txt."""
     try:
-        _check_threads(threads)
         ef = load_config(config_path)
         cfg = build_run(ef, {})[0]
         _warn_rho(cfg)
@@ -353,32 +348,26 @@ def _metrics_csv(result: engine.RunResult) -> str:
 def _summarize(result: engine.RunResult, cfg: engine.RunConfig, ef: ExperimentFile) -> str:
     """summary.txt; with [bounds], the regret bound at R = max(R, ||x*||^2),
     printed as regret_bound_R, so that it covers the static comparator x*."""
-    lines = []
-    if result.avg_loss.size:
-        avg = metrics.average_loss(result.avg_loss)
-        final_ce = result.consensus_error[-1]
-        features, labels = result.pooled_samples()
-        gamma = cfg.loss_spec.gamma
-        comparator = metrics.offline_comparator(features, labels, gamma)
-        regret = metrics.static_regret(result.cum_loss, features, labels, gamma, comparator)
-        lines += [
-            f"average_loss={fmt17(avg)}",
-            f"final_consensus_error={fmt17(final_ce)}",
-            f"static_regret={fmt17(regret)}",
-        ]
-        if ef.G is not None and not cfg.mixing.contracts:
-            lines.append("regret_bound=unavailable (rho >= 1)")
-        elif ef.G is not None:
-            g_hat, sigma_hat = metrics.estimate_gradient_bounds(result.grad_norms)
-            r_used = max(ef.R, float(comparator @ comparator))
-            bound = metrics.regret_bound(
-                n=cfg.n, T=cfg.T, eta=cfg.eta, G=g_hat, sigma=sigma_hat,
-                L=smoothness_bound(features, gamma), rho=cfg.mixing.rho,
-                R=r_used, M=ef.M,
-            )
-            lines += [f"regret_bound_R={fmt17(r_used)}", f"regret_bound={fmt17(bound)}"]
-    else:
-        lines += ["average_loss=nan", "final_consensus_error=nan", "static_regret=nan"]
+    features, labels = result.pooled_samples()
+    gamma = cfg.loss_spec.gamma
+    comparator = metrics.offline_comparator(features, labels, gamma)
+    regret = metrics.static_regret(result.cum_loss, features, labels, gamma, comparator)
+    lines = [
+        f"average_loss={fmt17(metrics.average_loss(result.avg_loss))}",
+        f"final_consensus_error={fmt17(result.consensus_error[-1])}",
+        f"static_regret={fmt17(regret)}",
+    ]
+    if ef.G is not None and not cfg.mixing.contracts:
+        lines.append("regret_bound=unavailable (rho >= 1)")
+    elif ef.G is not None:
+        g_hat, sigma_hat = metrics.estimate_gradient_bounds(result.grad_norms)
+        r_used = max(ef.R, float(comparator @ comparator))
+        bound = metrics.regret_bound(
+            n=cfg.n, T=cfg.T, eta=cfg.eta, G=g_hat, sigma=sigma_hat,
+            L=smoothness_bound(features, gamma), rho=cfg.mixing.rho,
+            R=r_used, M=ef.M,
+        )
+        lines += [f"regret_bound_R={fmt17(r_used)}", f"regret_bound={fmt17(bound)}"]
     return "\n".join(lines) + "\n"
 
 
@@ -425,7 +414,7 @@ def _sweep_cells(ef: ExperimentFile, axis: str, values: list):
             yield seen[cell], value, cell
 
 
-def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) -> int:
+def cmd_sweep(config_path, axis: str, values: list, outdir) -> int:
     """Run every cell of an axis sweep (see `_sweep_cells`); writes each
     cell's metrics.csv and one sweep_summary.csv.
 
@@ -437,12 +426,9 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
     T·n·(dim+1)·8-byte block. Each cell is dropped once its CSV and summary
     row are written, so a shared block is freed after the last cell that
     reads it and a nodes sweep holds one cell's block at a time. A cell's
-    bytes are those of a standalone `dogsim run` of its config.
-
-    `threads` is validated and otherwise unused."""
+    bytes are those of a standalone `dogsim run` of its config."""
     prefix = ""  # names the cell being built or run in a diagnostic
     try:
-        _check_threads(threads)
         ef = load_config(config_path)
         if not values:
             raise ConfigError("sweep needs at least one axis value")
@@ -464,8 +450,7 @@ def cmd_sweep(config_path, axis: str, values: list, outdir, threads: int = 1) ->
             cell_dir = Path(outdir) / name
             cell_dir.mkdir(parents=True, exist_ok=True)
             _write_text(cell_dir / "metrics.csv", _metrics_csv(result))
-            final_avg = metrics.average_loss(result.avg_loss) if result.avg_loss.size else float("nan")
-            rows.append(f"{value},{cfg.algorithm},{fmt17(final_avg)}")
+            rows.append(f"{value},{cfg.algorithm},{fmt17(metrics.average_loss(result.avg_loss))}")
             del result, cfg  # frees the cell's samples before the next cell runs
         prefix = ""
         _write_text(
@@ -511,7 +496,7 @@ def cmd_data(config_path, count: int, output) -> int:
     return 0
 
 
-_THREADS_HELP = "kept for compatibility: must be >= 1, otherwise ignored (runs are single-threaded)"
+_THREADS_HELP = "ignored: runs are single-threaded"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -550,10 +535,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     if args.command == "run":
-        return cmd_run(args.config, args.outdir, threads=args.threads)
+        return cmd_run(args.config, args.outdir)
     if args.command == "sweep":
         values = [v for v in args.values.split(",") if v.strip()]
-        return cmd_sweep(args.config, args.axis, values, args.outdir, threads=args.threads)
+        return cmd_sweep(args.config, args.axis, values, args.outdir)
     if args.command == "matrix":
         return cmd_matrix(args.config)
     return cmd_data(args.config, args.count, args.output)

@@ -58,7 +58,7 @@ ALGORITHMS = (DOG, COG, LOCAL_OGD)
 class RunConfig:
     """One run's settings, each fact held once.
 
-    `algorithm` is dog, cog or local_ogd, and T >= 0 the number of rounds.
+    `algorithm` is dog, cog or local_ogd, and T >= 1 the number of rounds.
     `eta` is the step size the run uses, a number with 0 < eta < inf; for
     the paper's closed form, pass `auto_learning_rate`'s value. `data` is
     the sample source, a SyntheticStream or NodeStreams; it fixes the node
@@ -85,8 +85,8 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
+        if self.T < 1:
+            raise ValueError(f"T must be >= 1, got {self.T}")
         if not 0 < self.eta < math.inf:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.algorithm == DOG and self.mixing is None:

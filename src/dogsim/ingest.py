@@ -224,16 +224,21 @@ def normalize(d: Dataset) -> Dataset:
     comparing every entry with the first: the rounded mean of ten rows of
     0.1 is 1.4e-17 off, so their std is that residue, and dividing by it
     would give +-1. A varying coordinate whose std is not positive (it
-    underflowed to 0, or overflowed to NaN) also becomes 0. Idempotent
-    within floating tolerance.
+    underflowed to 0, or overflowed to NaN) also becomes 0, and one whose
+    std overflowed to inf divides to 0; numpy's overflow warnings are
+    silenced. Idempotent within floating tolerance. A dataset without rows
+    or without features raises ValueError.
     """
     if not len(d):
         raise ValueError("cannot normalize an empty dataset")
-    mean = d.features.mean(axis=0)
-    std = d.features.std(axis=0)  # population (ddof=0)
-    centered = d.features - mean
-    flat = (d.features == d.features[0]).all(axis=0) | ~(std > 0)
-    centered[:, ~flat] /= std[~flat]
+    if not d.dim:
+        raise ValueError("cannot normalize a dataset without features")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = d.features.mean(axis=0)
+        std = d.features.std(axis=0)  # population (ddof=0)
+        centered = d.features - mean
+        flat = (d.features == d.features[0]).all(axis=0) | ~(std > 0)
+        centered[:, ~flat] /= std[~flat]
     centered[:, flat] = 0.0
     return Dataset(centered, d.labels)
 

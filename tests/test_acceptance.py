@@ -277,9 +277,9 @@ def test_criterion_10_cli_determinism(tmp_path):
         "[loss]\ngamma = 0.001\n\n[data]\nbeta = 0.5\ndim = 10\n"
     )
     outputs = []
-    for name, threads in (("one", 1), ("two", 1), ("pool", 5)):
+    for name, threads in (("one", []), ("two", []), ("pool", ["--threads", "5"])):
         out = tmp_path / name
-        assert cli.cmd_run(cfg, out, threads=threads) == 0
+        assert cli.main(["run", str(cfg), str(out), *threads]) == 0
         outputs.append((out / "metrics.csv").read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     _report(10, "byte-identical reruns", ok, time.perf_counter() - start, 30)

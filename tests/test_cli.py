@@ -1,14 +1,18 @@
+import contextlib
+import io
 import itertools
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dogsim import cli, engine, metrics, mixing, topology
@@ -98,9 +102,9 @@ def test_auto_eta_with_bounds_runs(tmp_path):
 def test_run_determinism_across_invocations_and_threads(tmp_path):
     cfg = _write(tmp_path, BASE_CONFIG)
     outs = []
-    for name, threads in (("a", 1), ("b", 1), ("c", 4)):
+    for name, threads in (("a", []), ("b", []), ("c", ["--threads", "5"])):
         out = tmp_path / name
-        assert cli.cmd_run(cfg, out, threads=threads) == 0
+        assert cli.main(["run", str(cfg), str(out), *threads]) == 0
         outs.append((out / "metrics.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -111,16 +115,19 @@ _SUBCOMMANDS = {
 }
 
 
+def _tree_bytes(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_nonpositive_threads_is_config_error(tmp_path, capsys, command, threads):
+@pytest.mark.parametrize("threads", ["0", "-3", "4"])
+def test_threads_flag_is_accepted_and_ignored(tmp_path, capsys, command, threads):
     cfg = _write(tmp_path, BASE_CONFIG)
-    out = tmp_path / "out"
-    argv = [command, str(cfg), str(out), *_SUBCOMMANDS[command], "--threads", threads]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "threads" in err
-    assert not out.exists()
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert cli.main([command, str(cfg), str(plain), *_SUBCOMMANDS[command]]) == 0
+    assert cli.main([command, str(cfg), str(flagged), *_SUBCOMMANDS[command], "--threads", threads]) == 0
+    assert capsys.readouterr().err == ""
+    assert _tree_bytes(flagged) == _tree_bytes(plain) != {}
 
 
 _AUTO = BASE_CONFIG.replace("eta = 0.2", "eta = auto")
@@ -512,16 +519,18 @@ def test_non_finite_file_value_is_a_config_error_with_its_line(tmp_path, capsys)
 @pytest.mark.parametrize("text, message", [
     ("+1 1:0.5\n-1 2:1\n+1 1:-1\n", "need at least n*T = 180 samples, dataset has 3"),
     ("# only a comment\n\n", "cannot normalize an empty dataset"),
+    ("+1\n-1\n+1\n", "cannot normalize a dataset without features"),
 ])
 def test_unusable_data_file_is_a_config_error(tmp_path, capsys, text, message):
     data_path = tmp_path / "data.libsvm"
     data_path.write_text(text)
-    cfg = _write(tmp_path, BASE_CONFIG.replace(
-        "beta = 0.5\ndim = 4", f"file = {data_path}\nstochastic_fraction = 0.5"))
-    out = tmp_path / "out"
-    assert cli.main(["run", str(cfg), str(out)]) == 1
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
-    assert not out.exists()
+    for fraction in ("0.5", "1.0"):
+        cfg = _write(tmp_path, BASE_CONFIG.replace(
+            "beta = 0.5\ndim = 4", f"file = {data_path}\nstochastic_fraction = {fraction}"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
 
 
 def test_missing_section_and_duplicates(tmp_path, capsys):
@@ -1151,7 +1160,7 @@ def _experiment_files(draw):
         kind=draw(st.sampled_from(topology.KINDS)), n=draw(st.integers(1, 10**6)),
         k=draw(st.integers(0, 10**3)), p=draw(_UNIT), scheme=draw(st.sampled_from(mixing.SCHEMES)),
         algorithm=draw(st.sampled_from(engine.ALGORITHMS)), eta=draw(st.just(cli.AUTO) | _POSITIVE),
-        T=draw(st.integers(0, 10**6)), seed=draw(st.integers(0, 2**64 - 1)),
+        T=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64 - 1)),
         project_radius=draw(st.none() | _POSITIVE), gamma=draw(_NONNEGATIVE),
         beta=None if file_data else draw(_UNIT),
         dim=None if file_data else draw(st.integers(1, 10**4)),
@@ -1218,13 +1227,13 @@ _RANGE_KEYS_CONFIG = _FLOAT_KEYS_CONFIG.replace("p = 0.5", "k = 2\np = 0.5")
 
 
 @pytest.mark.parametrize("key, value", [
-    ("n", "0"), ("k", "-1"), ("p", "1.5"), ("p", "-0.1"), ("eta", "0"), ("eta", "-1"), ("T", "-3"),
+    ("n", "0"), ("k", "-1"), ("p", "1.5"), ("p", "-0.1"), ("eta", "0"), ("eta", "-1"), ("T", "-3"), ("T", "0"),
     ("seed", "-1"), ("seed", str(2**64)), ("project_radius", "0"), ("gamma", "-1"), ("beta", "2"),
-    ("beta", "-0.5"), ("dim", "0"), ("stochastic_fraction", "1.5"),
+    ("beta", "-0.5"), ("dim", "0"), ("stochastic_fraction", "1.5"), ("file", ""),
 ])
 def test_out_of_range_value_is_a_config_error_with_its_line(tmp_path, capsys, key, value):
     text = _RANGE_KEYS_CONFIG
-    if key == "stochastic_fraction":
+    if key in ("stochastic_fraction", "file"):
         text = text.replace("beta = 0.5\ndim = 4", _FILE_DATA)
     lines = text.splitlines()
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} = "))
@@ -1257,6 +1266,10 @@ _EXIT_COMMANDS = {
 #: (command, case) -> (exit code, stderr prefix). matrix and data run no
 #: model, and matrix writes only to stdout, so those cells exit 0.
 _EXIT_TABLE = {
+    ("run", "undecodable_config"): (1, "config error: 'utf-8' codec can't decode byte 0xff"),
+    ("sweep", "undecodable_config"): (1, "config error: 'utf-8' codec can't decode byte 0xff"),
+    ("matrix", "undecodable_config"): (1, "config error: 'utf-8' codec can't decode byte 0xff"),
+    ("data", "undecodable_config"): (1, "config error: 'utf-8' codec can't decode byte 0xff"),
     ("run", "unreadable_config"): (3, "i/o error: "),
     ("run", "config_error"): (1, "config error: line 12: "),
     ("run", "divergence"): (2, "runtime error: "),
@@ -1284,6 +1297,8 @@ def test_exit_code_and_stderr_prefix(tmp_path, capsys, command, case):
     }.get(case, BASE_CONFIG))
     if case == "unreadable_config":
         cfg = tmp_path / "absent.cfg"
+    if case == "undecodable_config":
+        cfg.write_bytes(b"[network]\nkind = ring\xff\n")
     out = tmp_path / "out"
     if case == "unwritable_output":
         (tmp_path / "plain").write_text("")
@@ -1293,6 +1308,73 @@ def test_exit_code_and_stderr_prefix(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert (code, err[:len(_EXIT_TABLE[command, case][1])]) == _EXIT_TABLE[command, case]
     assert bool(err) == (code != 0) and "Traceback" not in err
+
+
+_LABELS = {1: "config error: ", 2: "runtime error: ", 3: "i/o error: "}
+
+
+def _main_on_outside_input(argv):
+    """Run `cli.main(argv)` in-process and check what it shows: an exit code
+    0-3; exactly one stderr line, under that code's label, when it is not 0,
+    and none when it is; no traceback and no warning anywhere."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in out + err and "Warning" not in out + err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(_LABELS[code]) and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+_BASE_BYTES = BASE_CONFIG.encode()
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+@settings(max_examples=100, deadline=None)
+@given(config=st.binary(max_size=200) | st.integers(0, len(_BASE_BYTES)).map(lambda cut: _BASE_BYTES[:cut]))
+@example(config=b"[network]\nkind = ring\xff\n")
+def test_any_config_bytes_exit_with_one_labelled_line(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_bytes(config)
+        _main_on_outside_input(_EXIT_COMMANDS[command](str(path), str(Path(tmp) / "out")))
+
+
+@st.composite
+def _libsvm_texts(draw):
+    """Up to 10 LIBSVM lines, each with zero or more of the indices 1..d for
+    a drawn d in 0..3 (0: labels only), valued in [-10, 10] or at +-1e200."""
+    d, count = draw(st.integers(0, 3)), draw(st.integers(0, 10))
+    values = st.sampled_from(["1e200", "-1e200"]) | st.floats(-10, 10).map(repr)
+    lines = draw(st.lists(st.tuples(
+        st.sampled_from(["+1", "1", "-1", "0"]),
+        st.dictionaries(st.integers(1, max(d, 1)), values, max_size=d),
+    ), min_size=count, max_size=count))
+    return "".join(
+        " ".join([label] + [f"{i}:{v}" for i, v in sorted(tokens.items())]) + "\n"
+        for label, tokens in lines
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_libsvm_texts(), fraction=st.sampled_from(["0", "0.5", "1"]))
+@example(text="+1\n-1\n" * 2, fraction="1")  # no features
+@example(text="+1 1:1e200\n-1 1:-1e200\n+1 1:1\n-1\n", fraction="0.5")  # squares overflow
+def test_any_libsvm_file_exits_with_one_labelled_line(text, fraction):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.libsvm"
+        data.write_text(text)
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text(
+            "[network]\nkind = ring\nn = 2\n[algorithm]\nkind = cog\neta = 0.2\nT = 2\n[loss]\n"
+            f"[data]\nfile = {data}\nstochastic_fraction = {fraction}\n"
+        )
+        _main_on_outside_input(["run", str(cfg), str(Path(tmp) / "out")])
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))

@@ -260,6 +260,10 @@ def test_normalize_moments_and_idempotence():
 def test_normalize_empty_rejected():
     with pytest.raises(ValueError, match="cannot normalize an empty dataset"):
         normalize(Dataset(np.empty((0, 0)), np.empty(0)))
+    with pytest.raises(ValueError, match="cannot normalize an empty dataset"):
+        normalize(Dataset(np.empty((0, 3)), np.empty(0)))
+    with pytest.raises(ValueError, match="cannot normalize a dataset without features"):
+        normalize(Dataset(np.empty((4, 0)), np.ones(4)))
 
 
 def test_dataset_arrays_are_read_only():
