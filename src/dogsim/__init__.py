@@ -8,7 +8,7 @@ and closed-form regret/consensus bound checks.
 
 from .datagen import SyntheticSpec, SyntheticStream, synthetic_block, synthetic_sample
 from .engine import RunConfig, RunResult, auto_learning_rate, run_experiment
-from .ingest import Dataset, NodeStreams, kmeans, normalize, parse_libsvm, split_stoch_adv
+from .ingest import Dataset, NodeStreams, normalize, parse_libsvm, split_stoch_adv
 from .losses import LossSpec, smoothness_bound
 from .metrics import (
     average_loss,
@@ -39,7 +39,6 @@ __all__ = [
     "build_topology",
     "consensus_error",
     "estimate_gradient_bounds",
-    "kmeans",
     "normalize",
     "offline_comparator",
     "parse_libsvm",

@@ -15,6 +15,7 @@ non-converging solver), 3 I/O error. Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -499,6 +500,7 @@ def cmd_data(config_path, count: int, output) -> int:
 _THREADS_HELP = "ignored: runs are single-threaded"
 
 
+@functools.cache  # one tree per process: `prog` is fixed and parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dogsim",

@@ -8,7 +8,6 @@ eta_T = 0.2 * sqrt(2000 / T) for T in 250..2000, so its T = 2000 run is the
 desk-scale run.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -318,27 +317,18 @@ def test_criterion_12_oracle_checks():
     solution = dogsim.offline_comparator(np.ones((k + m, 1)), labels, 0.0)
     ok = abs(float(solution[0]) - np.log(k / m)) <= 1e-8
 
+    # Two 1-D clouds, 4 points near 0 and 4 near 10, fully adversarial on
+    # n = 2 nodes: sorted by v * x and cut in half, each cloud is one slab
+    # whatever the sign of the scalar v. Seeds 0..7 draw v of both signs.
     rng = np.random.default_rng(12)
-    rng.standard_normal((8, 4))  # skipped draw, so the k-means clouds keep their values
-    cloud_a = rng.uniform(-0.1, 0.1, size=(4, 2))
-    cloud_b = rng.uniform(-0.1, 0.1, size=(4, 2)) + 10.0
-    points = np.vstack([cloud_a, cloud_b])
-    assign = dogsim.kmeans(points, 2, seed=0)
-    best_cost, best_assign = None, None
-    for bits in itertools.product((0, 1), repeat=len(points)):
-        if len(set(bits)) < 2:
-            continue
-        cost = 0.0
-        for c in (0, 1):
-            members = np.array([p for p, b in zip(points, bits) if b == c])
-            cost += ((members - members.mean(axis=0)) ** 2).sum()
-        if best_cost is None or cost < best_cost:
-            best_cost, best_assign = cost, bits
-    kmeans_parts = {
-        tuple(sorted(i for i, c in enumerate(assign) if c == v)) for v in set(assign)
-    }
-    oracle_parts = {
-        tuple(sorted(i for i, c in enumerate(best_assign) if c == v)) for v in (0, 1)
-    }
-    ok &= kmeans_parts == oracle_parts
+    points = np.concatenate([rng.uniform(-0.1, 0.1, 4), rng.uniform(-0.1, 0.1, 4) + 10.0])
+    clouds = {frozenset(range(4)), frozenset(range(4, 8))}
+    signs = set()
+    for seed in range(8):
+        streams = dogsim.split_stoch_adv(
+            Dataset(points[:, None], np.ones(8)), 0.0, n=2, rounds=4, seed=seed)
+        ok &= {frozenset(row) for row in streams.index.tolist()} == clouds
+        direction = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        signs.add(bool(direction.standard_normal(1)[0] > 0))
+    ok &= signs == {True, False}
     _report(12, "oracle checks", ok, time.perf_counter() - start, 5)

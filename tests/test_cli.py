@@ -662,10 +662,10 @@ def _pinned_libsvm_text() -> str:
 #: to parsing, normalization, the stochastic/adversarial split or the order in
 #: which the loop reads file samples moves them.
 PINNED_FILE_DIGESTS = {
-    "metrics.csv": "87f610b5e378e43941cd58c94bb897eb17bc3d328eebae468c154500d6410719",
+    "metrics.csv": "74fcadbdd7fca3adaa2b15a6c28a84ef1eaca76acba297574945471e64f2d51f",
     "resolved.cfg": "dca205d2883914c76e75bae4994c632d423a7bdc46547d947e73995a99384168",
-    "summary.txt": "46e0cbdd21300aed3464dd4ac1d5dc4b1d9ecd9d1aeb6c01a3acd8fabdcc1cce",
-    "data": "a7b1ed1dd02214d535811b85da58c8952587043b0232b60dff3e7cf2fd6ed080",
+    "summary.txt": "be281df16aba71a9eddbf89b61cb9bd62bed948911d8ad25074e2ba8b0a5c6f9",
+    "data": "52c3b2462ec0618f5561d6be78559d4363ac5654b78b35afcf10d70abc907813",
 }
 
 
@@ -683,14 +683,13 @@ def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
     assert digests == PINNED_FILE_DIGESTS
 
 
-#: sha256 of a nodes sweep 2,4,6 of FILE_CONFIG on _pinned_libsvm_text(),
-#: recorded when every cell still parsed the file for itself; sharing one
-#: parse across the cells must not move them.
+#: sha256 of a nodes sweep 2,4,6 of FILE_CONFIG on _pinned_libsvm_text();
+#: sharing one parse across the cells must not move them.
 PINNED_SWEEP_DIGESTS = {
-    "nodes_2/metrics.csv": "79c83c7ac605a3b66dc9c2ef0422717025fce38d758bd7ba4665a6e95bbbf0b9",
-    "nodes_4/metrics.csv": "36ec73f8c3df5d9d7e6dadce87a1778418a684cc762bf84a7e44d5f4919506bf",
-    "nodes_6/metrics.csv": "e2cc12fc4610e7860fc2bb8659dd8af63af2d4f97014255e89f91a11486f2e10",
-    "sweep_summary.csv": "7b5a36afc42e72879dd6bdb564376a2a43041365aa0a154195dd46b3445780a1",
+    "nodes_2/metrics.csv": "c225298020a81f964bb9fafae9d6a02a6d3674e6b1b73af377ee2bf0b78bb627",
+    "nodes_4/metrics.csv": "a1cbcba5e79702b5e067eaaec02fe0a1786006cebf9454c4380b1d8fb39a48dc",
+    "nodes_6/metrics.csv": "063992a31648ec4aeb2cbfa4ddba0264ab1e2c3a0c6c235cca72a699c9c6916b",
+    "sweep_summary.csv": "16e3276c1d6a6f77e85cacce2370f4b504f0241b0a1c4c7e2755b035050a0f1c",
 }
 _SWEEP_NODES = (2, 4, 6)
 
@@ -886,24 +885,24 @@ def test_nodes_sweep_frees_each_cell_block_before_the_next_runs(tmp_path, monkey
 def test_file_data_topology_sweep_splits_its_data_once_per_invocation(tmp_path, monkeypatch):
     from dogsim import ingest
 
-    clusterings = _count_calls(monkeypatch, ingest, "kmeans")
+    splits = _count_calls(monkeypatch, ingest, "split_stoch_adv")
     monkeypatch.chdir(tmp_path)
     (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
     cfg = _write(tmp_path, FILE_CONFIG.replace("n = 5", "n = 5\nk = 2"))
     argv = ["sweep", str(cfg), "first", "--axis", "topology", "--values", ",".join(_FILE_TOPOLOGIES)]
     assert cli.main(argv) == 0
-    assert len(clusterings) == 1
+    assert len(splits) == 1
     argv[2] = "second"
     assert cli.main(argv) == 0
-    assert len(clusterings) == 2
+    assert len(splits) == 2
 
 
 def test_file_data_nodes_sweep_splits_once_per_cell(tmp_path, monkeypatch):
     from dogsim import ingest
 
-    clusterings = _count_calls(monkeypatch, ingest, "kmeans")
+    splits = _count_calls(monkeypatch, ingest, "split_stoch_adv")
     assert _file_sweep(tmp_path, monkeypatch) == 0
-    assert len(clusterings) == len(_SWEEP_NODES)
+    assert len(splits) == len(_SWEEP_NODES)
 
 
 def _same_bits(a, b):
@@ -1004,7 +1003,8 @@ M = 0.5
 #: test. Recorded before the closure-based round helpers and the
 #: single-sample loss wrappers were deleted; summary.txt carries the
 #: comparator, the static regret and the regret bound, whose R line was
-#: added later.
+#: added later. The file_cog outputs were recorded again when the k-means
+#: split gave way to the projection split.
 PINNED_RUN_DIGESTS = {
     "dog/metrics.csv": "7b163448b6f54a1368faa8c1ce068319a84a8c548f1a84ecff48c669fc05215d",
     "dog/resolved.cfg": "1ff91c7de09da721e6973be6dbd8d806b46449c2f4f3fc6e4b8dd4c7df126de9",
@@ -1015,9 +1015,9 @@ PINNED_RUN_DIGESTS = {
     "local_ogd/metrics.csv": "ef30e86257bbb443ee3cf96e12f756fb20d3c9606498940e905409f4984714d5",
     "local_ogd/resolved.cfg": "73a10a45fb89b00bd625bcb8e5fa9bebfc68b4ae82d8300a00d31fefa9fbf7f1",
     "local_ogd/summary.txt": "bc86d3b519d32e718b46e524775b734b02720a59834f4c0df3d6482c0b472665",
-    "file_cog/metrics.csv": "7c499becb143aa58d1809113015f7cf2d65d23df61a46b26e707d66a4b12ec12",
+    "file_cog/metrics.csv": "7023925ef2ab6cc0829718b58f7ee3d3b063f6425dbb79eb4032ebf3e82435fc",
     "file_cog/resolved.cfg": "2b1e97fdb08506e6397f7b0c4e95a93615327d40e18c8a5d009ed7b6413823cf",
-    "file_cog/summary.txt": "6a40da33ce8cfe4a6881d8ec1811654fb2d476a18f6561dcc5f054f088a0e122",
+    "file_cog/summary.txt": "398654da028293cede0aadd7c3b70441ab1daaaaaa79b0284c8aa24ba335c792",
 }
 
 
@@ -1049,7 +1049,7 @@ def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
     assert digests == PINNED_RUN_DIGESTS
 
 
-@pytest.mark.parametrize("name, norm_sq", [("dog", 7.65), ("file_cog", 0.56)])
+@pytest.mark.parametrize("name, norm_sq", [("dog", 7.65), ("file_cog", 0.53)])
 def test_regret_bound_covers_the_static_comparator(tmp_path, monkeypatch, name, norm_sq):
     # RUN_CONFIG has R = 1. The bound is evaluated at max(R, ||x*||^2), so
     # dog's comparator sets it and file_cog's leaves R.

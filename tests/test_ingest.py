@@ -10,28 +10,11 @@ from hypothesis import strategies as st
 from dogsim import ingest
 from dogsim.ingest import (
     Dataset,
-    kmeans,
     normalize,
     parse_libsvm,
     serialize_libsvm,
     split_stoch_adv,
 )
-
-
-def brute_force_two_clusters(points):
-    """Minimum within-cluster sum of squares over all 2-partitions."""
-    best, best_assign = None, None
-    m = len(points)
-    for bits in itertools.product((0, 1), repeat=m):
-        if len(set(bits)) < 2:
-            continue
-        cost = 0.0
-        for c in (0, 1):
-            members = np.array([p for p, b in zip(points, bits) if b == c])
-            cost += ((members - members.mean(axis=0)) ** 2).sum()
-        if best is None or cost < best:
-            best, best_assign = cost, bits
-    return best, best_assign
 
 
 def test_parse_basic_line():
@@ -173,7 +156,7 @@ def test_ingest_bytes_are_pinned_at_bench_scale():
     assert _sha256(d.features) == "375f6b8d42b95acef94dbeee68312567df5a260e495a10cf465e4393c6a38fb2"
     assert _sha256(d.labels) == "542e19da6d66be26fbe7198c77a8d8badbf019ed412944ee5ed45806be5ec5d3"
     assert _sha256(streams.index.astype(np.int64)) == (
-        "c01c13ea2c14a4ca720a1e62cc3c371f2d4ae60ff3344bb730c8036de0c15515")
+        "14a273e74195175b403c2d0973d4fc7fcfacbf81db2693dff6fb85988a2ada74")
 
 
 def test_serialize_parse_roundtrip():
@@ -246,6 +229,17 @@ def test_normalize_zeroes_any_constant_column(value, m, data):
     assert out.features[:, 1].tobytes() == np.zeros(m).tobytes()
 
 
+@pytest.mark.parametrize("column", [
+    [1.7e308, 1.7e308, -1.7e308, 1.0, 1.0],  # the mean overflows to inf
+    [1.7e308, -1.7e308, -1.7e308],  # the mean is finite; x - mean and the std overflow
+])
+def test_normalize_zeroes_a_column_whose_moments_overflow(column):
+    m = len(column)
+    out = normalize(Dataset(np.column_stack([column, np.arange(m, dtype=float)]), np.ones(m)))
+    assert out.features[:, 0].tobytes() == np.zeros(m).tobytes()
+    assert np.abs(out.features[:, 1].std() - 1.0) <= 1e-12
+
+
 def test_normalize_moments_and_idempotence():
     rng = np.random.default_rng(1)
     d = Dataset(rng.normal(3.0, 2.5, size=(50, 4)), np.ones(50))
@@ -273,179 +267,6 @@ def test_dataset_arrays_are_read_only():
             dataset.features[0, 0] = 2.0
         with pytest.raises(ValueError):
             dataset.labels[0] = -1.0
-
-
-def test_kmeans_recovers_separated_clouds():
-    rng = np.random.default_rng(5)
-    cloud_a = rng.uniform(-0.1, 0.1, size=(4, 2))
-    cloud_b = rng.uniform(-0.1, 0.1, size=(4, 2)) + 10.0
-    points = np.vstack([cloud_a, cloud_b])
-    assign = kmeans(points, 2, seed=3)
-    _, oracle = brute_force_two_clusters(points)
-    # same partition up to label swap
-    as_pairs = {tuple(sorted(i for i, c in enumerate(assign) if c == v)) for v in set(assign)}
-    oracle_pairs = {tuple(sorted(i for i, c in enumerate(oracle) if c == v)) for v in (0, 1)}
-    assert as_pairs == oracle_pairs
-
-
-def test_kmeans_degenerate_cases():
-    points = np.array([[0.0], [1.0], [2.0]])
-    assert sorted(kmeans(points, 3, seed=0)) == [0, 1, 2]
-    assign = kmeans(points, 1, seed=0)
-    assert assign == [0, 0, 0]
-    with pytest.raises(ValueError, match="need at least 4 points for 4 clusters, got 3"):
-        kmeans(points, 4)
-
-
-def test_kmeans_deterministic():
-    rng = np.random.default_rng(8)
-    points = rng.standard_normal((30, 3))
-    assert kmeans(points, 4, seed=11) == kmeans(points, 4, seed=11)
-
-
-def _kmeans_broadcast_reference(points, k, max_iters=100, seed=0):
-    """k-means++ seeding and Lloyd's steps with every point-to-centroid
-    distance taken at once over an (m, k, d) broadcast."""
-    pts = np.asarray(points, dtype=float)
-    m = pts.shape[0]
-    rng = np.random.default_rng(seed)
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[int(rng.integers(0, m))]
-    for c in range(1, k):
-        d2 = np.min(((pts[:, None, :] - centroids[None, :c, :]) ** 2).sum(axis=2), axis=1)
-        total = d2.sum()
-        if total == 0:
-            centroids[c] = pts[int(rng.integers(0, m))]
-            continue
-        r = rng.random() * total
-        centroids[c] = pts[int(np.searchsorted(np.cumsum(d2), r))]
-    assign = np.full(m, -1, dtype=int)
-    for _ in range(max_iters):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for c in range(k):
-            members = pts[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-            else:
-                dist_own = ((pts - centroids[assign]) ** 2).sum(axis=1)
-                centroids[c] = pts[int(dist_own.argmax())]
-    return [int(c) for c in assign]
-
-
-def _kmeans_points(kind, m, d, rng):
-    if kind == "gaussian":
-        return rng.standard_normal((m, d))
-    if kind == "grid":  # few distinct integer coordinates: many exact ties
-        return rng.integers(-1, 2, size=(m, d)).astype(float)
-    # duplicated rows: at most 3 distinct points, so seeding can run out of
-    # positive distances and Lloyd's steps can empty a cluster
-    distinct = rng.standard_normal((int(rng.integers(1, 4)), d))
-    return distinct[rng.integers(0, len(distinct), size=m)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    kind=st.sampled_from(["gaussian", "grid", "duplicates"]),
-    m=st.integers(1, 80),
-    d=st.integers(1, 20),
-    data=st.data(),
-)
-def test_kmeans_matches_broadcast_reference(kind, m, d, data):
-    k = data.draw(st.integers(1, m), label="k")
-    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-    points = _kmeans_points(kind, m, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    assert kmeans(points, k, seed=seed) == _kmeans_broadcast_reference(points, k, seed=seed)
-
-
-def test_kmeans_stops_a_cycle_where_the_step_cap_would():
-    # three distinct rows and four clusters: the empty-cluster re-seeds and
-    # the exact ties they make cycle, so the assignments never stabilize
-    points = _kmeans_points("duplicates", 8, 2, np.random.default_rng(3))
-    with mock.patch.object(ingest, "_nearest", wraps=ingest._nearest) as nearest:
-        assign = kmeans(points, 4, seed=3)
-    assert nearest.call_count < 100
-    assert assign == _kmeans_broadcast_reference(points, 4, seed=3)
-
-
-def _exact_argmin(points, centroids):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    d=st.integers(1, 20),
-    k=st.integers(2, 8),
-    # 2^-500 .. 2^500 is about 1e-150 .. 1e150; from 2^-515 down the squares
-    # are subnormal, and from 2^-540 down most of them are 0
-    exponent=st.one_of(st.integers(-500, 500), st.integers(-545, -515)),
-    data=st.data(),
-)
-def test_nearest_matches_exact_argmin_on_hard_inputs(d, k, exponent, data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    scale = 2.0**exponent
-    # An exact tie: centroid 1 is centroid 0 mirrored about the point `tie`.
-    # Grid values times a power of two keep every coordinate exact, and the
-    # other centroids sit 40 further out in every coordinate, so the tie is
-    # the row's minimum.
-    tie = rng.integers(-8, 9, size=d).astype(float)
-    offset = rng.integers(-2, 3, size=d).astype(float)
-    offset[int(rng.integers(0, d))] = 1.0
-    centroids = tie + 40.0 + rng.integers(-2, 3, size=(k, d))
-    centroids[0], centroids[1] = tie - offset, tie + offset
-    # Near ties: the tie moved a few ulps towards one centroid or the other.
-    near = np.repeat(tie[None, :], 4, axis=0)
-    j = int(np.flatnonzero(offset)[0])
-    for row in near:
-        for _ in range(int(rng.integers(1, 4))):
-            row[j] = np.nextafter(row[j], rng.choice([-np.inf, np.inf]))
-    # Rows a relative 2^-20 off the tie: resolved by the slack at normal
-    # scales, a few quanta apart where the squares are subnormal.
-    jitter = tie + rng.standard_normal((8, d)) * 2.0**-20
-    spread = rng.standard_normal((int(rng.integers(0, 30)), d)) * 12.0
-    hard = [tie[None, :], near, centroids[:2], jitter, spread]
-    hard = [rows * scale for rows in hard]
-    centroids = centroids * scale
-    if data.draw(st.booleans(), label="overflow"):
-        # rows whose pp is inf, one with two centroids close by: their
-        # approximate distances are both NaN, the exact ones finite
-        huge = rng.standard_normal((3, d)) * 2.0**520
-        step = rng.standard_normal(d) * 2.0**500
-        centroids = np.concatenate([centroids, huge[:1] + step, huge[:1] + step / 2])
-        hard.append(huge)
-    points = np.concatenate(hard)
-    with np.errstate(over="ignore"):
-        pp = (points * points).sum(axis=1)
-    with mock.patch.object(ingest, "_nearest_exact", wraps=ingest._nearest_exact) as exact:
-        assign = ingest._nearest(points, pp, centroids)
-    assert assign.tolist() == _exact_argmin(points, centroids).tolist()
-    assert assign[0] == 0  # the exact tie goes to the lower index
-    checked = np.concatenate([call.args[0] for call in exact.call_args_list])
-    for row in points[:5]:  # the tie and the near ties took the exact path
-        assert (checked == row).all(axis=1).any()
-
-
-def test_kmeans_matches_broadcast_reference_at_bench_scale():
-    # the libsvm_sweep shape: 2000 clustered rows of 18 features, 40 clusters
-    rng = np.random.default_rng(31)
-    centers = rng.normal(0.0, 3.0, (8, 18))
-    points = centers[rng.integers(0, 8, 2000)] + rng.standard_normal((2000, 18))
-    points[rng.random(points.shape) < 0.2] = 0.0
-    points = normalize(Dataset(points, np.ones(2000))).features
-    assert kmeans(points, 40, seed=5) == _kmeans_broadcast_reference(points, 40, seed=5)
-
-
-@pytest.mark.parametrize("m, k, seed", [(60, 7, 33), (100, 6, 23)])
-def test_kmeans_matches_broadcast_reference_in_one_dimension(m, k, seed):
-    # On a 0.1 grid, points sit exactly between centroids, so the last bit of
-    # a centroid decides assignments. numpy's mean of an (r, 1) array sums
-    # pairwise, and summing these in row order gives other bits.
-    points = np.round(np.random.default_rng(seed).standard_normal((m, 1)), 1)
-    assert kmeans(points, k, seed=seed) == _kmeans_broadcast_reference(points, k, seed=seed)
 
 
 def _toy_dataset(count, dim=3, seed=0):
@@ -489,19 +310,12 @@ def test_split_deterministic():
 
 
 def test_split_cycles_when_node_allocation_is_short():
-    # 18 samples >= n*T = 12, but the smallest cluster holds only 2 samples,
-    # so its node must cycle to fill 4 rounds.
-    rng = np.random.default_rng(4)
-    clouds = [(np.array([0.0, 0.0]), 10), (np.array([40.0, 0.0]), 6), (np.array([0.0, 40.0]), 2)]
-    points = np.array([center + rng.uniform(-0.1, 0.1, 2) for center, count in clouds for _ in range(count)])
-    streams = split_stoch_adv(Dataset(points, np.ones(18)), 0.0, n=3, rounds=4, seed=1)
+    # 12 samples = n*T: 2 are dealt and 10 cut into slabs of 4, 3 and 3, so
+    # node 2 gets no dealt sample and 3 rows, and must cycle to fill 4 rounds.
+    streams = split_stoch_adv(_toy_dataset(12, dim=2), 0.2, n=3, rounds=4, seed=1)
     assert streams.index.shape == (3, 4)
-    nodes = [_node_rows(streams, i) for i in range(3)]
-    sizes = [len({tuple(row) for row in feats}) for feats in nodes]
-    assert min(sizes) == 2  # the two-sample cluster repeats with period 2
-    short = nodes[sizes.index(2)]
-    assert np.array_equal(short[0], short[2])
-    assert np.array_equal(short[1], short[3])
+    assert [len(set(row)) for row in streams.index.tolist()] == [4, 4, 3]
+    assert streams.index[2, 3] == streams.index[2, 0]
 
 
 def test_split_insufficient_data():
@@ -510,21 +324,30 @@ def test_split_insufficient_data():
         split_stoch_adv(d, 0.5, n=3, rounds=4, seed=0)
 
 
+def _split_draws(seed):
+    """The generators of the split's shuffle and of its direction."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
 def test_split_matches_per_sample_reference():
-    # the deal, the clusters and the interleave, rebuilt one sample at a time
+    # the deal, the slabs and the interleave, rebuilt one sample at a time;
+    # below 8 features numpy sums each row left to right, as `sum` does
     d = _toy_dataset(97, dim=4, seed=12)
     n, rounds, fraction, seed = 5, 14, 0.4, 3
     streams = split_stoch_adv(d, fraction, n=n, rounds=rounds, seed=seed)
-    rng_shuffle, kmeans_ss = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    rng_shuffle, rng_direction = _split_draws(seed)
     order = rng_shuffle.permutation(97).tolist()
+    v = rng_direction.standard_normal(4).tolist()
     cut = int(np.floor(fraction * 97))
     stoch = [[] for _ in range(n)]
     for pos, idx in enumerate(order[:cut]):
         stoch[pos % n].append(idx)
-    adv = [[] for _ in range(n)]
-    assign = kmeans(d.features[order[cut:]], n, seed=int(kmeans_ss.integers(0, 2**63)))
-    for idx, c in zip(order[cut:], assign):
-        adv[c].append(idx)
+    rest = order[cut:]
+    proj = [sum(x * w for x, w in zip(d.features[idx].tolist(), v)) for idx in rest]
+    slab = [0] * len(rest)
+    for rank, pos in enumerate(sorted(range(len(rest)), key=lambda pos: (proj[pos], pos))):
+        slab[pos] = rank * n // len(rest)
+    adv = [[idx for idx, c in zip(rest, slab) if c == i] for i in range(n)]
     for i in range(n):
         merged, a, b, j, k = [], len(stoch[i]), len(adv[i]), 0, 0
         while j < a or k < b:
@@ -535,6 +358,52 @@ def test_split_matches_per_sample_reference():
                 merged.append(adv[i][k])
                 k += 1
         assert streams.index[i].tolist() == [merged[t % len(merged)] for t in range(rounds)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "grid"]),
+    m=st.integers(1, 60),
+    dim=st.integers(1, 12),
+    fraction=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_split_cuts_the_adversarial_share_into_sorted_slabs(kind, m, dim, fraction, seed, data):
+    n = data.draw(st.integers(1, m), label="n")
+    rounds = data.draw(st.integers(1, m // n), label="rounds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        features = rng.standard_normal((m, dim))
+    else:  # few distinct values: many tied projections
+        features = rng.integers(-1, 2, size=(m, dim)).astype(float)
+    d = Dataset(features, np.ones(m))
+    rng_shuffle, rng_direction = _split_draws(seed)
+    order = rng_shuffle.permutation(m)
+    cut = int(np.floor(fraction * m))
+    adv_idx = order[cut:]
+    if n > max(cut, len(adv_idx)):  # nodes from max(cut, A) on get no dealt row and no slab
+        with pytest.raises(ValueError, match=f"node {max(cut, len(adv_idx))} received no samples"):
+            split_stoch_adv(d, fraction, n=n, rounds=rounds, seed=seed)
+        return
+    with mock.patch.object(ingest, "_interleave", wraps=ingest._interleave) as interleave:
+        split_stoch_adv(d, fraction, n=n, rounds=rounds, seed=seed)
+    slabs = [call.args[1] for call in interleave.call_args_list]
+    assert len(slabs) == n
+    # every adversarial row goes to exactly one node, in shuffle order
+    position = {int(idx): pos for pos, idx in enumerate(adv_idx)}
+    assert sorted(position[idx] for slab in slabs for idx in slab.tolist()) == list(range(len(adv_idx)))
+    assert all(np.all(np.diff([position[idx] for idx in slab.tolist()]) > 0) for slab in slabs)
+    # min(n, A) slabs whose sizes differ by at most 1
+    slab_count = min(n, len(adv_idx))
+    sizes = [len(slab) for slab in slabs]
+    assert all(size == 0 for size in sizes[slab_count:])
+    assert not slab_count or max(sizes[:slab_count]) - min(sizes[:slab_count]) <= 1
+    # sorted by (projection, shuffle position) from one slab to the next
+    proj = (d.features[adv_idx] * rng_direction.standard_normal(dim)).sum(axis=1)
+    keys = [sorted((proj[position[idx]], position[idx]) for idx in slab.tolist())
+            for slab in slabs[:slab_count]]
+    assert all(low[-1] < high[0] for low, high in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("first, last", [(0, 3), (1, 8), (1, 5), (3, 2), (5, 5)])
