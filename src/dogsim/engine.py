@@ -8,7 +8,8 @@ model and the models advance:
     cog:       x   <- x - eta * mean_i grad_i         (one shared model)
 
 Models are stacked as rows of an (n, d) array, so the gossip update is
-W @ X; cog's one row broadcasts against the n samples. A run reads all T
+W X, computed by ``MixingMatrix.gossip`` over W's nonzeros with no BLAS
+call; cog's one row broadcasts against the n samples. A run reads all T
 rounds of samples in one ``block(1, T + 1)`` call on its data source, as
 (T, n, dim) features and (T, n) labels: a ``SyntheticStream`` generates
 them once for every run that reads it, and ``NodeStreams`` fancy-indexes
@@ -132,10 +133,13 @@ class RunResult:
         )
 
 
-def _step(algorithm: str, x: np.ndarray, w: np.ndarray | None, grads: np.ndarray, eta: float) -> np.ndarray:
-    """Advance round-start models x (one row for cog) by their gradients."""
+def _step(
+    algorithm: str, x: np.ndarray, mixing: MixingMatrix | None, grads: np.ndarray, eta: float
+) -> np.ndarray:
+    """Advance round-start models x (one row for cog) by their gradients;
+    only dog reads `mixing`."""
     if algorithm == DOG:
-        return w @ x - eta * grads
+        return mixing.gossip(x) - eta * grads
     if algorithm == LOCAL_OGD:
         return x - eta * grads
     return x - eta * grads.mean(axis=0, keepdims=True)
@@ -174,7 +178,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     n, dim, T = cfg.n, cfg.dim, cfg.T
     gamma = cfg.loss_spec.gamma
     x = np.zeros((1 if cfg.algorithm == COG else n, dim))
-    w = cfg.mixing.entries if cfg.algorithm == DOG else None
 
     feats, labels = cfg.data.block(1, T + 1)
     losses = np.empty((T, n))
@@ -196,7 +199,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
                 losses[t], sig = softplus_sigmoid(neg_y * (feats[t] * x).sum(axis=1))
                 np.multiply((neg_y * sig)[:, None], feats[t], out=g)
                 g += gamma * x
-                x = _step(cfg.algorithm, x, w, g, cfg.eta)
+                x = _step(cfg.algorithm, x, cfg.mixing, g, cfg.eta)
                 if cfg.project_radius is not None:
                     x = _project_rows(x, cfg.project_radius)
                 if not np.isfinite(x).all():

@@ -222,10 +222,12 @@ def normalize(d: Dataset) -> Dataset:
     Constant coordinates become 0. Constancy is decided exactly, by
     comparing every entry with the first: the rounded mean of ten rows of
     0.1 is 1.4e-17 off, so their std is that residue, and dividing by it
-    would give +-1. A varying coordinate whose std is not finite and
-    positive also becomes 0: its std underflowed to 0, or it overflowed to
-    inf or NaN, as it does whenever the mean overflows. Dividing would give
-    NaN wherever a centered entry overflowed too. numpy's overflow warnings
+    would give +-1. A column whose std overflows to inf or NaN (its squares
+    or its sum overflow, as for 1e200, -1e200, 3) is first divided by its
+    largest magnitude, and its centered entries and std are taken from that
+    quotient, so it is scaled, not lost; every other column keeps the plain
+    formula's bits. A varying coordinate whose std is still not finite and
+    positive becomes 0: its std underflowed to 0. numpy's overflow warnings
     are silenced. Idempotent within floating tolerance.
     A dataset without rows or without features raises ValueError.
     """
@@ -237,6 +239,11 @@ def normalize(d: Dataset) -> Dataset:
         mean = d.features.mean(axis=0)
         std = d.features.std(axis=0)  # population (ddof=0)
         centered = d.features - mean
+        big = ~(std < np.inf)
+        if big.any():
+            scaled = d.features[:, big] / np.abs(d.features[:, big]).max(axis=0)
+            centered[:, big] = scaled - scaled.mean(axis=0)
+            std[big] = scaled.std(axis=0)
         flat = (d.features == d.features[0]).all(axis=0) | ~((0 < std) & (std < np.inf))
         centered[:, ~flat] /= std[~flat]
     centered[:, flat] = 0.0

@@ -8,11 +8,16 @@ symmetric W the largest eigenvalue magnitude of W - 11^T/n; the smaller
 rho, the faster disagreement between nodes dies out. Every W built here
 has a positive diagonal, so rho < 1 exactly on a connected graph (Xiao &
 Boyd, 2004); on a disconnected one `build_mixing` stores rho = 1 exactly.
+
+Gossip, W @ X for the (n, d) stack of node models, takes no BLAS call, so
+its bits do not depend on the BLAS kernel or thread count. The dense W is
+kept for the spectral gap and for printing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +30,41 @@ SCHEMES = (UNIFORM, MAX_DEGREE)
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Dense doubly stochastic matrix with its cached contraction rate."""
+    """Doubly stochastic W, dense, with its cached contraction rate and a
+    BLAS-free product `gossip`."""
 
     entries: np.ndarray  # (n, n), rows and columns sum to 1
     rho: float
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+
+    def gossip(self, x: np.ndarray) -> np.ndarray:
+        """W @ x for an (n, d) stack of models, by one of two rules.
+
+        complete graph, W = (w_ii - off) I + off 11^T:
+            (w_ii - off) * x + off * x.sum(axis=0), in O(nd);
+        any other W:
+            a CSR product over W's nonzeros: each row sums its w_ij * x_j
+            terms from 0, one multiply and one add at a time, in ascending j.
+
+        Neither calls BLAS. The rule is chosen, and for the second one
+        scipy.sparse imported, on the first call.
+        """
+        return self._gossip(x)
+
+    @cached_property
+    def _gossip(self):
+        w, n = self.entries, self.n
+        if n > 1 and w.all():
+            diag, off = w[0, 0], w[0, 1]
+            if np.array_equal(w, np.where(np.eye(n, dtype=bool), diag, off)):
+                scale = diag - off
+                return lambda x: scale * x + off * x.sum(axis=0)
+        from scipy.sparse import csr_array
+
+        sparse = csr_array(w)
+        return lambda x: sparse @ x
 
     @property
     def n(self) -> int:

@@ -108,7 +108,7 @@ def test_criterion_02_average_iterate_identity():
     for t in range(1, 501):
         feats, labels = stream.round_batch(t)
         grads = batch_loss_and_gradient(x, feats, labels, GAMMA.gamma)[1]
-        nxt = _step(DOG, x, mixing.entries, grads, ETA)
+        nxt = _step(DOG, x, mixing, grads, ETA)
         expected = x.mean(axis=0) - ETA * grads.mean(axis=0)
         err = np.linalg.norm(nxt.mean(axis=0) - expected)
         ok &= err <= 1e-9 * (1.0 + np.linalg.norm(x.mean(axis=0)))

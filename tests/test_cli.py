@@ -1,7 +1,9 @@
 import contextlib
 import io
+import hashlib
 import itertools
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -201,15 +203,44 @@ def test_diverging_run_prints_one_error_line(tmp_path):
     cfg = (BASE_CONFIG.replace("n = 6", "n = 600").replace("eta = 0.2", "eta = 10000")
            .replace("T = 30", "T = 400").replace("seed = 42", "seed = 3")
            .replace("beta = 0.5", "beta = 0.3").replace("dim = 4", "dim = 10"))
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "dogsim", "run", str(_write(tmp_path, cfg)), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True,
-    )
+    proc = _run_in_subprocess(_write(tmp_path, cfg), tmp_path / "out", os.environ)
     assert proc.returncode == 2
     assert proc.stderr == "runtime error: non-finite model entry at round 302\n"
     assert proc.stdout == ""
+
+
+def _run_in_subprocess(cfg, out, env):
+    """`python -m dogsim run cfg out` in a child process with `env`, on this
+    checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "dogsim", "run", str(cfg), str(out)],
+        env=env, capture_output=True, text=True,
+    )
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_dog_metrics_do_not_depend_on_the_blas_kernel_or_thread_count(tmp_path):
+    # Gossip calls no BLAS, so at a fixed eta metrics.csv is the same under
+    # the detected kernel and Nehalem (SSE only, runs on any x86-64), with 1
+    # or 2 BLAS threads; n = 300 is large enough for the thread count to
+    # change a dense product's bits. resolved.cfg is left out: rho still
+    # comes from the eigensolver.
+    cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring\nn = 6", "kind = random_k\nn = 300\nk = 4")
+                 .replace("dim = 4", "dim = 10"))
+    digests = set()
+    for coretype, threads in itertools.product((None, "Nehalem"), ("1", "2")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / f"{coretype}_{threads}"
+        proc = _run_in_subprocess(cfg, out, env)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_sweep_beta_runs_both_algorithms(tmp_path):
@@ -357,26 +388,26 @@ _TOPOLOGY_VALUES = ("ring", "watts_strogatz:0.5", "complete", "random_k", "disco
 #: `dogsim run` on each value, and of `dogsim matrix` stdout for a complete
 #: graph under the uniform scheme and a watts_strogatz graph under max_degree.
 #: Recorded when Graph still held a frozenset of edge tuples; the edge-array
-#: representation must not move a byte.
+#: representation must not move a byte. The metrics.csv of every cell but
+#: disconnected were recorded again when gossip stopped calling BLAS.
 PINNED_TOPOLOGY_DIGESTS = {
     "matrix_complete": "09b71baafee9d03011bf03efcd2e03ad8f3fcacc31c9abda52b9a82e5faa8455",
     "matrix_watts_strogatz": "491911567fa08cabf1553891c082f398aad92ec235c1343dd6a29f5ce62ccc42",
     "sweep_summary.csv": "441927a13915ef49ed3f9229e18a0985db677c98963535917b335fdae0d1b801",
-    "topology_complete/metrics.csv": "eb07cce216c3c040505e2bb72b0955004c128a5de52c550ad033013b0fffc21f",
+    "topology_complete/metrics.csv": "98e4bf02fdcecc622c7270dd18889f9d99394d7a1c90a87b477022a915f58945",
     "topology_complete/resolved.cfg": "d31b38a8876b8d103028797214d266ddeecc3aec2d4b061a90e63501f0c6cdde",
     "topology_disconnected/metrics.csv": "ebe81867d9a833dcfef4488ced407dea5a7616f8bc5df7bdc30368086cfec813",
     "topology_disconnected/resolved.cfg": "da1499354b8a533b6754ca101c14a2dfc364f9ffe5a19991e92211fe1bcf64a8",
-    "topology_random_k/metrics.csv": "dcdbc45e368395c6500e964d30379d939a21615e2eb3439fbccf0ac8b164ed42",
+    "topology_random_k/metrics.csv": "fd3375d36c7d2056ea9d5e6fb9a713b4fc6a0c8a302325df564a6bccd64d7241",
     "topology_random_k/resolved.cfg": "11fb654a42084da766cd6c694278bcd9ed9716b27ea3b92033a0e01f4968083c",
-    "topology_ring/metrics.csv": "9410c7c10619c52885e03dad37d682c4a21450dff59f569ec3d8c98acdb3b6c4",
+    "topology_ring/metrics.csv": "f0e675aa2898af38e5b4f1f84de8870770893c5a261e745c8aa2fb28e1390554",
     "topology_ring/resolved.cfg": "df1cd36f91a9512b3dfb60374086e6093ca5e07f203083d26e14d51d9b4fa987",
-    "topology_watts_strogatz_p0.5/metrics.csv": "c6121b62b901f2b11ea8b0ada6ba2edbe64e92de1b69c3599a0fef754e0d7c1b",
+    "topology_watts_strogatz_p0.5/metrics.csv": "fee8f3810047fbcede41baf33e66d9afbe0b5fa30413711e38c8b7475fafc1c3",
     "topology_watts_strogatz_p0.5/resolved.cfg": "ff2e29abdfe4db8865e87f3906f056a56edfe2fd6d6ea74f14488acf32b380ff",
 }
 
 
 def test_topology_sweep_bytes_are_pinned(tmp_path, capsys):
-    import hashlib
 
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -660,17 +691,17 @@ def _pinned_libsvm_text() -> str:
 
 #: sha256 of the outputs of FILE_CONFIG on _pinned_libsvm_text(); any change
 #: to parsing, normalization, the stochastic/adversarial split or the order in
-#: which the loop reads file samples moves them.
+#: which the loop reads file samples moves them. metrics.csv and summary.txt
+#: were recorded again when gossip stopped calling BLAS.
 PINNED_FILE_DIGESTS = {
-    "metrics.csv": "74fcadbdd7fca3adaa2b15a6c28a84ef1eaca76acba297574945471e64f2d51f",
+    "metrics.csv": "2b976d2a966a6a455d70e64b4d0ccc759df0b20a199d6b50ebac3877fdcdf000",
     "resolved.cfg": "dca205d2883914c76e75bae4994c632d423a7bdc46547d947e73995a99384168",
-    "summary.txt": "be281df16aba71a9eddbf89b61cb9bd62bed948911d8ad25074e2ba8b0a5c6f9",
+    "summary.txt": "6e0c63d23c1db5146dfe2a554b1a75cb99c8e5508b5ec2c48a802ae44048a06f",
     "data": "52c3b2462ec0618f5561d6be78559d4363ac5654b78b35afcf10d70abc907813",
 }
 
 
 def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
-    import hashlib
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "data.libsvm").write_text(_pinned_libsvm_text())
@@ -684,11 +715,12 @@ def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
 
 
 #: sha256 of a nodes sweep 2,4,6 of FILE_CONFIG on _pinned_libsvm_text();
-#: sharing one parse across the cells must not move them.
+#: sharing one parse across the cells must not move them. The n = 4 and 6
+#: metrics.csv were recorded again when gossip stopped calling BLAS.
 PINNED_SWEEP_DIGESTS = {
     "nodes_2/metrics.csv": "c225298020a81f964bb9fafae9d6a02a6d3674e6b1b73af377ee2bf0b78bb627",
-    "nodes_4/metrics.csv": "a1cbcba5e79702b5e067eaaec02fe0a1786006cebf9454c4380b1d8fb39a48dc",
-    "nodes_6/metrics.csv": "063992a31648ec4aeb2cbfa4ddba0264ab1e2c3a0c6c235cca72a699c9c6916b",
+    "nodes_4/metrics.csv": "ac383d0486abd44c57f670b9952ac08496948e3f9dadb7d519baea1a24dd6cdf",
+    "nodes_6/metrics.csv": "cc163160baf6c0c9d427f0c7159d8b52d0dde27dcb2d221520b4bb232405d3bb",
     "sweep_summary.csv": "16e3276c1d6a6f77e85cacce2370f4b504f0241b0a1c4c7e2755b035050a0f1c",
 }
 _SWEEP_NODES = (2, 4, 6)
@@ -703,7 +735,6 @@ def _file_sweep(tmp_path, monkeypatch, out="sweep"):
 
 
 def test_file_data_sweep_bytes_are_pinned(tmp_path, monkeypatch):
-    import hashlib
 
     assert _file_sweep(tmp_path, monkeypatch) == 0
     digests = {name: hashlib.sha256((tmp_path / "sweep" / name).read_bytes()).hexdigest()
@@ -1004,11 +1035,12 @@ M = 0.5
 #: single-sample loss wrappers were deleted; summary.txt carries the
 #: comparator, the static regret and the regret bound, whose R line was
 #: added later. The file_cog outputs were recorded again when the k-means
-#: split gave way to the projection split.
+#: split gave way to the projection split, and the dog metrics.csv and
+#: summary.txt when gossip stopped calling BLAS.
 PINNED_RUN_DIGESTS = {
-    "dog/metrics.csv": "7b163448b6f54a1368faa8c1ce068319a84a8c548f1a84ecff48c669fc05215d",
+    "dog/metrics.csv": "ff46685b0d111f847b7f6d9fe06f94073ff868d4336988a2962af5b8e498a05e",
     "dog/resolved.cfg": "1ff91c7de09da721e6973be6dbd8d806b46449c2f4f3fc6e4b8dd4c7df126de9",
-    "dog/summary.txt": "8794d7e19c9ef9dd9d28118a0555ac7f18377c3fdf81db2f000b35a1ea3cf977",
+    "dog/summary.txt": "93b7752f326b0134a6705d5301f34c9d006da4a8258d756a82234073ea01217d",
     "cog/metrics.csv": "05f1dfc1314a605a7c569b872cfe2e972ffa6e9557712948920574991b20b13f",
     "cog/resolved.cfg": "c34f11259d6936edd4e4e67d63e9b6748092abf5dccbe57cefcd81eefa087eb5",
     "cog/summary.txt": "ea5fb6364d87f4ce9d8580e404b651dc741ee70926aab326721d623f02727734",
@@ -1037,7 +1069,6 @@ def _run_config_texts(tmp_path) -> dict:
 
 
 def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
-    import hashlib
 
     monkeypatch.chdir(tmp_path)
     texts = _run_config_texts(tmp_path)
@@ -1177,15 +1208,15 @@ def test_resolved_config_round_trips_every_field(ef, eta, rho):
 
 
 #: sha256 of `dogsim run` on BASE_CONFIG with project_radius = 0.05, which
-#: the models reach, so the projection changes the metrics.
+#: the models reach, so the projection changes the metrics. metrics.csv was
+#: recorded again when gossip stopped calling BLAS.
 PINNED_RADIUS_DIGESTS = {
-    "metrics.csv": "0228e3d2126e017867613a5239073dee0edc935f53f6da5cadffc0a3ddeb0a64",
+    "metrics.csv": "4d35d8301b77f9a6c673a87b961891fdf6770998c5ad7bf6b1cb5760ced965b4",
     "resolved.cfg": "1c3cb5d3df96a66efa1e3c9b1cceff14daca56af9064f0f9ffd1fdbd95a30f13",
 }
 
 
 def test_project_radius_output_bytes_are_pinned(tmp_path):
-    import hashlib
 
     text = BASE_CONFIG.replace("seed = 42", "seed = 42\nproject_radius = 0.05")
     assert cli.main(["run", str(_write(tmp_path, text)), str(tmp_path / "out")]) == 0

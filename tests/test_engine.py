@@ -57,7 +57,7 @@ def test_dog_round_with_identity_equals_local_round():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 3))
     grads = _grads(x, rng.standard_normal((5, 3)), np.ones(5))
-    with_mix = _step(DOG, x, _identity_mixing(5).entries, grads, 0.2)
+    with_mix = _step(DOG, x, _identity_mixing(5), grads, 0.2)
     without = _step(LOCAL_OGD, x, None, grads, 0.2)
     assert np.array_equal(with_mix, without)
 
@@ -66,14 +66,14 @@ def test_dog_round_zero_gradients_is_pure_consensus():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 2))
     mixing = _mix("ring", 4)
-    out = _step(DOG, x, mixing.entries, np.zeros((4, 2)), 0.5)
-    assert np.allclose(out, mixing.entries @ x, atol=0)
+    out = _step(DOG, x, mixing, np.zeros((4, 2)), 0.5)
+    assert np.array_equal(out, mixing.gossip(x))
 
 
 def test_dog_round_single_node_is_plain_step():
     x = np.array([[1.0, -2.0]])
     grads = _grads(x, np.array([[0.5, 0.5]]), [-1.0])
-    out = _step(DOG, x, _mix("ring", 1).entries, grads, 0.3)
+    out = _step(DOG, x, _mix("ring", 1), grads, 0.3)
     assert np.allclose(out[0], x[0] - 0.3 * grads[0], atol=0)
 
 
@@ -88,7 +88,7 @@ def test_dog_round_preserves_row_mean_update():
             feats[i] = rng.standard_normal(3)
             labels[i] = 1.0 if rng.random() < 0.5 else -1.0
         grads = _grads(x, feats, labels)
-        out = _step(DOG, x, mixing.entries, grads, 0.1)
+        out = _step(DOG, x, mixing, grads, 0.1)
         expected = x.mean(axis=0) - 0.1 * grads.mean(axis=0)
         err = np.linalg.norm(out.mean(axis=0) - expected)
         assert err <= 1e-9 * (1.0 + np.linalg.norm(x.mean(axis=0)))
@@ -97,11 +97,11 @@ def test_dog_round_preserves_row_mean_update():
 def test_equal_gradients_on_complete_graph_reach_consensus_immediately():
     # From zero models with identical gradients, J/n averaging keeps all
     # rows equal, so consensus error vanishes from round 2 on.
-    w = _mix("complete", 3, scheme="uniform").entries
+    mixing = _mix("complete", 3, scheme="uniform")
     feats, labels = np.tile([1.0, 2.0], (3, 1)), np.ones(3)
-    nxt = _step(DOG, np.zeros((3, 2)), w, _grads(np.zeros((3, 2)), feats, labels), 0.1)
+    nxt = _step(DOG, np.zeros((3, 2)), mixing, _grads(np.zeros((3, 2)), feats, labels), 0.1)
     assert np.ptp(nxt, axis=0).max() == 0.0
-    nxt2 = _step(DOG, nxt, w, _grads(nxt, feats, labels), 0.1)
+    nxt2 = _step(DOG, nxt, mixing, _grads(nxt, feats, labels), 0.1)
     assert np.ptp(nxt2, axis=0).max() == 0.0
 
 
@@ -153,9 +153,11 @@ def test_run_is_deterministic():
     assert (np.diff(a.cum_loss) >= 0).all()
 
 
-def _reference_run(algorithm, w, feats, labels, eta, radius):
+def _reference_run(algorithm, mixing, feats, labels, eta, radius):
     """The README's three update rules from zero models, one kernel call per
     node per round, each row then projected onto the ball of `radius`.
+    dog gossips through `mixing.gossip`, whose bits are pinned in
+    tests/test_mixing.py.
 
     Returns the final models and, per round, the mean loss, the consensus
     error (0.0 for cog) and the running total loss, as Python floats."""
@@ -177,7 +179,7 @@ def _reference_run(algorithm, w, feats, labels, eta, radius):
         cum += float(values.sum())
         cum_loss.append(cum)
         if algorithm == "dog":
-            x = w @ x - eta * grads
+            x = mixing.gossip(x) - eta * grads
         elif algorithm == "local_ogd":
             x = x - eta * grads
         else:
@@ -205,7 +207,7 @@ def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T,
     cfg = RunConfig(algorithm=algorithm, T=T, eta=0.3, loss_spec=GAMMA,
                     data=SyntheticStream(spec), mixing=mixing, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
-    expected, *columns = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
+    expected, *columns = _reference_run(algorithm, mixing, feats, labels, 0.3, project_radius)
     res = run_experiment(cfg)
     assert res.final_models.shape == expected.shape
     assert res.final_models.tobytes() == expected.tobytes()
@@ -231,7 +233,7 @@ def test_run_matches_iterated_single_round_helpers_bitwise_across_tiles(
     cfg = RunConfig(algorithm=algorithm, T=T, eta=0.3, loss_spec=GAMMA,
                     data=SyntheticStream(spec), mixing=mixing, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
-    expected, *columns = _reference_run(algorithm, mixing.entries, feats, labels, 0.3, project_radius)
+    expected, *columns = _reference_run(algorithm, mixing, feats, labels, 0.3, project_radius)
     res = run_experiment(cfg)
     assert res.final_models.tobytes() == expected.tobytes()
     for got, want in zip((res.avg_loss, res.consensus_error, res.cum_loss), columns):
@@ -246,7 +248,7 @@ def _grad_norms_round_by_round(cfg, feats, labels):
     for t in range(cfg.T):
         grads = _grads(np.broadcast_to(x, feats[t].shape), feats[t], labels[t])
         norms.append(np.sqrt((grads * grads).sum(axis=1)))
-        x = _step(cfg.algorithm, x, cfg.mixing.entries, grads, cfg.eta)
+        x = _step(cfg.algorithm, x, cfg.mixing, grads, cfg.eta)
         if cfg.project_radius is not None:
             x = _project_rows(x, cfg.project_radius)
     return np.array(norms)
@@ -255,13 +257,13 @@ def _grad_norms_round_by_round(cfg, feats, labels):
 def test_average_iterate_identity_over_run():
     # x_bar_{t+1} = x_bar_t - eta * mean gradient, on every round
     spec = SyntheticSpec(dim=4, beta=0.5, n=8, seed=11)
-    w = _mix("ring", 8).entries
+    mixing = _mix("ring", 8)
     stream = SyntheticStream(spec)
     x = np.zeros((8, 4))
     eta = 0.15
     for t in range(1, 501):
         grads = _grads(x, *stream.round_batch(t))
-        nxt = _step(DOG, x, w, grads, eta)
+        nxt = _step(DOG, x, mixing, grads, eta)
         expected = x.mean(axis=0) - eta * grads.mean(axis=0)
         err = np.linalg.norm(nxt.mean(axis=0) - expected)
         assert err <= 1e-9 * (1.0 + np.linalg.norm(x.mean(axis=0)))

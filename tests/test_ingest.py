@@ -232,12 +232,37 @@ def test_normalize_zeroes_any_constant_column(value, m, data):
 @pytest.mark.parametrize("column", [
     [1.7e308, 1.7e308, -1.7e308, 1.0, 1.0],  # the mean overflows to inf
     [1.7e308, -1.7e308, -1.7e308],  # the mean is finite; x - mean and the std overflow
+    [1e200, -1e200, 3.0],  # only the squares overflow; the std is about 8.2e199
 ])
-def test_normalize_zeroes_a_column_whose_moments_overflow(column):
+def test_normalize_scales_a_column_whose_moments_overflow(column):
+    # Such a column is normalized as its quotient by its largest magnitude.
     m = len(column)
     out = normalize(Dataset(np.column_stack([column, np.arange(m, dtype=float)]), np.ones(m)))
-    assert out.features[:, 0].tobytes() == np.zeros(m).tobytes()
-    assert np.abs(out.features[:, 1].std() - 1.0) <= 1e-12
+    quotient = np.array(column) / np.abs(column).max()
+    assert out.features[:, 0].tobytes() == normalize(Dataset(quotient[:, None], np.ones(m))).features.tobytes()
+    assert abs(out.features[:, 0].mean()) <= 1e-12
+    assert np.abs(out.features.std(axis=0) - 1.0).max() <= 1e-12
+
+
+def _plain_normalize(features):
+    """(x - mean) / std per column, with constant columns and columns whose
+    std is not positive set to 0."""
+    mean, std = features.mean(axis=0), features.std(axis=0)
+    out = (features - mean) / np.where(std > 0, std, 1.0)
+    out[:, (features == features[0]).all(axis=0) | ~(std > 0)] = 0.0
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 40), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_normalize_keeps_the_bits_of_columns_whose_moments_are_finite(m, dim, seed):
+    # Magnitudes up to 1e150 keep every square finite, so no column takes
+    # the rescaled path and each keeps the plain formula's bits.
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((m, dim)) * 10.0 ** rng.uniform(-150, 150, size=dim)
+    features[:, rng.random(dim) < 0.2] = rng.standard_normal()  # some constant columns
+    out = normalize(Dataset(features, np.ones(m)))
+    assert out.features.tobytes() == _plain_normalize(features).tobytes()
 
 
 def test_normalize_moments_and_idempotence():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dogsim.mixing import (
@@ -129,6 +129,60 @@ def test_spectral_gap_matches_svd_reference(kind, scheme, n, data):
     m = build_mixing(build_topology(kind, n, seed=seed, k=k, p=p), scheme)
     reference = np.linalg.norm(m.entries - 1.0 / n, 2)
     assert abs(m.rho - reference) <= n * 2.0**-52
+
+
+def _models(n, data):
+    """An (n, d) stack of models with entries over sixteen decades, both
+    signs, and some exact zeros of either sign."""
+    d = data.draw(st.integers(1, 8), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="x seed"))
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8, 8, size=(n, d))
+    x[rng.random((n, d)) < 0.1] = 0.0
+    x[rng.random((n, d)) < 0.05] = -0.0
+    return x
+
+
+def _row_by_row(w, x):
+    """W @ x as the sparse rule sums it: each row from 0, one multiply and
+    one add per nonzero w_ij, in ascending j. numpy never fuses the two, so
+    a product that does (FMA) differs in its last bits."""
+    out = np.zeros_like(x)
+    for i in range(w.shape[0]):
+        for j in np.flatnonzero(w[i]):
+            term = w[i, j] * x[j]
+            out[i] = out[i] + term
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["ring", "random_k", "watts_strogatz"]),
+    scheme=st.sampled_from([UNIFORM, MAX_DEGREE]),
+    n=st.integers(1, 60),
+    data=st.data(),
+)
+def test_gossip_sums_each_row_in_column_order(kind, scheme, n, data):
+    k = data.draw(st.integers(0, n - 1), label="k")
+    p = data.draw(st.floats(0.0, 1.0), label="p")
+    g = build_topology(kind, n, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"), k=k, p=p)
+    assume(n == 1 or len(g.edges) < n * (n - 1) // 2)  # the complete graph has its own rule
+    m = build_mixing(g, scheme)
+    x = _models(n, data)
+    assert m.gossip(x).tobytes() == _row_by_row(m.entries, x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from([UNIFORM, MAX_DEGREE]), n=st.integers(2, 60), data=st.data())
+def test_gossip_on_the_complete_graph_is_its_closed_form(scheme, n, data):
+    # W = (w_ii - off) I + off 11^T, so W x = (w_ii - off) x + off * column sums
+    m = build_mixing(build_topology("complete", n), scheme)
+    x = _models(n, data)
+    diag, off = m.entries[0, 0], m.entries[0, 1]
+    closed = (diag - off) * x + off * x.sum(axis=0)
+    out = m.gossip(x)
+    assert out.tobytes() == closed.tobytes()
+    scale = np.abs(x).max(axis=0)
+    assert (np.abs(out - _row_by_row(m.entries, x)) <= 4 * n * 2.0**-52 * scale).all()
 
 
 @pytest.mark.parametrize("scheme", [UNIFORM, MAX_DEGREE])
