@@ -1,24 +1,26 @@
 """Deterministic synthetic data streams mixing adversarial and stochastic parts.
 
 Each (node i, round t) sample is drawn from Philox4x64-10 keyed on
-(seed, stream tag). Its raw 64-bit words are the outputs of the counter
-blocks (b, 0, i, t) for b = 1, 2, ..., ceil((2 dim + 1) / 4), four words per
-block in output order, truncated to 2 dim + 1 words. (Counter words are
-listed least significant first; b starts at 1 because numpy's Philox
-increments its counter before each block.) Philox is a pure function of
-(key, counter) (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
-3", SC'11), so any query order, tiling, thread schedule, or parallel split
-reproduces identical bits.
+(seed, stream tag). With B = ceil((2 dim + 1) / 4) blocks per sample, its
+raw 64-bit words are the outputs of the counter blocks (i B + b, 0, 0, t)
+for b = 1, 2, ..., B, four words per block in output order, truncated to
+2 dim + 1 words. (Counter words are listed least significant first; b starts
+at 1 because numpy's Philox increments its counter before each block.) So
+the samples of round t are one run of consecutive counters from
+(0, 0, 0, t), which numpy's ``np.random.Philox`` produces in one call, node
+after node. Philox is a pure function of (key, counter) (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so a sample depends
+only on (seed, dim, i, t): not on n, the number of rounds, the tiling, or
+the query order.
 
 Two paths produce the same bits:
-    synthetic_sample   one sample through numpy's own ``np.random.Philox``;
-                       the scalar reference.
-    synthetic_block    a (rounds x nodes) block; Philox runs in numpy uint64
-                       arithmetic over all counters at once, with the
-                       64x64 -> 128-bit products built from 32-bit halves.
-                       It works in tiles of ``tile_rounds(n)`` rounds, about
-                       TILE_SAMPLES samples each, which bounds its scratch
-                       memory; a run asks for all of its rounds at once.
+    synthetic_sample   one sample, from numpy's Philox started at counter
+                       (i B, 0, 0, t); the scalar reference.
+    synthetic_block    a (rounds x nodes) block, one Philox call per round
+                       for every node's words. It works in tiles of
+                       ``tile_rounds(n)`` rounds, about TILE_SAMPLES samples
+                       each, which bounds its scratch memory; a run asks for
+                       all of its rounds at once.
 
 ``SyntheticStream`` serves a spec's samples to the round loop: it keeps the
 last block it generated, read-only, for every later request of the same
@@ -54,15 +56,6 @@ TILE_SAMPLES = 4096
 _U53 = 2.0 ** -53
 _SHIFT = np.uint64(11)
 
-_PHILOX_ROUNDS = 10
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
-_PHILOX_W0 = 0x9E3779B97F4A7C15
-_PHILOX_W1 = 0xBB67AE8584CAA73B
-_MASK64 = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -80,7 +73,7 @@ class SyntheticSpec:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
@@ -88,15 +81,23 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> _SHIFT) * _U53
 
 
+def _blocks(dim: int) -> int:
+    """Philox blocks per sample, B = ceil((2 dim + 1) / 4)."""
+    return -(-(2 * dim + 1) // 4)
+
+
+def _key(spec: SyntheticSpec) -> np.ndarray:
+    return np.array([spec.seed, STREAM_TAG], dtype=np.uint64)
+
+
 def synthetic_sample(spec: SyntheticSpec, node: int, round: int) -> tuple:
     """Sample for (node, round) as (features (dim,), label +1 or -1), a pure
-    function of (spec.seed, node, round)."""
+    function of (spec.seed, spec.dim, node, round)."""
     if not 0 <= node < spec.n:
         raise ValueError(f"node must be in [0, {spec.n}), got {node}")
     if round < 1:
         raise ValueError(f"round must be >= 1, got {round}")
-    key = np.array([spec.seed, STREAM_TAG], dtype=np.uint64)
-    bg = np.random.Philox(counter=[0, 0, node, round], key=key)
+    bg = np.random.Philox(counter=[node * _blocks(spec.dim), 0, 0, round], key=_key(spec))
     u = _uniforms(bg.random_raw(2 * spec.dim + 1))
     y = 1 if u[0] < 0.5 else -1
     adv = (math.sin(node) - 0.5) + u[1 : spec.dim + 1]
@@ -110,47 +111,22 @@ def tile_rounds(n: int) -> int:
     return max(1, TILE_SAMPLES // n)
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
-    """(high, low) 64-bit words of the 128-bit product m * x."""
-    m_lo, m_hi = m & _LO32, m >> _S32
-    x_lo, x_hi = x & _LO32, x >> _S32
-    lh = x_lo * m_hi
-    hl = x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _S32) + (lh & _LO32) + (hl & _LO32)
-    hi = x_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    return hi, x * m
-
-
-def _philox(c0, c1, c2, c3, seed: int) -> np.ndarray:
-    """Philox4x64-10 of counters (c0, c1, c2, c3) under key (seed, STREAM_TAG).
-
-    The counter words broadcast against each other (ten rounds mix every
-    word into every other); returns the four output words stacked on a new
-    last axis.
-    """
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((int(seed) + r * _PHILOX_W0) & _MASK64)
-        k1 = np.uint64((STREAM_TAG + r * _PHILOX_W1) & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1)
-
-
 def _fill_tile(spec: SyntheticSpec, first: int, features: np.ndarray, labels: np.ndarray):
     """Write rounds first, first+1, ... of every node into features (k, n, dim)
     and labels (k, n)."""
     k, n, dim = features.shape
     width = 2 * dim + 1
-    blocks = -(-width // 4)
-    raw = _philox(
-        np.arange(1, blocks + 1, dtype=np.uint64),
-        np.uint64(0),
-        np.arange(n, dtype=np.uint64)[:, None],
-        np.arange(first, first + k, dtype=np.uint64)[:, None, None],
-        spec.seed,
-    )
-    u = _uniforms(raw.reshape(k, n, 4 * blocks)[..., :width])
+    words = 4 * _blocks(dim)
+    # One generator, its counter reset to (0, 0, 0, t) before each round;
+    # setting the state is cheaper than building a generator per round.
+    bg = np.random.Philox(key=_key(spec))
+    state = bg.state  # counter (0, 0, 0, 0), no buffered words
+    raw = np.empty((k, n * words), dtype=np.uint64)
+    for r in range(k):
+        state["state"]["counter"][3] = first + r
+        bg.state = state
+        raw[r] = bg.random_raw(n * words)
+    u = _uniforms(raw.reshape(k, n, words)[..., :width])
     labels[:] = np.where(u[..., 0] < 0.5, 1.0, -1.0)
     # math.sin, not np.sin, so entries match the scalar path bit for bit
     node_center = np.array([math.sin(i) - 0.5 for i in range(n)])

@@ -223,12 +223,13 @@ def normalize(d: Dataset) -> Dataset:
     comparing every entry with the first: the rounded mean of ten rows of
     0.1 is 1.4e-17 off, so their std is that residue, and dividing by it
     would give +-1. A column whose std overflows to inf or NaN (its squares
-    or its sum overflow, as for 1e200, -1e200, 3) is first divided by its
-    largest magnitude, and its centered entries and std are taken from that
-    quotient, so it is scaled, not lost; every other column keeps the plain
-    formula's bits. A varying coordinate whose std is still not finite and
-    positive becomes 0: its std underflowed to 0. numpy's overflow warnings
-    are silenced. Idempotent within floating tolerance.
+    or its sum overflow, as for 1e200, -1e200, 3), or a varying column whose
+    std underflows to 0 (its squares underflow, as for 1e-170, -1e-170,
+    3e-171), is first divided by its largest magnitude, and its centered
+    entries and std are taken from that quotient, so it is scaled, not lost;
+    every other column keeps the plain formula's bits. A varying coordinate
+    whose std is still not finite and positive becomes 0. numpy's overflow
+    warnings are silenced. Idempotent within floating tolerance.
     A dataset without rows or without features raises ValueError.
     """
     if not len(d):
@@ -239,12 +240,13 @@ def normalize(d: Dataset) -> Dataset:
         mean = d.features.mean(axis=0)
         std = d.features.std(axis=0)  # population (ddof=0)
         centered = d.features - mean
-        big = ~(std < np.inf)
-        if big.any():
-            scaled = d.features[:, big] / np.abs(d.features[:, big]).max(axis=0)
-            centered[:, big] = scaled - scaled.mean(axis=0)
-            std[big] = scaled.std(axis=0)
-        flat = (d.features == d.features[0]).all(axis=0) | ~((0 < std) & (std < np.inf))
+        constant = (d.features == d.features[0]).all(axis=0)
+        rescale = ~(std < np.inf) | ((std == 0) & ~constant)
+        if rescale.any():
+            scaled = d.features[:, rescale] / np.abs(d.features[:, rescale]).max(axis=0)
+            centered[:, rescale] = scaled - scaled.mean(axis=0)
+            std[rescale] = scaled.std(axis=0)
+        flat = constant | ~((0 < std) & (std < np.inf))
         centered[:, ~flat] /= std[~flat]
     centered[:, flat] = 0.0
     return Dataset(centered, d.labels)

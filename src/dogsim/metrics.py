@@ -11,7 +11,7 @@ measured on the run, R and M from the config's [bounds]. No dynamic
 comparator is computed: the summary sets the bound beside the static
 regret, whose fixed comparator x* has path length 0. It bounds that
 regret only when R >= ||x*||^2, so the summary evaluates it at
-R = max(R, ||x*||^2): on the desk config at beta = 0.3, ||x*||^2 is 8.9
+R = max(R, ||x*||^2): on the desk config at beta = 0.3, ||x*||^2 is 8.6
 against R = 1.
 """
 

@@ -389,20 +389,22 @@ _TOPOLOGY_VALUES = ("ring", "watts_strogatz:0.5", "complete", "random_k", "disco
 #: graph under the uniform scheme and a watts_strogatz graph under max_degree.
 #: Recorded when Graph still held a frozenset of edge tuples; the edge-array
 #: representation must not move a byte. The metrics.csv of every cell but
-#: disconnected were recorded again when gossip stopped calling BLAS.
+#: disconnected were recorded again when gossip stopped calling BLAS, and
+#: every metrics.csv and the sweep summary when the synthetic stream took
+#: one Philox counter run per round.
 PINNED_TOPOLOGY_DIGESTS = {
     "matrix_complete": "09b71baafee9d03011bf03efcd2e03ad8f3fcacc31c9abda52b9a82e5faa8455",
     "matrix_watts_strogatz": "491911567fa08cabf1553891c082f398aad92ec235c1343dd6a29f5ce62ccc42",
-    "sweep_summary.csv": "441927a13915ef49ed3f9229e18a0985db677c98963535917b335fdae0d1b801",
-    "topology_complete/metrics.csv": "98e4bf02fdcecc622c7270dd18889f9d99394d7a1c90a87b477022a915f58945",
+    "sweep_summary.csv": "918b42c8c54fe32d63998de7de90a5405ecda632ac0dc9e9046a3a391a455ebd",
+    "topology_complete/metrics.csv": "587329e9bd76d8fc17a7ce4bbfa49d875da653e0431da175f31a3e8e349faf25",
     "topology_complete/resolved.cfg": "d31b38a8876b8d103028797214d266ddeecc3aec2d4b061a90e63501f0c6cdde",
-    "topology_disconnected/metrics.csv": "ebe81867d9a833dcfef4488ced407dea5a7616f8bc5df7bdc30368086cfec813",
+    "topology_disconnected/metrics.csv": "bf5e347fae92c4e94ef23ec0cdec942a5682054c7a7da984952b97a8d7f347aa",
     "topology_disconnected/resolved.cfg": "da1499354b8a533b6754ca101c14a2dfc364f9ffe5a19991e92211fe1bcf64a8",
-    "topology_random_k/metrics.csv": "fd3375d36c7d2056ea9d5e6fb9a713b4fc6a0c8a302325df564a6bccd64d7241",
+    "topology_random_k/metrics.csv": "e3d46dd6c84c8be964ece1b3b39677c9f74242b577ad6a5b363dab1a85b00319",
     "topology_random_k/resolved.cfg": "11fb654a42084da766cd6c694278bcd9ed9716b27ea3b92033a0e01f4968083c",
-    "topology_ring/metrics.csv": "f0e675aa2898af38e5b4f1f84de8870770893c5a261e745c8aa2fb28e1390554",
+    "topology_ring/metrics.csv": "409e0bb98c1682f192641da4bf509f420792352fc1b262ca97c64f1b790c2604",
     "topology_ring/resolved.cfg": "df1cd36f91a9512b3dfb60374086e6093ca5e07f203083d26e14d51d9b4fa987",
-    "topology_watts_strogatz_p0.5/metrics.csv": "fee8f3810047fbcede41baf33e66d9afbe0b5fa30413711e38c8b7475fafc1c3",
+    "topology_watts_strogatz_p0.5/metrics.csv": "aed163b8dae76f432007bcd1e31f588fc6f7da4a0dccd87ffea2fd9c499a6f37",
     "topology_watts_strogatz_p0.5/resolved.cfg": "ff2e29abdfe4db8865e87f3906f056a56edfe2fd6d6ea74f14488acf32b380ff",
 }
 
@@ -1035,18 +1037,20 @@ M = 0.5
 #: single-sample loss wrappers were deleted; summary.txt carries the
 #: comparator, the static regret and the regret bound, whose R line was
 #: added later. The file_cog outputs were recorded again when the k-means
-#: split gave way to the projection split, and the dog metrics.csv and
-#: summary.txt when gossip stopped calling BLAS.
+#: split gave way to the projection split, the dog metrics.csv and
+#: summary.txt when gossip stopped calling BLAS, and every synthetic
+#: metrics.csv and summary.txt when the synthetic stream took one Philox
+#: counter run per round.
 PINNED_RUN_DIGESTS = {
-    "dog/metrics.csv": "ff46685b0d111f847b7f6d9fe06f94073ff868d4336988a2962af5b8e498a05e",
+    "dog/metrics.csv": "a8afa641d1fcd5aa1ab886073945c9279772460c6d4fc775c58b21771ebc33d4",
     "dog/resolved.cfg": "1ff91c7de09da721e6973be6dbd8d806b46449c2f4f3fc6e4b8dd4c7df126de9",
-    "dog/summary.txt": "93b7752f326b0134a6705d5301f34c9d006da4a8258d756a82234073ea01217d",
-    "cog/metrics.csv": "05f1dfc1314a605a7c569b872cfe2e972ffa6e9557712948920574991b20b13f",
+    "dog/summary.txt": "d392b88bcc1c35b23f1b13205b686d5f807dbe338dbdebc35a268f45e0f22efd",
+    "cog/metrics.csv": "69e5e99aa13283bb37f1b369c02fd0661729c350a3bce5e11683df5b0696d36e",
     "cog/resolved.cfg": "c34f11259d6936edd4e4e67d63e9b6748092abf5dccbe57cefcd81eefa087eb5",
-    "cog/summary.txt": "ea5fb6364d87f4ce9d8580e404b651dc741ee70926aab326721d623f02727734",
-    "local_ogd/metrics.csv": "ef30e86257bbb443ee3cf96e12f756fb20d3c9606498940e905409f4984714d5",
+    "cog/summary.txt": "a37237239bab1ccdf774a2c0ae9af88e65f1b1a250b30fcf6e72d983345469e9",
+    "local_ogd/metrics.csv": "7a40ed025607bcea068b7c2da273bb4116444879ca8c63d92a0253dfda49b842",
     "local_ogd/resolved.cfg": "73a10a45fb89b00bd625bcb8e5fa9bebfc68b4ae82d8300a00d31fefa9fbf7f1",
-    "local_ogd/summary.txt": "bc86d3b519d32e718b46e524775b734b02720a59834f4c0df3d6482c0b472665",
+    "local_ogd/summary.txt": "ca5eb775533469b34a0d5b17e4c4bb23bc2ef5c1ff270a6342c4e07cce33e935",
     "file_cog/metrics.csv": "7023925ef2ab6cc0829718b58f7ee3d3b063f6425dbb79eb4032ebf3e82435fc",
     "file_cog/resolved.cfg": "2b1e97fdb08506e6397f7b0c4e95a93615327d40e18c8a5d009ed7b6413823cf",
     "file_cog/summary.txt": "398654da028293cede0aadd7c3b70441ab1daaaaaa79b0284c8aa24ba335c792",
@@ -1080,7 +1084,7 @@ def test_run_output_bytes_are_pinned_for_every_algorithm(tmp_path, monkeypatch):
     assert digests == PINNED_RUN_DIGESTS
 
 
-@pytest.mark.parametrize("name, norm_sq", [("dog", 7.65), ("file_cog", 0.53)])
+@pytest.mark.parametrize("name, norm_sq", [("dog", 7.86), ("file_cog", 0.53)])
 def test_regret_bound_covers_the_static_comparator(tmp_path, monkeypatch, name, norm_sq):
     # RUN_CONFIG has R = 1. The bound is evaluated at max(R, ||x*||^2), so
     # dog's comparator sets it and file_cog's leaves R.
@@ -1209,9 +1213,10 @@ def test_resolved_config_round_trips_every_field(ef, eta, rho):
 
 #: sha256 of `dogsim run` on BASE_CONFIG with project_radius = 0.05, which
 #: the models reach, so the projection changes the metrics. metrics.csv was
-#: recorded again when gossip stopped calling BLAS.
+#: recorded again when gossip stopped calling BLAS and when the synthetic
+#: stream took one Philox counter run per round.
 PINNED_RADIUS_DIGESTS = {
-    "metrics.csv": "4d35d8301b77f9a6c673a87b961891fdf6770998c5ad7bf6b1cb5760ced965b4",
+    "metrics.csv": "3cfbc4607c10383df12aee7853ed23ca9eab075ab1328bbc13d449e19c9fb61f",
     "resolved.cfg": "1c3cb5d3df96a66efa1e3c9b1cceff14daca56af9064f0f9ffd1fdbd95a30f13",
 }
 

@@ -215,16 +215,46 @@ def test_seeds_above_2_63_do_not_alias():
 
 
 def test_counter_layout_matches_docstring():
-    # Block b of sample (i, t) is Philox4x64-10 at counter (b, 0, i, t) under
-    # key (seed, STREAM_TAG). numpy increments the counter before each block,
-    # so a generator started at (1, 0, i, t) returns block 2 first.
-    seed, i, t = 2**64 - 3, 3, 9
-    spec = SyntheticSpec(dim=5, beta=1.0, n=4, seed=seed)
+    # Block b of sample (i, t) is Philox4x64-10 at counter (i B + b, 0, 0, t)
+    # under key (seed, STREAM_TAG), B = ceil((2 dim + 1) / 4). numpy
+    # increments the counter before each block, so a generator started at
+    # counter c returns block c + 1 first.
+    seed, i, t, dim = 2**64 - 3, 3, 9, 5
+    blocks = 3  # ceil(11 / 4)
+    spec = SyntheticSpec(dim=dim, beta=1.0, n=4, seed=seed)
     key = np.array([seed, STREAM_TAG], dtype=np.uint64)
-    bg = np.random.Philox(counter=[1, 0, i, t], key=key)
-    u = (bg.random_raw(4) >> np.uint64(11)) * 2.0**-53  # words 4..7 of the sample
-    feats, _ = synthetic_block(spec, t, t + 1)
-    assert np.array_equal(feats[0, i, 3:5], (math.sin(i) - 0.5) + u[:2])
+    raw = np.concatenate([
+        np.random.Philox(counter=[i * blocks + b - 1, 0, 0, t], key=key).random_raw(4)
+        for b in range(1, blocks + 1)
+    ])
+    u = (raw[: 2 * dim + 1] >> np.uint64(11)) * 2.0**-53
+    feats, labels = synthetic_block(spec, t, t + 1)
+    assert labels[0, i] == (1.0 if u[0] < 0.5 else -1.0)
+    assert np.array_equal(feats[0, i], (math.sin(i) - 0.5) + u[1 : dim + 1])
+
+
+def test_numpy_philox_is_philox4x64_10():
+    # Random123's known-answer vector for Philox4x64-10 at key 0 and counter
+    # 2^256 - 1 (numpy increments it to 0 before the first block).
+    bg = np.random.Philox(counter=[2**64 - 1] * 4, key=[0, 0])
+    expected = [0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B]
+    assert bg.random_raw(4).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=UINT64_SEEDS,
+    dim=st.integers(1, 12),
+    n=st.integers(1, 63),
+    extra=st.integers(1, 64),
+    first=st.integers(1, 2**40),
+    k=st.integers(0, 5),
+)
+def test_a_node_keeps_its_samples_when_nodes_are_added(seed, dim, n, extra, first, k):
+    small = synthetic_block(SyntheticSpec(dim=dim, beta=0.5, n=n, seed=seed), first, first + k)
+    large = synthetic_block(SyntheticSpec(dim=dim, beta=0.5, n=n + extra, seed=seed), first, first + k)
+    assert large[0][:, :n].tobytes() == small[0].tobytes()
+    assert large[1][:, :n].tobytes() == small[1].tobytes()
 
 
 def test_argument_validation():

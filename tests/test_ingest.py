@@ -233,9 +233,12 @@ def test_normalize_zeroes_any_constant_column(value, m, data):
     [1.7e308, 1.7e308, -1.7e308, 1.0, 1.0],  # the mean overflows to inf
     [1.7e308, -1.7e308, -1.7e308],  # the mean is finite; x - mean and the std overflow
     [1e200, -1e200, 3.0],  # only the squares overflow; the std is about 8.2e199
+    [1e-170, -1e-170, 3e-171],  # the squares underflow; the std is about 8.2e-171, not 0
+    [5e-324, 0.0, 0.0, -5e-324],  # subnormal entries, whose squares are all 0
 ])
 def test_normalize_scales_a_column_whose_moments_overflow(column):
-    # Such a column is normalized as its quotient by its largest magnitude.
+    # Such a column, or a varying one whose squares underflow, is normalized
+    # as its quotient by its largest magnitude.
     m = len(column)
     out = normalize(Dataset(np.column_stack([column, np.arange(m, dtype=float)]), np.ones(m)))
     quotient = np.array(column) / np.abs(column).max()

@@ -70,6 +70,25 @@ def test_the_logistic_kernel_has_one_home():
     assert calls & {"exp", "log1p"} == set()
 
 
+def test_the_synthetic_stream_draws_only_from_numpys_philox():
+    # datagen takes its random words from np.random.Philox alone and holds
+    # none of a Philox round's multipliers or key increments.
+    tree = ast.parse((Path(dogsim.__file__).parent / "datagen.py").read_text())
+    generators = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "random" and isinstance(node.value.value, ast.Name) and node.value.value.id == "np"
+    }
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    imported |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    round_constants = {0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B}
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert generators == {"Philox"}
+    assert not any("random" in name for name in imported)
+    assert literals & round_constants == set()
+
+
 def test_every_run_config_field_is_read_by_the_run():
     # A RunConfig holds only what a run reads: each field is read as
     # cfg.<field> in run_experiment or as self.<field> by a RunConfig
