@@ -217,38 +217,36 @@ def serialize_libsvm(features, labels) -> str:
 
 
 def normalize(d: Dataset) -> Dataset:
-    """Center each coordinate and scale to unit population variance.
+    """Give each coordinate zero mean and unit population variance.
+
+    One formula serves every column: divide it by its largest magnitude
+    (by 1 if it is all zero), then center the quotient and divide by its
+    std. The quotient lies in [-1, 1], so no mean, square or sum overflows,
+    and a varying column keeps an entry of magnitude 1, so its std does not
+    underflow to 0. Scaling a column by a power of two that keeps its
+    entries normal leaves the result's bits unchanged.
 
     Constant coordinates become 0. Constancy is decided exactly, by
     comparing every entry with the first: the rounded mean of ten rows of
     0.1 is 1.4e-17 off, so their std is that residue, and dividing by it
-    would give +-1. A column whose std overflows to inf or NaN (its squares
-    or its sum overflow, as for 1e200, -1e200, 3), or a varying column whose
-    std underflows to 0 (its squares underflow, as for 1e-170, -1e-170,
-    3e-171), is first divided by its largest magnitude, and its centered
-    entries and std are taken from that quotient, so it is scaled, not lost;
-    every other column keeps the plain formula's bits. A varying coordinate
-    whose std is still not finite and positive becomes 0. numpy's overflow
-    warnings are silenced. Idempotent within floating tolerance.
-    A dataset without rows or without features raises ValueError.
+    would give +-1. Idempotent within floating tolerance. A dataset without
+    rows or without features, or one with an inf or NaN, raises ValueError;
+    the message names the first feature (1-based) that holds one.
     """
     if not len(d):
         raise ValueError("cannot normalize an empty dataset")
     if not d.dim:
         raise ValueError("cannot normalize a dataset without features")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = d.features.mean(axis=0)
-        std = d.features.std(axis=0)  # population (ddof=0)
-        centered = d.features - mean
-        constant = (d.features == d.features[0]).all(axis=0)
-        rescale = ~(std < np.inf) | ((std == 0) & ~constant)
-        if rescale.any():
-            scaled = d.features[:, rescale] / np.abs(d.features[:, rescale]).max(axis=0)
-            centered[:, rescale] = scaled - scaled.mean(axis=0)
-            std[rescale] = scaled.std(axis=0)
-        flat = constant | ~((0 < std) & (std < np.inf))
-        centered[:, ~flat] /= std[~flat]
-    centered[:, flat] = 0.0
+    peak = np.abs(d.features).max(axis=0)  # inf or NaN where a column holds one
+    finite = np.isfinite(peak)
+    if not finite.all():
+        first = int(np.argmin(finite)) + 1
+        raise ValueError(f"cannot normalize feature {first}: it holds a non-finite value")
+    scaled = d.features / np.where(peak > 0, peak, 1.0)
+    constant = (d.features == d.features[0]).all(axis=0)
+    centered = scaled - scaled.mean(axis=0)
+    centered /= np.where(constant, 1.0, scaled.std(axis=0))  # population (ddof=0)
+    centered[:, constant] = 0.0
     return Dataset(centered, d.labels)
 
 

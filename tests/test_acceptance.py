@@ -106,7 +106,7 @@ def test_criterion_02_average_iterate_identity():
     x = np.zeros((8, 10))
     ok = True
     for t in range(1, 501):
-        feats, labels = stream.round_batch(t)
+        feats, labels = (a[0] for a in stream.block(t, t + 1))
         grads = batch_loss_and_gradient(x, feats, labels, GAMMA.gamma)[1]
         nxt = _step(DOG, x, mixing, grads, ETA)
         expected = x.mean(axis=0) - ETA * grads.mean(axis=0)

@@ -694,12 +694,13 @@ def _pinned_libsvm_text() -> str:
 #: sha256 of the outputs of FILE_CONFIG on _pinned_libsvm_text(); any change
 #: to parsing, normalization, the stochastic/adversarial split or the order in
 #: which the loop reads file samples moves them. metrics.csv and summary.txt
-#: were recorded again when gossip stopped calling BLAS.
+#: were recorded again when gossip stopped calling BLAS, and with data when
+#: normalization took one formula for every column.
 PINNED_FILE_DIGESTS = {
-    "metrics.csv": "2b976d2a966a6a455d70e64b4d0ccc759df0b20a199d6b50ebac3877fdcdf000",
+    "metrics.csv": "cc8f9e9c53a82a88226692e9a4126681fc4b65624055af331cb70dfea6da35a6",
     "resolved.cfg": "dca205d2883914c76e75bae4994c632d423a7bdc46547d947e73995a99384168",
-    "summary.txt": "6e0c63d23c1db5146dfe2a554b1a75cb99c8e5508b5ec2c48a802ae44048a06f",
-    "data": "52c3b2462ec0618f5561d6be78559d4363ac5654b78b35afcf10d70abc907813",
+    "summary.txt": "61449d661cfc0a4b1749ac45b8c16096eebcdb1ba9f68f4e83636be8807ec708",
+    "data": "0f2f9e15792d280a953c6e9e4151b9dbe56a3cf4a08e21b959b58000f581c807",
 }
 
 
@@ -718,12 +719,13 @@ def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
 
 #: sha256 of a nodes sweep 2,4,6 of FILE_CONFIG on _pinned_libsvm_text();
 #: sharing one parse across the cells must not move them. The n = 4 and 6
-#: metrics.csv were recorded again when gossip stopped calling BLAS.
+#: metrics.csv were recorded again when gossip stopped calling BLAS, and all
+#: four when normalization took one formula for every column.
 PINNED_SWEEP_DIGESTS = {
-    "nodes_2/metrics.csv": "c225298020a81f964bb9fafae9d6a02a6d3674e6b1b73af377ee2bf0b78bb627",
-    "nodes_4/metrics.csv": "ac383d0486abd44c57f670b9952ac08496948e3f9dadb7d519baea1a24dd6cdf",
-    "nodes_6/metrics.csv": "cc163160baf6c0c9d427f0c7159d8b52d0dde27dcb2d221520b4bb232405d3bb",
-    "sweep_summary.csv": "16e3276c1d6a6f77e85cacce2370f4b504f0241b0a1c4c7e2755b035050a0f1c",
+    "nodes_2/metrics.csv": "dd06484d590a1c657490c8266d7d25bb70185bc3db230e31465be9044aa132df",
+    "nodes_4/metrics.csv": "a67b1e99a814b1c034d64bdba74565bad1bbe52903cbce2fc761fb5f9874e125",
+    "nodes_6/metrics.csv": "e0d70f07984b48188e7aa8bdc5dd7d00d6acfbcfe8f315123336d7818c7628cb",
+    "sweep_summary.csv": "5a0c8befa21cb4305fa1c7c232a709eacdac779ac70fd9df5247cb4a484f0667",
 }
 _SWEEP_NODES = (2, 4, 6)
 
@@ -1037,10 +1039,11 @@ M = 0.5
 #: single-sample loss wrappers were deleted; summary.txt carries the
 #: comparator, the static regret and the regret bound, whose R line was
 #: added later. The file_cog outputs were recorded again when the k-means
-#: split gave way to the projection split, the dog metrics.csv and
-#: summary.txt when gossip stopped calling BLAS, and every synthetic
-#: metrics.csv and summary.txt when the synthetic stream took one Philox
-#: counter run per round.
+#: split gave way to the projection split and when normalization took one
+#: formula for every column, the dog metrics.csv and summary.txt when
+#: gossip stopped calling BLAS, and every synthetic metrics.csv and
+#: summary.txt when the synthetic stream took one Philox counter run per
+#: round.
 PINNED_RUN_DIGESTS = {
     "dog/metrics.csv": "a8afa641d1fcd5aa1ab886073945c9279772460c6d4fc775c58b21771ebc33d4",
     "dog/resolved.cfg": "1ff91c7de09da721e6973be6dbd8d806b46449c2f4f3fc6e4b8dd4c7df126de9",
@@ -1051,9 +1054,9 @@ PINNED_RUN_DIGESTS = {
     "local_ogd/metrics.csv": "7a40ed025607bcea068b7c2da273bb4116444879ca8c63d92a0253dfda49b842",
     "local_ogd/resolved.cfg": "73a10a45fb89b00bd625bcb8e5fa9bebfc68b4ae82d8300a00d31fefa9fbf7f1",
     "local_ogd/summary.txt": "ca5eb775533469b34a0d5b17e4c4bb23bc2ef5c1ff270a6342c4e07cce33e935",
-    "file_cog/metrics.csv": "7023925ef2ab6cc0829718b58f7ee3d3b063f6425dbb79eb4032ebf3e82435fc",
+    "file_cog/metrics.csv": "7e7437ad2844614ca3021d7ef142f9a5fe504029bec2749de0710f227453db6a",
     "file_cog/resolved.cfg": "2b1e97fdb08506e6397f7b0c4e95a93615327d40e18c8a5d009ed7b6413823cf",
-    "file_cog/summary.txt": "398654da028293cede0aadd7c3b70441ab1daaaaaa79b0284c8aa24ba335c792",
+    "file_cog/summary.txt": "9373dcb373904a03118e6214df3fe831a85fbb2cdcd9536f2b764c88ac4c9652",
 }
 
 

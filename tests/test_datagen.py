@@ -98,7 +98,7 @@ def test_stream_batch_matches_scalar_op_bitwise():
     spec = SyntheticSpec(dim=10, beta=0.5, n=9, seed=42)
     stream = SyntheticStream(spec)
     for t in (1, 7, 123):
-        feats, labels = stream.round_batch(t)
+        feats, labels = (a[0] for a in stream.block(t, t + 1))
         for i in range(spec.n):
             features, label = synthetic_sample(spec, i, t)
             assert np.array_equal(feats[i], features)

@@ -262,7 +262,7 @@ def test_average_iterate_identity_over_run():
     x = np.zeros((8, 4))
     eta = 0.15
     for t in range(1, 501):
-        grads = _grads(x, *stream.round_batch(t))
+        grads = _grads(x, *(a[0] for a in stream.block(t, t + 1)))
         nxt = _step(DOG, x, mixing, grads, eta)
         expected = x.mean(axis=0) - eta * grads.mean(axis=0)
         err = np.linalg.norm(nxt.mean(axis=0) - expected)

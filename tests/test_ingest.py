@@ -153,7 +153,7 @@ def test_ingest_bytes_are_pinned_at_bench_scale():
     d = normalize(parse_libsvm(_bench_scale_libsvm_text()))
     streams = split_stoch_adv(d, 0.5, n=40, rounds=100, seed=7)
     assert d.features.shape == (4000, 18)
-    assert _sha256(d.features) == "375f6b8d42b95acef94dbeee68312567df5a260e495a10cf465e4393c6a38fb2"
+    assert _sha256(d.features) == "d97dbba28c35643297520dab0859ce234af3b7ad8ae7abfc604fd6624096ce56"
     assert _sha256(d.labels) == "542e19da6d66be26fbe7198c77a8d8badbf019ed412944ee5ed45806be5ec5d3"
     assert _sha256(streams.index.astype(np.int64)) == (
         "14a273e74195175b403c2d0973d4fc7fcfacbf81db2693dff6fb85988a2ada74")
@@ -224,8 +224,7 @@ def test_normalize_zeroes_a_constant_column_whose_mean_rounds():
 def test_normalize_zeroes_any_constant_column(value, m, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     features = np.column_stack([rng.standard_normal(m), np.full(m, value)])
-    with np.errstate(over="ignore", invalid="ignore"):  # mean of m copies of 1e308
-        out = normalize(Dataset(features, np.ones(m)))
+    out = normalize(Dataset(features, np.ones(m)))
     assert out.features[:, 1].tobytes() == np.zeros(m).tobytes()
 
 
@@ -237,8 +236,8 @@ def test_normalize_zeroes_any_constant_column(value, m, data):
     [5e-324, 0.0, 0.0, -5e-324],  # subnormal entries, whose squares are all 0
 ])
 def test_normalize_scales_a_column_whose_moments_overflow(column):
-    # Such a column, or a varying one whose squares underflow, is normalized
-    # as its quotient by its largest magnitude.
+    # Every column is normalized as its quotient by its largest magnitude, so
+    # moments that would overflow or underflow on the raw entries do not.
     m = len(column)
     out = normalize(Dataset(np.column_stack([column, np.arange(m, dtype=float)]), np.ones(m)))
     quotient = np.array(column) / np.abs(column).max()
@@ -247,25 +246,63 @@ def test_normalize_scales_a_column_whose_moments_overflow(column):
     assert np.abs(out.features.std(axis=0) - 1.0).max() <= 1e-12
 
 
-def _plain_normalize(features):
-    """(x - mean) / std per column, with constant columns and columns whose
-    std is not positive set to 0."""
-    mean, std = features.mean(axis=0), features.std(axis=0)
-    out = (features - mean) / np.where(std > 0, std, 1.0)
-    out[:, (features == features[0]).all(axis=0) | ~(std > 0)] = 0.0
-    return out
+def _one_formula(features):
+    """Each column over its largest magnitude (1 if all zero), centered and
+    over its population std; constant columns 0."""
+    peak = np.abs(features).max(axis=0)
+    scaled = features / np.where(peak > 0, peak, 1.0)
+    constant = (features == features[0]).all(axis=0)
+    out = (scaled - scaled.mean(axis=0)) / np.where(constant, 1.0, scaled.std(axis=0))
+    return np.where(constant, 0.0, out)
 
 
-@settings(max_examples=100, deadline=None)
-@given(m=st.integers(1, 40), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-def test_normalize_keeps_the_bits_of_columns_whose_moments_are_finite(m, dim, seed):
-    # Magnitudes up to 1e150 keep every square finite, so no column takes
-    # the rescaled path and each keeps the plain formula's bits.
-    rng = np.random.default_rng(seed)
-    features = rng.standard_normal((m, dim)) * 10.0 ** rng.uniform(-150, 150, size=dim)
-    features[:, rng.random(dim) < 0.2] = rng.standard_normal()  # some constant columns
-    out = normalize(Dataset(features, np.ones(m)))
-    assert out.features.tobytes() == _plain_normalize(features).tobytes()
+@st.composite
+def _columns_of_any_magnitude(draw):
+    """(m, dim) features whose columns are varying at magnitudes 1e-320 to
+    1e307, constant, or small multiples of the least subnormal."""
+    m, dim = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(dim):
+        kind = draw(st.sampled_from(["varying", "varying", "constant", "subnormal"]))
+        scale = 10.0 ** draw(st.integers(-320, 307))
+        if kind == "varying":
+            columns.append(rng.standard_normal(m) * scale)
+        elif kind == "constant":
+            columns.append(np.full(m, rng.standard_normal() * scale))
+        else:
+            columns.append(rng.integers(-4, 5, m) * 5e-324)
+    return np.column_stack(columns)
+
+
+def _normal_shifts(features):
+    """The k for which every nonzero entry of 2**k * features is normal."""
+    exponents = np.frexp(features[features != 0])[1]  # |x| in [2**(e-1), 2**e)
+    if not len(exponents):
+        return range(-1074, 1024)
+    return range(-1021 - int(exponents.min()), 1025 - int(exponents.max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(features=_columns_of_any_magnitude(), data=st.data())
+def test_normalize_is_one_formula_at_every_magnitude(features, data):
+    out = normalize(Dataset(features, np.ones(len(features)))).features
+    assert out.tobytes() == _one_formula(features).tobytes()
+    varying = ~(features == features[0]).all(axis=0)
+    assert np.abs(out[:, varying].mean(axis=0)).max(initial=0.0) <= 1e-12
+    assert np.abs(out[:, varying].std(axis=0) - 1.0).max(initial=0.0) <= 1e-12
+    shifts = _normal_shifts(features)
+    if len(shifts):
+        k = data.draw(st.integers(shifts.start, shifts.stop - 1), label="k")
+        shifted = np.ldexp(features, k)
+        assert normalize(Dataset(shifted, np.ones(len(features)))).features.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_normalize_names_the_first_feature_with_a_non_finite_value(value):
+    features = np.array([[1.0, value, 0.0], [2.0, 1.0, value], [3.0, 2.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^cannot normalize feature 2: it holds a non-finite value$"):
+        normalize(Dataset(features, np.ones(3)))
 
 
 def test_normalize_moments_and_idempotence():

@@ -139,9 +139,9 @@ def test_comparator_desk_stream_regression(seed):
     # the gradient from about 1e-7 to 1e-14 but moves the objective (about
     # 1e3) by nothing or a few ulps. The pooled data do not depend on eta.
     stream = SyntheticStream(SyntheticSpec(dim=10, beta=0.3, n=50, seed=seed))
-    batches = [stream.round_batch(t) for t in range(1, 41)]
-    features = np.concatenate([f for f, _ in batches])
-    labels = np.concatenate([y for _, y in batches])
+    batches = [stream.block(t, t + 1) for t in range(1, 41)]
+    features = np.concatenate([f[0] for f, _ in batches])
+    labels = np.concatenate([y[0] for _, y in batches])
     x = offline_comparator(features, labels, 1e-3)
     fun = _pooled_objective(features, labels, 1e-3)
     value, grad = fun(x)
