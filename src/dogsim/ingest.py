@@ -220,18 +220,17 @@ def normalize(d: Dataset) -> Dataset:
     """Give each coordinate zero mean and unit population variance.
 
     One formula serves every column: divide it by its largest magnitude
-    (by 1 if it is all zero), then center the quotient and divide by its
-    std. The quotient lies in [-1, 1], so no mean, square or sum overflows,
-    and a varying column keeps an entry of magnitude 1, so its std does not
-    underflow to 0. Scaling a column by a power of two that keeps its
-    entries normal leaves the result's bits unchanged.
+    (an all-zero column reads +0.0), then center the quotient and divide
+    by its std. The quotient lies in [-1, 1], so no mean, square or sum
+    overflows, and a varying column keeps an entry of magnitude 1, so its
+    std does not underflow to 0. Scaling a column by a power of two that
+    keeps its entries normal leaves the result's bits unchanged.
 
-    Constant coordinates become 0. Constancy is decided exactly, by
-    comparing every entry with the first: the rounded mean of ten rows of
-    0.1 is 1.4e-17 off, so their std is that residue, and dividing by it
-    would give +-1. Idempotent within floating tolerance. A dataset without
-    rows or without features, or one with an inf or NaN, raises ValueError;
-    the message names the first feature (1-based) that holds one.
+    Constant coordinates become +0.0: their quotient is exactly +-1 or
+    +0.0, so its mean is exact, its centered entries are +0.0 and its std
+    is 0. Idempotent within floating tolerance. A dataset without rows or
+    without features, or one with an inf or NaN, raises ValueError; the
+    message names the first feature (1-based) that holds one.
     """
     if not len(d):
         raise ValueError("cannot normalize an empty dataset")
@@ -242,11 +241,10 @@ def normalize(d: Dataset) -> Dataset:
     if not finite.all():
         first = int(np.argmin(finite)) + 1
         raise ValueError(f"cannot normalize feature {first}: it holds a non-finite value")
-    scaled = d.features / np.where(peak > 0, peak, 1.0)
-    constant = (d.features == d.features[0]).all(axis=0)
+    scaled = np.divide(d.features, peak, out=np.zeros_like(d.features), where=peak > 0)
+    std = scaled.std(axis=0)  # population (ddof=0)
     centered = scaled - scaled.mean(axis=0)
-    centered /= np.where(constant, 1.0, scaled.std(axis=0))  # population (ddof=0)
-    centered[:, constant] = 0.0
+    centered /= np.where(std > 0, std, 1.0)
     return Dataset(centered, d.labels)
 
 

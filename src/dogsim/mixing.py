@@ -7,7 +7,10 @@ The contraction rate of gossip averaging is rho = ||W - 11^T/n||_2, for a
 symmetric W the largest eigenvalue magnitude of W - 11^T/n; the smaller
 rho, the faster disagreement between nodes dies out. Every W built here
 has a positive diagonal, so rho < 1 exactly on a connected graph (Xiao &
-Boyd, 2004); on a disconnected one `build_mixing` stores rho = 1 exactly.
+Boyd, 2004). `MixingMatrix` rounds rho to 12 decimals. The grid absorbs
+the eigensolver's rounding: rho is exactly 1 on a disconnected graph, and
+the same under every BLAS kernel and thread count unless two kernels' raw
+values straddle a grid point.
 
 Gossip, W @ X for the (n, d) stack of node models, takes no BLAS call, so
 its bits do not depend on the BLAS kernel or thread count. The dense W is
@@ -16,7 +19,7 @@ kept for the spectral gap and for printing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,14 +33,16 @@ SCHEMES = (UNIFORM, MAX_DEGREE)
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Doubly stochastic W, dense, with its cached contraction rate and a
-    BLAS-free product `gossip`."""
+    """Doubly stochastic, symmetric W, dense, with its contraction rate
+    rho = round(spectral_gap(entries), 12), computed on construction, and
+    a BLAS-free product `gossip`."""
 
     entries: np.ndarray  # (n, n), rows and columns sum to 1
-    rho: float
+    rho: float = field(init=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+        object.__setattr__(self, "rho", round(spectral_gap(self.entries), 12))
 
     def gossip(self, x: np.ndarray) -> np.ndarray:
         """W @ x for an (n, d) stack of models, by one of two rules.
@@ -90,8 +95,8 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     max_degree: W_ij = 1/(N_max + 1) on edges, W_ii = 1 - N_i/(N_max + 1).
 
     Both are symmetric with a positive diagonal; an edgeless graph yields
-    the identity. A rho within 1e-12 of 1, where rounding leaves that of a
-    disconnected graph, is stored as exactly 1.
+    the identity. rho is exactly 1 on a disconnected graph and exactly 0 on
+    the complete graph, where both schemes give 11^T/n up to rounding.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown mixing scheme {scheme!r}")
@@ -105,8 +110,7 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     w[i, j] = off
     w[j, i] = off
     np.fill_diagonal(w, 1.0 - deg * off)
-    rho = spectral_gap(w)
-    return MixingMatrix(w, 1.0 if rho > 1.0 - 1e-12 else rho)
+    return MixingMatrix(w)
 
 
 def spectral_gap(w: np.ndarray) -> float:

@@ -140,19 +140,15 @@ def _watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
     for i in range(n):
         for d in range(1, half + 1):
             j = (i + d) % n
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
+            edges.add((min(i, j), max(i, j)))
     # Rewire each lattice edge (i, i+d) independently with probability p,
     # keeping the graph simple; after n failed target draws the original
-    # edge is kept.
+    # edge is kept. Since d + d' <= k < n, no lattice edge is a self-loop
+    # or named twice, and only the edge at hand is ever removed.
     for d in range(1, half + 1):
         for i in range(n):
             j = (i + d) % n
-            if i == j:
-                continue
             edge = (min(i, j), max(i, j))
-            if edge not in edges:
-                continue  # already rewired away by an earlier pass
             if rng.random() >= p:
                 continue
             for _ in range(n):
@@ -162,7 +158,7 @@ def _watts_strogatz(n: int, k: int, p: float, seed: int) -> Graph:
                 candidate = (min(i, w), max(i, w))
                 if candidate in edges:
                     continue
-                edges.discard(edge)
+                edges.remove(edge)
                 edges.add(candidate)
                 break
     return Graph(n, list(edges))

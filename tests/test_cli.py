@@ -2,6 +2,7 @@ import contextlib
 import io
 import hashlib
 import itertools
+import json
 import os
 import platform
 import re
@@ -140,7 +141,7 @@ _DEGENERATE_AUTO_ETA = {
     # the step size divides by n T G^2 + T sigma^2
     "zero_gradient_bounds": _AUTO + "\n[bounds]\nG = 0\nsigma = 0\nR = 1\nM = 0\n",
     # random_k with n=4, k=1, seed 0 has two components; the eigensolve's
-    # rho there is 2 ulps below 1, which build_mixing stores as exactly 1
+    # rho there is 2 ulps below 1, which the 1e-12 grid makes exactly 1
     "split_random_k": _AUTO.replace("kind = ring", "kind = random_k\nk = 1")
     .replace("n = 6", "n = 4").replace("seed = 42", "seed = 0")
     + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n",
@@ -209,38 +210,52 @@ def test_diverging_run_prints_one_error_line(tmp_path):
     assert proc.stdout == ""
 
 
-def _run_in_subprocess(cfg, out, env):
-    """`python -m dogsim run cfg out` in a child process with `env`, on this
-    checkout's package."""
+def _python_in_subprocess(env, *args):
+    """`python *args` in a child process with `env`, on this checkout's
+    package."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "dogsim", "run", str(cfg), str(out)],
-        env=env, capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _run_in_subprocess(cfg, out, env):
+    """`python -m dogsim run cfg out` in a child process with `env`."""
+    return _python_in_subprocess(env, "-m", "dogsim", "run", str(cfg), str(out))
+
+
+#: `cli.main` on each argv of the JSON list in argv[1], in turn, in one
+#: process; the exit code is the largest of theirs.
+_MAIN_EACH = "import json, sys; from dogsim import cli; sys.exit(max(cli.main(a) for a in json.loads(sys.argv[1])))"
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
 def test_dog_metrics_do_not_depend_on_the_blas_kernel_or_thread_count(tmp_path):
-    # Gossip calls no BLAS, so at a fixed eta metrics.csv is the same under
-    # the detected kernel and Nehalem (SSE only, runs on any x86-64), with 1
-    # or 2 BLAS threads; n = 300 is large enough for the thread count to
-    # change a dense product's bits. resolved.cfg is left out: rho still
-    # comes from the eigensolver.
-    cfg = _write(tmp_path, BASE_CONFIG.replace("kind = ring\nn = 6", "kind = random_k\nn = 300\nk = 4")
-                 .replace("dim = 4", "dim = 10"))
-    digests = set()
-    for coretype, threads in itertools.product((None, "Nehalem"), ("1", "2")):
+    # Gossip calls no BLAS, and rho is rounded to a 1e-12 grid that absorbs
+    # the eigensolver's rounding. So metrics.csv at a fixed eta and at
+    # eta = auto, resolved.cfg and `dogsim matrix` are the same under the
+    # detected kernel, Nehalem (SSE only, runs on any x86-64) and
+    # Sandybridge (AVX), with 1 or 2 BLAS threads; n = 300 is large enough
+    # for the thread count to change a dense product's bits. summary.txt is
+    # left out: its comparator calls BLAS and LAPACK.
+    fixed = (BASE_CONFIG.replace("kind = ring\nn = 6", "kind = random_k\nn = 300\nk = 4")
+             .replace("dim = 4", "dim = 10"))
+    auto = fixed.replace("eta = 0.2", "eta = auto") + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n"
+    fixed_cfg, auto_cfg = _write(tmp_path, fixed, "fixed.cfg"), _write(tmp_path, auto, "auto.cfg")
+    outputs = set()
+    for coretype, threads in itertools.product((None, "Nehalem", "Sandybridge"), ("1", "2")):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         env["OPENBLAS_NUM_THREADS"] = threads
         if coretype is not None:
             env["OPENBLAS_CORETYPE"] = coretype
         out = tmp_path / f"{coretype}_{threads}"
-        proc = _run_in_subprocess(cfg, out, env)
+        argvs = [["run", str(fixed_cfg), str(out / "fixed")], ["run", str(auto_cfg), str(out / "auto")],
+                 ["matrix", str(auto_cfg)]]
+        proc = _python_in_subprocess(env, "-c", _MAIN_EACH, json.dumps(argvs))
         assert proc.returncode == 0, proc.stderr
-        digests.add(hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest())
-    assert len(digests) == 1
+        files = [out / run / name for run in ("fixed", "auto") for name in ("metrics.csv", "resolved.cfg")]
+        outputs.add((proc.stdout, *(path.read_bytes() for path in files)))
+    assert len(outputs) == 1
 
 
 def test_sweep_beta_runs_both_algorithms(tmp_path):
@@ -391,21 +406,23 @@ _TOPOLOGY_VALUES = ("ring", "watts_strogatz:0.5", "complete", "random_k", "disco
 #: representation must not move a byte. The metrics.csv of every cell but
 #: disconnected were recorded again when gossip stopped calling BLAS, and
 #: every metrics.csv and the sweep summary when the synthetic stream took
-#: one Philox counter run per round.
+#: one Philox counter run per round. Both matrix outputs and the resolved.cfg
+#: of every cell but disconnected were recorded again when rho took the
+#: 1e-12 grid.
 PINNED_TOPOLOGY_DIGESTS = {
-    "matrix_complete": "09b71baafee9d03011bf03efcd2e03ad8f3fcacc31c9abda52b9a82e5faa8455",
-    "matrix_watts_strogatz": "491911567fa08cabf1553891c082f398aad92ec235c1343dd6a29f5ce62ccc42",
+    "matrix_complete": "44d304fcad5184b9266af0a15fea39f4e01c10800f1522a9272e843b62e669f2",
+    "matrix_watts_strogatz": "b267d336fd52b84a3cb297c2d18a0f92ef0b1b6d43c644f0eb212ef961ee3fba",
     "sweep_summary.csv": "918b42c8c54fe32d63998de7de90a5405ecda632ac0dc9e9046a3a391a455ebd",
     "topology_complete/metrics.csv": "587329e9bd76d8fc17a7ce4bbfa49d875da653e0431da175f31a3e8e349faf25",
-    "topology_complete/resolved.cfg": "d31b38a8876b8d103028797214d266ddeecc3aec2d4b061a90e63501f0c6cdde",
+    "topology_complete/resolved.cfg": "5d285818307d03fe046ef3055f1643c7b78229aaa828b97665d429c25bdd9456",
     "topology_disconnected/metrics.csv": "bf5e347fae92c4e94ef23ec0cdec942a5682054c7a7da984952b97a8d7f347aa",
     "topology_disconnected/resolved.cfg": "da1499354b8a533b6754ca101c14a2dfc364f9ffe5a19991e92211fe1bcf64a8",
     "topology_random_k/metrics.csv": "e3d46dd6c84c8be964ece1b3b39677c9f74242b577ad6a5b363dab1a85b00319",
-    "topology_random_k/resolved.cfg": "11fb654a42084da766cd6c694278bcd9ed9716b27ea3b92033a0e01f4968083c",
+    "topology_random_k/resolved.cfg": "4ea92ee3dcac2e10092b565f1cfb5de39edbe19a6afbc0f9145cfbfac1a85dd3",
     "topology_ring/metrics.csv": "409e0bb98c1682f192641da4bf509f420792352fc1b262ca97c64f1b790c2604",
-    "topology_ring/resolved.cfg": "df1cd36f91a9512b3dfb60374086e6093ca5e07f203083d26e14d51d9b4fa987",
+    "topology_ring/resolved.cfg": "4c2fc35f7a8f2f2396862919fad1209c1d52fd11b4fce9147bae8f1df383af4b",
     "topology_watts_strogatz_p0.5/metrics.csv": "aed163b8dae76f432007bcd1e31f588fc6f7da4a0dccd87ffea2fd9c499a6f37",
-    "topology_watts_strogatz_p0.5/resolved.cfg": "ff2e29abdfe4db8865e87f3906f056a56edfe2fd6d6ea74f14488acf32b380ff",
+    "topology_watts_strogatz_p0.5/resolved.cfg": "4d51f1653655463d9093dcdb8aa529e25ca372bf0667ba6b089f340548281d7f",
 }
 
 
@@ -695,11 +712,12 @@ def _pinned_libsvm_text() -> str:
 #: to parsing, normalization, the stochastic/adversarial split or the order in
 #: which the loop reads file samples moves them. metrics.csv and summary.txt
 #: were recorded again when gossip stopped calling BLAS, and with data when
-#: normalization took one formula for every column.
+#: normalization took one formula for every column; all but data when rho
+#: took the 1e-12 grid.
 PINNED_FILE_DIGESTS = {
-    "metrics.csv": "cc8f9e9c53a82a88226692e9a4126681fc4b65624055af331cb70dfea6da35a6",
-    "resolved.cfg": "dca205d2883914c76e75bae4994c632d423a7bdc46547d947e73995a99384168",
-    "summary.txt": "61449d661cfc0a4b1749ac45b8c16096eebcdb1ba9f68f4e83636be8807ec708",
+    "metrics.csv": "7e8aa9c35cf6f1b04f5be9a93b092795763635106fc9e005b6771e0d72231318",
+    "resolved.cfg": "ff73b1fd5be377bd4d900f76f8e2025374981b39d8afa166dad9052045d389f4",
+    "summary.txt": "d71120f08119ab83bcb9a9e28f35570238952e30330bfeb8cd7f340894489cab",
     "data": "0f2f9e15792d280a953c6e9e4151b9dbe56a3cf4a08e21b959b58000f581c807",
 }
 
@@ -720,12 +738,14 @@ def test_file_data_output_bytes_are_pinned(tmp_path, monkeypatch):
 #: sha256 of a nodes sweep 2,4,6 of FILE_CONFIG on _pinned_libsvm_text();
 #: sharing one parse across the cells must not move them. The n = 4 and 6
 #: metrics.csv were recorded again when gossip stopped calling BLAS, and all
-#: four when normalization took one formula for every column.
+#: four when normalization took one formula for every column. The n = 4
+#: and 6 metrics.csv and the summary were recorded again when rho took the
+#: 1e-12 grid.
 PINNED_SWEEP_DIGESTS = {
     "nodes_2/metrics.csv": "dd06484d590a1c657490c8266d7d25bb70185bc3db230e31465be9044aa132df",
-    "nodes_4/metrics.csv": "a67b1e99a814b1c034d64bdba74565bad1bbe52903cbce2fc761fb5f9874e125",
-    "nodes_6/metrics.csv": "e0d70f07984b48188e7aa8bdc5dd7d00d6acfbcfe8f315123336d7818c7628cb",
-    "sweep_summary.csv": "5a0c8befa21cb4305fa1c7c232a709eacdac779ac70fd9df5247cb4a484f0667",
+    "nodes_4/metrics.csv": "c5d83dfc5236cb02280b816f96dc6613b9d56434758958d55a4025fe1d92fa02",
+    "nodes_6/metrics.csv": "0d3d44b56d9bc9315b6b67bc1cdc5d0175c5fd96ad51e22b7074f305dd3e3f35",
+    "sweep_summary.csv": "d407940fde5ad7e32912ca48f5e682d9603ff6f76cdf8c20bbc3e2029c06e17c",
 }
 _SWEEP_NODES = (2, 4, 6)
 
@@ -1043,20 +1063,21 @@ M = 0.5
 #: formula for every column, the dog metrics.csv and summary.txt when
 #: gossip stopped calling BLAS, and every synthetic metrics.csv and
 #: summary.txt when the synthetic stream took one Philox counter run per
-#: round.
+#: round. RUN_CONFIG has eta = auto, so all twelve were recorded again when
+#: rho took the 1e-12 grid.
 PINNED_RUN_DIGESTS = {
-    "dog/metrics.csv": "a8afa641d1fcd5aa1ab886073945c9279772460c6d4fc775c58b21771ebc33d4",
-    "dog/resolved.cfg": "1ff91c7de09da721e6973be6dbd8d806b46449c2f4f3fc6e4b8dd4c7df126de9",
-    "dog/summary.txt": "d392b88bcc1c35b23f1b13205b686d5f807dbe338dbdebc35a268f45e0f22efd",
-    "cog/metrics.csv": "69e5e99aa13283bb37f1b369c02fd0661729c350a3bce5e11683df5b0696d36e",
-    "cog/resolved.cfg": "c34f11259d6936edd4e4e67d63e9b6748092abf5dccbe57cefcd81eefa087eb5",
-    "cog/summary.txt": "a37237239bab1ccdf774a2c0ae9af88e65f1b1a250b30fcf6e72d983345469e9",
-    "local_ogd/metrics.csv": "7a40ed025607bcea068b7c2da273bb4116444879ca8c63d92a0253dfda49b842",
-    "local_ogd/resolved.cfg": "73a10a45fb89b00bd625bcb8e5fa9bebfc68b4ae82d8300a00d31fefa9fbf7f1",
-    "local_ogd/summary.txt": "ca5eb775533469b34a0d5b17e4c4bb23bc2ef5c1ff270a6342c4e07cce33e935",
-    "file_cog/metrics.csv": "7e7437ad2844614ca3021d7ef142f9a5fe504029bec2749de0710f227453db6a",
-    "file_cog/resolved.cfg": "2b1e97fdb08506e6397f7b0c4e95a93615327d40e18c8a5d009ed7b6413823cf",
-    "file_cog/summary.txt": "9373dcb373904a03118e6214df3fe831a85fbb2cdcd9536f2b764c88ac4c9652",
+    "dog/metrics.csv": "2ce4ef766545a6f80074490af39e0ea362e9b37a8b2a65c1fa91d18fdd412862",
+    "dog/resolved.cfg": "ed1a3bd08fa8612de2efd8308a9c3fbc1bda114f8607d8726274e24d5a1ae48e",
+    "dog/summary.txt": "6a21a7b6c2a2c9b34529729bb3e02cbf79524e0b7c4f4e32c46d2d373a0cb844",
+    "cog/metrics.csv": "8fb0e2630aadb2ee1c253a6d04079d3b877b772a0d865f5aa4d44c5413e3bc58",
+    "cog/resolved.cfg": "e0e68788b3fa73e2f0062f4b62eaaf7e0a22d191ff4cd23d3beadf98da66bd71",
+    "cog/summary.txt": "0690aa6444d3184d068f40e251973b4f53c0f883a15342b9a6affbee9a28b133",
+    "local_ogd/metrics.csv": "9f725bde5e907d690cbdabcc4567d306615f33e0e2ec117fc26b5eec806bc631",
+    "local_ogd/resolved.cfg": "29859dbcffa4d5678e483283e3b1ea91e8ccd9660695d358dc06d6c142e6524c",
+    "local_ogd/summary.txt": "6496c9bc4c87c0b9cfaaacfc1759c53e778328ee5b1e3e60d974f71b8f552870",
+    "file_cog/metrics.csv": "fa869f435749c17843b21b28397ffe01befac77602b2e2e102369667541b32f5",
+    "file_cog/resolved.cfg": "20fc9b1f4c58635edce615de175a936ad8b523e140031cd49b4fa0f622588ce2",
+    "file_cog/summary.txt": "9d105d848db61547a9fe0f2880c50dd325d2a84163b748e079eb9d156e8a9643",
 }
 
 
@@ -1217,10 +1238,11 @@ def test_resolved_config_round_trips_every_field(ef, eta, rho):
 #: sha256 of `dogsim run` on BASE_CONFIG with project_radius = 0.05, which
 #: the models reach, so the projection changes the metrics. metrics.csv was
 #: recorded again when gossip stopped calling BLAS and when the synthetic
-#: stream took one Philox counter run per round.
+#: stream took one Philox counter run per round, and resolved.cfg when rho
+#: took the 1e-12 grid.
 PINNED_RADIUS_DIGESTS = {
     "metrics.csv": "3cfbc4607c10383df12aee7853ed23ca9eab075ab1328bbc13d449e19c9fb61f",
-    "resolved.cfg": "1c3cb5d3df96a66efa1e3c9b1cceff14daca56af9064f0f9ffd1fdbd95a30f13",
+    "resolved.cfg": "e4dafb45f4c90d8b947123b9b3a46ae2f2f17f2300bd5572b8e4b39233fe4aaa",
 }
 
 

@@ -243,11 +243,12 @@ def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
         expected[i, i] = 1.0 - deg[i] * off
     m = build_mixing(build_topology(kind, n, seed=seed, k=k, p=p), scheme)
     assert m.entries.tobytes() == expected.tobytes()
-    # rho is the eigensolve's on a connected graph and exactly 1 otherwise,
-    # so auto eta and the regret bound have a value exactly when it contracts.
+    # rho is the eigensolve's on the 1e-12 grid on a connected graph and
+    # exactly 1 otherwise, so auto eta and the regret bound have a value
+    # exactly when it contracts.
     connected = _reference_is_connected(n, reference)
     assert m.contracts == connected
-    assert m.rho == (spectral_gap(expected) if connected else 1.0)
+    assert m.rho == (round(spectral_gap(expected), 12) if connected else 1.0)
 
     def auto_eta():
         return auto_learning_rate(n, 10, G=1.0, sigma=1.0, R=1.0, M=0.0, rho=m.rho)
@@ -261,3 +262,16 @@ def test_mixing_equals_a_per_edge_fill_of_the_reference(args, scheme):
         for build in (auto_eta, bound):
             with pytest.raises(ValueError, match="requires rho < 1, got 1.0"):
                 build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_topology_args(), st.sampled_from(SCHEMES))
+def test_mixing_matrix_is_symmetric_doubly_stochastic_with_a_positive_diagonal(args, scheme):
+    # A positive diagonal rules out the eigenvalue -1, so rho < 1 exactly
+    # when the graph is connected (Xiao & Boyd, 2004).
+    kind, n, seed, k, p = args
+    w = build_mixing(build_topology(kind, n, seed=seed, k=k, p=p), scheme).entries
+    assert np.array_equal(w, w.T)
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= n * 2.0**-52
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= n * 2.0**-52
+    assert (w >= 0.0).all() and (np.diag(w) > 0.0).all()
