@@ -5,12 +5,16 @@ closed-form constructions keep W symmetric.
 
 The contraction rate of gossip averaging is rho = ||W - 11^T/n||_2, for a
 symmetric W the largest eigenvalue magnitude of W - 11^T/n; the smaller
-rho, the faster disagreement between nodes dies out. Every W built here
-has a positive diagonal, so rho < 1 exactly on a connected graph (Xiao &
-Boyd, 2004). `MixingMatrix` rounds rho to 12 decimals. The grid absorbs
-the eigensolver's rounding: rho is exactly 1 on a disconnected graph, and
-the same under every BLAS kernel and thread count unless two kernels' raw
-values straddle a grid point.
+rho, the faster disagreement between nodes dies out. `MixingMatrix`
+requires a positive diagonal, so rho < 1 exactly on a connected graph
+(Xiao & Boyd, 2004). It therefore decides `contracts` on construction
+from the connectivity of W's nonzeros, and computes rho, a dense
+eigensolve, only when something reads it: auto eta, the regret bound,
+resolved.cfg and `dogsim matrix` do; a fixed-eta sweep does not. rho is
+rounded to 12 decimals. The grid absorbs the eigensolver's rounding: rho
+is exactly 1 on a disconnected graph, and the same under every BLAS
+kernel and thread count unless two kernels' raw values straddle a grid
+point.
 
 Gossip, W @ X for the (n, d) stack of node models, takes no BLAS call, so
 its bits do not depend on the BLAS kernel or thread count. The dense W is
@@ -31,18 +35,32 @@ MAX_DEGREE = "max_degree"
 SCHEMES = (UNIFORM, MAX_DEGREE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Doubly stochastic, symmetric W, dense, with its contraction rate
-    rho = round(spectral_gap(entries), 12), computed on construction, and
-    a BLAS-free product `gossip`."""
+    """Doubly stochastic, symmetric W with a positive diagonal, dense, and
+    a BLAS-free product `gossip`.
+
+    `contracts`, whether gossip contracts disagreement, is decided on
+    construction: the graph of W's nonzeros is connected, which for such a
+    W is rho < 1. rho = round(spectral_gap(entries), 12) is computed on
+    first read. A W without a positive diagonal is rejected: [[0, 1],
+    [1, 0]] is connected, but its rho is 1."""
 
     entries: np.ndarray  # (n, n), rows and columns sum to 1
-    rho: float = field(init=False)
+    contracts: bool = field(init=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
-        object.__setattr__(self, "rho", round(spectral_gap(self.entries), 12))
+        w = self.entries
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {w.shape}")
+        if not (w.diagonal() > 0).all():
+            raise ValueError("mixing matrix must have a positive diagonal")
+        w.setflags(write=False)
+        object.__setattr__(self, "contracts", _connected(w != 0))
+
+    @cached_property
+    def rho(self) -> float:
+        return round(spectral_gap(self.entries), 12)
 
     def gossip(self, x: np.ndarray) -> np.ndarray:
         """W @ x for an (n, d) stack of models, by one of two rules.
@@ -75,17 +93,33 @@ class MixingMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def contracts(self) -> bool:
-        """Whether gossip contracts disagreement: the graph is connected."""
-        return self.rho < 1.0
-
 
 @dataclass(frozen=True)
 class StochasticityReport:
     max_row_dev: float
     max_col_dev: float
     min_entry: float
+
+
+def _connected(mask: np.ndarray) -> bool:
+    """Whether the graph of a symmetric (n, n) boolean adjacency `mask` is
+    connected: a depth-first search from node 0 over one scan for its
+    nonzeros, exact, in O(nnz) after the scan."""
+    n = mask.shape[0]
+    if mask.all():
+        return True
+    nonzero = np.flatnonzero(mask)  # row-major, so row u is one slice
+    cols = (nonzero % n).tolist()
+    bounds = np.searchsorted(nonzero, np.arange(0, n * n + 1, n)).tolist()
+    seen = [True] + [False] * (n - 1)
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in cols[bounds[u]:bounds[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return all(seen)
 
 
 def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:

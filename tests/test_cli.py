@@ -457,6 +457,57 @@ def test_topology_sweep_bytes_are_pinned(tmp_path, capsys):
     assert digests == PINNED_TOPOLOGY_DIGESTS
 
 
+def test_a_fixed_eta_sweep_never_computes_rho(tmp_path, capsys, monkeypatch):
+    # `contracts` comes from W's connectivity; only auto eta, the regret
+    # bound, resolved.cfg and `dogsim matrix` read rho, each matrix's once.
+    cfg = _write(tmp_path, TOPOLOGY_CONFIG)
+
+    def sweep(out):
+        argv = ["sweep", str(cfg), str(out), "--axis", "topology", "--values", ",".join(_TOPOLOGY_VALUES)]
+        assert cli.main(argv) == 0
+        return _tree_bytes(out), capsys.readouterr()
+
+    plain = sweep(tmp_path / "plain")
+    eigensolve = mixing.spectral_gap
+
+    def refuse(w):
+        raise AssertionError("a fixed-eta sweep computed rho")
+
+    monkeypatch.setattr(mixing, "spectral_gap", refuse)
+    assert sweep(tmp_path / "patched") == plain and plain[0] != {}
+
+    calls = []
+
+    def count(w):
+        calls.append(w.shape[0])
+        return eigensolve(w)
+
+    monkeypatch.setattr(mixing, "spectral_gap", count)
+    rho = round(eigensolve(mixing.build_mixing(topology.build_topology("ring", 40)).entries), 12)
+    auto = TOPOLOGY_CONFIG.replace("eta = 0.1", "eta = auto") + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n"
+    for name, text in (("fixed", TOPOLOGY_CONFIG), ("auto", auto)):
+        calls.clear()
+        assert cli.main(["run", str(_write(tmp_path, text, f"{name}.cfg")), str(tmp_path / name)]) == 0
+        assert calls == [40]
+        resolved = (tmp_path / name / "resolved.cfg").read_text()
+        assert f"\nrho = {metrics.fmt17(rho)}\n" in resolved
+    eta = engine.auto_learning_rate(40, 15, G=2.0, sigma=1.0, R=1.0, M=0.0, rho=rho)
+    assert f"\neta = {metrics.fmt17(eta)}\n" in resolved
+
+
+def test_a_topology_sweep_does_not_import_scipy_csgraph(tmp_path):
+    # connectivity is decided with numpy alone; importing csgraph would add
+    # about 8.6 MB to the process's resident memory
+    cfg = _write(tmp_path, TOPOLOGY_CONFIG)
+    argv = ["sweep", str(cfg), str(tmp_path / "out"), "--axis", "topology",
+            "--values", ",".join(_TOPOLOGY_VALUES)]
+    code = ("import json, sys; from dogsim import cli; assert cli.main(json.loads(sys.argv[1])) == 0; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    proc = _python_in_subprocess(os.environ, "-c", code, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_sweep_missing_data_file_is_an_io_error(tmp_path, capsys):
     text = BASE_CONFIG.replace("beta = 0.5\ndim = 4", "file = absent.libsvm\nstochastic_fraction = 0.5")
     out = tmp_path / "out"

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dogsim.datagen import SyntheticSpec, SyntheticStream
+from dogsim.engine import RunConfig
+from dogsim.losses import LossSpec
 from dogsim.mixing import (
     MAX_DEGREE,
     UNIFORM,
+    MixingMatrix,
     build_mixing,
     matrix_to_csv,
     spectral_gap,
@@ -189,14 +193,14 @@ def test_gossip_on_the_complete_graph_is_its_closed_form(scheme, n, data):
 
 @pytest.mark.parametrize("scheme", [UNIFORM, MAX_DEGREE])
 def test_disconnected_never_contracts(scheme):
-    # I - 11^T/n has eigenvalue 1 with multiplicity n - 1, and rho is stored
-    # as exactly 1 on any disconnected graph, so eta = auto never gets a value.
+    # I - 11^T/n has eigenvalue 1 with multiplicity n - 1, and rho reads
+    # exactly 1 on any disconnected graph, so eta = auto never gets a value.
     for n in range(2, 301):
         m = build_mixing(build_topology("disconnected", n), scheme)
         assert m.rho == 1.0 and not m.contracts, n
 
 
-def test_power_iteration_matches_dense_eigensolve():
+def test_rho_matches_the_dense_two_norm():
     rng = np.random.default_rng(7)
     for _ in range(20):
         g = _random_graph(rng)
@@ -285,3 +289,28 @@ def test_matrix_csv_17_digits():
 def test_contracts_is_false_only_for_rho_of_one():
     assert build_mixing(build_topology("ring", 6)).contracts
     assert not build_mixing(build_topology("disconnected", 6)).contracts
+
+
+def test_a_matrix_without_a_positive_diagonal_is_rejected():
+    # connected, yet its eigenvalue -1 makes rho 1: connectivity and rho < 1
+    # agree only on a positive diagonal
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert spectral_gap(swap) == 1.0
+    with pytest.raises(ValueError, match="positive diagonal"):
+        MixingMatrix(swap)
+    with pytest.raises(ValueError, match="square"):
+        MixingMatrix(np.full((2, 3), 1.0 / 3.0))
+
+
+def test_mixing_matrices_compare_by_identity():
+    g = build_topology("ring", 5)
+    a, b = build_mixing(g), build_mixing(g)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    stream = SyntheticStream(SyntheticSpec(dim=3, beta=0.5, n=5, seed=1))
+
+    def config(mix):
+        return RunConfig("dog", 3, 0.1, LossSpec(gamma=0.001), stream, mix)
+
+    assert config(a) == config(a) != config(b)
+    assert hash(config(a)) == hash(config(a))
