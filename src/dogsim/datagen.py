@@ -111,9 +111,10 @@ def tile_rounds(n: int) -> int:
     return max(1, TILE_SAMPLES // n)
 
 
-def _fill_tile(spec: SyntheticSpec, first: int, features: np.ndarray, labels: np.ndarray):
+def _fill_tile(spec: SyntheticSpec, first: int, node_center: np.ndarray, features: np.ndarray,
+               labels: np.ndarray):
     """Write rounds first, first+1, ... of every node into features (k, n, dim)
-    and labels (k, n)."""
+    and labels (k, n); node_center[i] is sin(i) - 0.5."""
     k, n, dim = features.shape
     width = 2 * dim + 1
     words = 4 * _blocks(dim)
@@ -129,7 +130,6 @@ def _fill_tile(spec: SyntheticSpec, first: int, features: np.ndarray, labels: np
     u = _uniforms(raw.reshape(k, n, words)[..., :width])
     labels[:] = np.where(u[..., 0] < 0.5, 1.0, -1.0)
     # math.sin, not np.sin, so entries match the scalar path bit for bit
-    node_center = np.array([math.sin(i) - 0.5 for i in range(n)])
     round_shift = np.array([0.5 * math.sin(t) for t in range(first, first + k)])
     adv = node_center[:, None] + u[..., 1 : dim + 1]
     gauss_u = u[..., dim + 1 :] * (1.0 - _U53) + 0.5 * _U53
@@ -148,9 +148,12 @@ def synthetic_block(spec: SyntheticSpec, first: int, last: int) -> tuple:
     features = np.empty((last - first, spec.n, spec.dim))
     labels = np.empty((last - first, spec.n))
     step = tile_rounds(spec.n)
+    # math.sin, not np.sin, so entries match the scalar path bit for bit
+    node_center = np.array([math.sin(i) - 0.5 for i in range(spec.n)])
     for lo in range(first, last, step):
         hi = min(lo + step, last)
-        _fill_tile(spec, lo, features[lo - first : hi - first], labels[lo - first : hi - first])
+        _fill_tile(spec, lo, node_center, features[lo - first : hi - first],
+                   labels[lo - first : hi - first])
     return features, labels
 
 

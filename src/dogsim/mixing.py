@@ -1,29 +1,32 @@
 """Doubly stochastic mixing matrices and their spectral properties.
 
 A mixing (confusion) matrix W averages neighbor models each round. Both
-closed-form constructions keep W symmetric.
+closed-form constructions keep W symmetric: `off` on every edge and
+1 - deg_i * off > 0 on the diagonal. `build_mixing` builds W from the
+graph's edges, never as a dense n x n array, and the edge count picks the
+gossip rule: the complete graph (n >= 2 nodes, n(n-1)/2 edges) keeps only
+n, its diagonal and `off` and gossips by a closed form; any other graph
+keeps W's nonzeros in CSR row order and gossips by a CSR product. Neither
+rule calls BLAS, so gossip's bits do not depend on the BLAS kernel or
+thread count.
 
 The contraction rate of gossip averaging is rho = ||W - 11^T/n||_2, for a
 symmetric W the largest eigenvalue magnitude of W - 11^T/n; the smaller
-rho, the faster disagreement between nodes dies out. `MixingMatrix`
-requires a positive diagonal, so rho < 1 exactly on a connected graph
-(Xiao & Boyd, 2004). It therefore decides `contracts` on construction
-from the connectivity of W's nonzeros, and computes rho, a dense
-eigensolve, only when something reads it: auto eta, the regret bound,
+rho, the faster disagreement between nodes dies out. On a positive
+diagonal rho < 1 exactly on a connected graph (Xiao & Boyd, 2004), so
+`contracts` is decided when W is built, by a depth-first search over its
+nonzeros. rho, a dense eigensolve, and the dense W it reads, `entries`,
+are computed only when something reads them: auto eta, the regret bound,
 resolved.cfg and `dogsim matrix` do; a fixed-eta sweep does not. rho is
 rounded to 12 decimals. The grid absorbs the eigensolver's rounding: rho
 is exactly 1 on a disconnected graph, and the same under every BLAS
 kernel and thread count unless two kernels' raw values straddle a grid
 point.
-
-Gossip, W @ X for the (n, d) stack of node models, takes no BLAS call, so
-its bits do not depend on the BLAS kernel or thread count. The dense W is
-kept for the spectral gap and for printing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,26 +40,25 @@ SCHEMES = (UNIFORM, MAX_DEGREE)
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Doubly stochastic, symmetric W with a positive diagonal, dense, and
-    a BLAS-free product `gossip`.
+    """Doubly stochastic, symmetric W with a positive diagonal, held by its
+    nonzeros, and a BLAS-free product `gossip`. Built by `build_mixing`.
 
-    `contracts`, whether gossip contracts disagreement, is decided on
-    construction: the graph of W's nonzeros is connected, which for such a
-    W is rho < 1. rho = round(spectral_gap(entries), 12) is computed on
-    first read. A W without a positive diagonal is rejected: [[0, 1],
-    [1, 0]] is connected, but its rho is 1."""
+    `csr` is (data, indices, indptr) of W's nonzeros, or None on the
+    complete graph, where W = (w_ii - off) I + off 11^T. `contracts` says
+    whether gossip contracts disagreement: the graph of W's nonzeros is
+    connected, which for such a W is rho < 1. `entries`, the dense W, and
+    rho = round(spectral_gap(entries), 12) are computed on first read."""
 
-    entries: np.ndarray  # (n, n), rows and columns sum to 1
-    contracts: bool = field(init=False)
+    n: int
+    off: float  # W_ij on every edge
+    diagonal: np.ndarray  # (n,), W_ii = 1 - deg_i * off
+    csr: tuple | None  # (data, indices, indptr), or None on the complete graph
+    contracts: bool
 
-    def __post_init__(self):
-        w = self.entries
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {w.shape}")
-        if not (w.diagonal() > 0).all():
-            raise ValueError("mixing matrix must have a positive diagonal")
-        w.setflags(write=False)
-        object.__setattr__(self, "contracts", _connected(w != 0))
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense (n, n) W, read-only, made on first read."""
+        return _dense(self)
 
     @cached_property
     def rho(self) -> float:
@@ -71,27 +73,20 @@ class MixingMatrix:
             a CSR product over W's nonzeros: each row sums its w_ij * x_j
             terms from 0, one multiply and one add at a time, in ascending j.
 
-        Neither calls BLAS. The rule is chosen, and for the second one
-        scipy.sparse imported, on the first call.
+        Neither calls BLAS. The second rule imports scipy.sparse and builds
+        its sparse array on the first call.
         """
         return self._gossip(x)
 
     @cached_property
     def _gossip(self):
-        w, n = self.entries, self.n
-        if n > 1 and w.all():
-            diag, off = w[0, 0], w[0, 1]
-            if np.array_equal(w, np.where(np.eye(n, dtype=bool), diag, off)):
-                scale = diag - off
-                return lambda x: scale * x + off * x.sum(axis=0)
+        if self.csr is None:
+            scale, off = self.diagonal[0] - self.off, self.off
+            return lambda x: scale * x + off * x.sum(axis=0)
         from scipy.sparse import csr_array
 
-        sparse = csr_array(w)
+        sparse = csr_array(self.csr, shape=(self.n, self.n))
         return lambda x: sparse @ x
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -101,17 +96,11 @@ class StochasticityReport:
     min_entry: float
 
 
-def _connected(mask: np.ndarray) -> bool:
-    """Whether the graph of a symmetric (n, n) boolean adjacency `mask` is
-    connected: a depth-first search from node 0 over one scan for its
-    nonzeros, exact, in O(nnz) after the scan."""
-    n = mask.shape[0]
-    if mask.all():
-        return True
-    nonzero = np.flatnonzero(mask)  # row-major, so row u is one slice
-    cols = (nonzero % n).tolist()
-    bounds = np.searchsorted(nonzero, np.arange(0, n * n + 1, n)).tolist()
-    seen = [True] + [False] * (n - 1)
+def _connected(indices: np.ndarray, indptr: np.ndarray) -> bool:
+    """Whether the graph of a symmetric CSR pattern is connected: a
+    depth-first search from node 0 over the rows, exact, in O(nnz)."""
+    cols, bounds = indices.tolist(), indptr.tolist()
+    seen = [True] + [False] * (len(bounds) - 2)
     stack = [0]
     while stack:
         u = stack.pop()
@@ -122,8 +111,22 @@ def _connected(mask: np.ndarray) -> bool:
     return all(seen)
 
 
+def _dense(m: MixingMatrix) -> np.ndarray:
+    """The (n, n) array of W, read-only."""
+    if m.csr is None:
+        w = np.full((m.n, m.n), m.off)
+        np.fill_diagonal(w, m.diagonal)
+    else:
+        data, indices, indptr = m.csr
+        w = np.zeros((m.n, m.n))
+        w[np.arange(m.n).repeat(indptr[1:] - indptr[:-1]), indices] = data
+    w.setflags(write=False)
+    return w
+
+
 def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
-    """Construct a doubly stochastic W from a graph.
+    """Construct a doubly stochastic W from a graph's edges, in
+    O(|E| log |E|) time and O(|E|) memory, never as a dense array.
 
     uniform:    W_ij = 1/n on edges, W_ii = 1 - N_i/n.
     max_degree: W_ij = 1/(N_max + 1) on edges, W_ii = 1 - N_i/(N_max + 1).
@@ -134,17 +137,28 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown mixing scheme {scheme!r}")
-    i, j = g.edges.T
-    deg = g.degrees()
+    n, edges = g.n, g.edges
+    complete = n > 1 and len(edges) == n * (n - 1) // 2
+    deg = np.full(n, n - 1) if complete else g.degrees()
     if scheme == UNIFORM:
-        off = 1.0 / g.n
+        off = 1.0 / n
     else:
         off = 1.0 / (int(deg.max(initial=0)) + 1)
-    w = np.zeros((g.n, g.n))
-    w[i, j] = off
-    w[j, i] = off
-    np.fill_diagonal(w, 1.0 - deg * off)
-    return MixingMatrix(w)
+    diagonal = 1.0 - deg * off
+    if complete:
+        return MixingMatrix(n, off, diagonal, None, True)
+    # The row-major positions r * n + c of W's nonzeros, sorted, are its CSR
+    # order: within each row the lower neighbors, the diagonal, the upper.
+    i, j = edges.T
+    diag = np.arange(0, n * n, n + 1)
+    flat = np.concatenate((i * n + j, j * n + i, diag))
+    flat.sort()
+    data = np.full(flat.shape, off)
+    data[flat.searchsorted(diag)] = diagonal
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg + 1, out=indptr[1:])
+    indices = flat % n
+    return MixingMatrix(n, off, diagonal, (data, indices, indptr), _connected(indices, indptr))
 
 
 def spectral_gap(w: np.ndarray) -> float:

@@ -60,12 +60,14 @@ class Graph:
             i, j = e[outside.argmax()]
             raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
         # One key per undirected edge; sorting the keys sorts the rows by (i, j).
+        # Keys already strictly increasing, as from np.triu_indices, are canonical.
         key = lo * self.n + hi
-        key.sort()
-        first = np.ones(key.shape, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        key = key[first]
-        canonical = np.stack(np.divmod(key, self.n), axis=1)
+        if not (key[1:] > key[:-1]).all():
+            key.sort()
+            first = np.ones(key.shape, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            lo, hi = np.divmod(key[first], self.n)
+        canonical = np.stack((lo, hi), axis=1)
         canonical.setflags(write=False)
         object.__setattr__(self, "edges", canonical)
 
@@ -113,10 +115,14 @@ def _check_k(k: int, n: int):
 
 
 def _ring_edges(n: int) -> np.ndarray:
+    # (0, 1), (0, n - 1), (1, 2), ..., (n - 2, n - 1): canonical for n >= 3
     if n == 1:
         return np.empty((0, 2), dtype=np.intp)
-    i = np.arange(n)
-    return np.stack((i, (i + 1) % n), axis=1)
+    lo = np.arange(-1, n - 1)
+    lo[0] = 0
+    hi = np.arange(n)
+    hi[:2] = 1, n - 1
+    return np.stack((lo, hi), axis=1)
 
 
 def _random_k(n: int, k: int, seed: int) -> Graph:

@@ -495,6 +495,40 @@ def test_a_fixed_eta_sweep_never_computes_rho(tmp_path, capsys, monkeypatch):
     assert f"\neta = {metrics.fmt17(eta)}\n" in resolved
 
 
+def test_a_fixed_eta_sweep_never_builds_a_dense_w(tmp_path, capsys, monkeypatch):
+    # gossip and `contracts` read W's nonzeros; only rho and `dogsim matrix`
+    # read the dense W, and each makes it once per matrix
+    cfg = _write(tmp_path, TOPOLOGY_CONFIG)
+
+    def sweep(out):
+        argv = ["sweep", str(cfg), str(out), "--axis", "topology", "--values", ",".join(_TOPOLOGY_VALUES)]
+        assert cli.main(argv) == 0
+        return _tree_bytes(out), capsys.readouterr()
+
+    plain = sweep(tmp_path / "plain")
+    dense = mixing._dense
+
+    def refuse(m):
+        raise AssertionError("a fixed-eta sweep built a dense W")
+
+    monkeypatch.setattr(mixing, "_dense", refuse)
+    assert sweep(tmp_path / "patched") == plain and plain[0] != {}
+
+    calls = []
+
+    def count(m):
+        calls.append(m.n)
+        return dense(m)
+
+    monkeypatch.setattr(mixing, "_dense", count)
+    auto = TOPOLOGY_CONFIG.replace("eta = 0.1", "eta = auto") + "\n[bounds]\nG = 2\nsigma = 1\nR = 1\nM = 0\n"
+    assert cli.main(["run", str(_write(tmp_path, auto, "auto.cfg")), str(tmp_path / "auto")]) == 0
+    assert calls == [40]
+    calls.clear()
+    assert cli.main(["matrix", str(cfg)]) == 0
+    assert calls == [40]
+
+
 def test_a_topology_sweep_does_not_import_scipy_csgraph(tmp_path):
     # connectivity is decided with numpy alone; importing csgraph would add
     # about 8.6 MB to the process's resident memory
@@ -504,6 +538,17 @@ def test_a_topology_sweep_does_not_import_scipy_csgraph(tmp_path):
     code = ("import json, sys; from dogsim import cli; assert cli.main(json.loads(sys.argv[1])) == 0; "
             "print('scipy.sparse.csgraph' in sys.modules)")
     proc = _python_in_subprocess(os.environ, "-c", code, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_a_fixed_eta_run_on_the_complete_graph_does_not_import_scipy_sparse(tmp_path):
+    # the complete graph gossips by its closed form, which needs no sparse
+    # module, so scipy.sparse is imported only by the first CSR gossip
+    cfg = _write(tmp_path, TOPOLOGY_CONFIG.replace("kind = ring", "kind = complete"))
+    code = ("import sys; from dogsim import cli; assert cli.main(sys.argv[1:]) == 0; "
+            "print('scipy.sparse' in sys.modules)")
+    proc = _python_in_subprocess(os.environ, "-c", code, "run", str(cfg), str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 

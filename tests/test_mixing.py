@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,13 +11,12 @@ from dogsim.losses import LossSpec
 from dogsim.mixing import (
     MAX_DEGREE,
     UNIFORM,
-    MixingMatrix,
     build_mixing,
     matrix_to_csv,
     spectral_gap,
     verify_doubly_stochastic,
 )
-from dogsim.topology import build_topology
+from dogsim.topology import Graph, build_topology
 
 
 def _random_graph(rng):
@@ -291,15 +292,38 @@ def test_contracts_is_false_only_for_rho_of_one():
     assert not build_mixing(build_topology("disconnected", 6)).contracts
 
 
-def test_a_matrix_without_a_positive_diagonal_is_rejected():
+def test_every_built_matrix_has_a_positive_diagonal():
     # connected, yet its eigenvalue -1 makes rho 1: connectivity and rho < 1
-    # agree only on a positive diagonal
+    # agree only on a positive diagonal. The smallest diagonal entry W can
+    # get is 1 - (n - 1)/n, under the uniform scheme at a node joined to
+    # every other.
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert spectral_gap(swap) == 1.0
-    with pytest.raises(ValueError, match="positive diagonal"):
-        MixingMatrix(swap)
-    with pytest.raises(ValueError, match="square"):
-        MixingMatrix(np.full((2, 3), 1.0 / 3.0))
+    for n in (2, 3, 7, 1000, 99_991):
+        hub = np.arange(1, n)
+        star = Graph(n, np.stack((np.zeros_like(hub), hub), axis=1))
+        for scheme in (UNIFORM, MAX_DEGREE):
+            m = build_mixing(star, scheme)
+            assert (m.diagonal > 0).all() and m.contracts, (n, scheme)
+
+
+def test_a_sparse_w_is_built_and_used_without_a_dense_one():
+    # A dense W at n = 5000 is 200 MB; building W from the edges, reading
+    # `contracts` and one gossip stay near its O(|E|) nonzeros.
+    import scipy.sparse  # noqa: F401  (its import is not W's memory)
+
+    n = 5000
+    x = np.ones((n, 1))
+    for kind in ("ring", "random_k"):
+        tracemalloc.start()
+        try:
+            m = build_mixing(build_topology(kind, n, seed=1, k=4))
+            assert m.contracts
+            m.gossip(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, (kind, peak)
 
 
 def test_mixing_matrices_compare_by_identity():

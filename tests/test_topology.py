@@ -127,6 +127,27 @@ def test_edges_are_a_read_only_copy():
         g.edges[0, 0] = 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 30), data=st.data())
+def test_canonical_edges_equal_the_same_edges_in_any_order(n, data):
+    # Canonical input takes the sorted-keys shortcut; shuffled, flipped or
+    # repeated edges take the sort. Both must store the same bytes, in a
+    # read-only array of the graph's own.
+    upper = np.stack(np.triu_indices(n, 1), axis=1)
+    chosen = data.draw(st.sets(st.integers(0, len(upper) - 1)), label="edges")
+    canonical = upper[sorted(chosen)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    flipped = np.where(rng.random((len(canonical), 1)) < 0.5, canonical, canonical[:, ::-1])
+    repeated = np.concatenate((flipped, flipped[rng.integers(0, len(canonical), size=len(canonical))]))
+    expected = canonical.tobytes()
+    for edges in (canonical, rng.permutation(canonical), flipped, np.repeat(canonical, 2, axis=0),
+                  rng.permutation(repeated)):
+        g = Graph(n, edges)
+        assert g.edges.dtype == np.intp and g.edges.shape == (len(canonical), 2)
+        assert g.edges.tobytes() == expected
+        assert not g.edges.flags.writeable and not np.shares_memory(g.edges, edges)
+
+
 def test_neighbors_and_degrees():
     g = build_topology("ring", 5)
     assert {e for e in _edge_set(g) if 0 in e} == {(0, 1), (0, 4)}
