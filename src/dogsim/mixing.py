@@ -137,9 +137,9 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown mixing scheme {scheme!r}")
-    n, edges = g.n, g.edges
-    complete = n > 1 and len(edges) == n * (n - 1) // 2
-    deg = np.full(n, n - 1) if complete else g.degrees()
+    n = g.n
+    complete = n > 1 and g.edge_count == n * (n - 1) // 2
+    deg = g.degrees()
     if scheme == UNIFORM:
         off = 1.0 / n
     else:
@@ -149,7 +149,7 @@ def build_mixing(g: Graph, scheme: str = MAX_DEGREE) -> MixingMatrix:
         return MixingMatrix(n, off, diagonal, None, True)
     # The row-major positions r * n + c of W's nonzeros, sorted, are its CSR
     # order: within each row the lower neighbors, the diagonal, the upper.
-    i, j = edges.T
+    i, j = g.edges.T
     diag = np.arange(0, n * n, n + 1)
     flat = np.concatenate((i * n + j, j * n + i, diag))
     flat.sort()

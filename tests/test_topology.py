@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -106,6 +109,15 @@ def test_graph_invariants_enforced():
     assert g.edges.tolist() == [[0, 1]]
 
 
+def test_endpoints_past_64_bits_are_out_of_range():
+    # a cast to intp would overflow on the first and wrap the second
+    with pytest.raises(ValueError, match=r"edge \(0, 1180591620717411303424\) out of range for n=3"):
+        Graph(3, [(0, 2**70)])
+    with pytest.raises(ValueError, match=r"edge \(0, 9223372036854775808\) out of range for n=3"):
+        Graph(3, np.array([[0, 2**63]], dtype=np.uint64))
+    assert Graph(3, np.array([[2, 0]], dtype=np.uint64)).edges.tolist() == [[0, 2]]
+
+
 def test_non_integer_endpoints_are_rejected():
     # casting would silently truncate them to (0, 2) and (0, 1)
     with pytest.raises(ValueError, match=r"edge \(0.5, 2.0\) has a non-integer endpoint"):
@@ -146,6 +158,31 @@ def test_canonical_edges_equal_the_same_edges_in_any_order(n, data):
         assert g.edges.dtype == np.intp and g.edges.shape == (len(canonical), 2)
         assert g.edges.tobytes() == expected
         assert not g.edges.flags.writeable and not np.shares_memory(g.edges, edges)
+
+
+@pytest.mark.parametrize("n", [2, 3, 500])
+def test_the_complete_graph_runs_without_its_edge_array(n, monkeypatch):
+    # W, gossip, contracts and rho read only n and the edge count; the edge
+    # array is made on first read, after the run, with the usual bytes. (At
+    # n = 1 there is no edge, and W is built by the CSR rule.)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complete graph's edge array was built")
+
+    g = build_topology("complete", n)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "triu_indices", refuse)
+        for scheme in SCHEMES:
+            m = build_mixing(g, scheme)
+            x = np.arange(3.0 * n).reshape(n, 3)
+            assert m.gossip(x).shape == (n, 3)
+            assert m.contracts and m.rho == 0.0
+        assert g.edge_count == n * (n - 1) // 2
+        assert g.degrees().tolist() == [n - 1] * n
+    assert "edges" not in vars(g)
+    expected = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.intp).reshape(-1, 2)
+    assert g.edges.dtype == np.intp and g.edges.flags.c_contiguous and not g.edges.flags.writeable
+    assert g.edges.tobytes() == expected.tobytes()
+    assert g.edges is g.edges
 
 
 def test_neighbors_and_degrees():
@@ -234,18 +271,45 @@ def _topology_args(draw):
     return kind, n, seed, k, p
 
 
+#: sha256 of `edges` for Watts-Strogatz graphs at the benchmark's scale,
+#: n = 500 and k = 4, keyed by (seed, p). The RNG draw order fixes each
+#: graph, so a rewrite of the rewiring loop must reproduce these bytes.
+PINNED_WATTS_STROGATZ_DIGESTS = {
+    (0, 0.5): "7402fa4fd6bd69f75be9bec86e53f7b8bcd0d5334de3d9c24365231992825af8",
+    (1, 0.5): "56cbb0162ca1fa60b0b43a0b6886db47dde0f35c8dc57064fe246cacc8b89c5f",
+    (12345, 0.5): "b2bc251dce5f59f9983288ce7eddab5bdb194c8c994f557d4df918392709f2e3",
+    (0, 0.0): "66095f7207e5ec0abb1dcc0cfed91d6895a6dbb9e10b84f9f28af7b9e458a784",
+    (0, 1.0): "9ab37281f51232b64f5c5d3f0e7766616a0a14071264c91c87b8167a6c717b39",
+}
+
+
+def test_bench_scale_watts_strogatz_edges_are_pinned():
+    digests = {(seed, p): hashlib.sha256(build_topology("watts_strogatz", 500, seed=seed, k=4, p=p)
+                                         .edges.tobytes()).hexdigest()
+               for seed, p in PINNED_WATTS_STROGATZ_DIGESTS}
+    assert digests == PINNED_WATTS_STROGATZ_DIGESTS
+
+
 @settings(max_examples=300, deadline=None)
 @given(_topology_args())
+@example(("watts_strogatz", 500, 0, 4, 0.5))
+@example(("watts_strogatz", 500, 12345, 4, 1.0))
+@example(("complete", 500, 0, 0, 0.0))
 def test_generators_equal_the_frozenset_reference(args):
     kind, n, seed, k, p = args
     g = build_topology(kind, n, seed=seed, k=k, p=p)
     reference = _reference_build_topology(kind, n, seed=seed, k=k, p=p)
     expected = np.array(sorted(reference), dtype=np.intp).reshape(-1, 2)
+    ends = Counter(i for e in reference for i in e)
+    degrees = [ends[i] for i in range(n)]
+    # the complete graph answers these two before its edges are made
+    assert g.edge_count == len(reference)
+    assert g.degrees().tolist() == degrees
     assert g.edges.dtype == np.intp
     assert g.edges.shape == (len(reference), 2)
     assert g.edges.flags.c_contiguous and not g.edges.flags.writeable
     assert np.array_equal(g.edges, expected)
-    degrees = [sum(i in e for e in reference) for i in range(n)]
+    assert g.edge_count == len(g.edges)
     assert g.degrees().tolist() == degrees
 
 
