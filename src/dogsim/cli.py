@@ -8,8 +8,9 @@ it. Unknown sections or keys, and values that do not convert or are out
 of range, are rejected with their line number. `build_run` resolves
 eta = auto from the [bounds] keys, so every RunConfig holds a number.
 
-Exit codes: 0 success, 1 config error, 2 runtime failure (divergence or a
-non-converging solver), 3 I/O error. Diagnostics go to stderr.
+Exit codes: 0 success, 1 config error, 2 runtime failure (divergence, a
+non-converging solver, or an allocation numpy refuses: MemoryError), 3 I/O
+error. Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -302,6 +303,7 @@ _EXIT_CODES = {
     ConfigError: (1, "config error"),
     DivergenceDetected: (2, "runtime error"),
     NonConvergence: (2, "runtime error"),
+    MemoryError: (2, "runtime error"),
     OSError: (3, "i/o error"),
 }
 _REPORTED = tuple(_EXIT_CODES)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dogsim import cli, engine, metrics, mixing, topology
+from dogsim import cli, datagen, engine, metrics, mixing, topology
 from dogsim.datagen import SyntheticSpec, synthetic_block
 from dogsim.errors import ConfigError
 from dogsim.ingest import parse_libsvm, serialize_libsvm
@@ -1443,11 +1443,22 @@ _EXIT_TABLE = {
     ("data", "config_error"): (1, "config error: line 12: "),
     ("data", "divergence"): (0, ""),
     ("data", "unwritable_output"): (3, "i/o error: "),
+    ("run", "out_of_memory"): (2, "runtime error: Unable to allocate"),
+    ("sweep", "out_of_memory"): (2, "sweep cell nodes_4 runtime error: Unable to allocate"),
+    ("matrix", "out_of_memory"): (0, ""),
+    ("data", "out_of_memory"): (2, "runtime error: Unable to allocate"),
 }
 
 
+def _refuse_allocation(stream, first, last):
+    # what numpy raises for a block too large to allocate, without asking the
+    # OS for it (under overcommit that can kill the process instead)
+    raise MemoryError(f"Unable to allocate 1.00 PiB for an array with shape "
+                      f"({last - first}, {stream.n}, {stream.dim}) and data type float64")
+
+
 @pytest.mark.parametrize("command, case", sorted(_EXIT_TABLE))
-def test_exit_code_and_stderr_prefix(tmp_path, capsys, command, case):
+def test_exit_code_and_stderr_prefix(tmp_path, capsys, monkeypatch, command, case):
     cfg = _write(tmp_path, {
         "config_error": BASE_CONFIG.replace("[loss]", "foo = 1\n[loss]"),
         "divergence": BASE_CONFIG.replace("eta = 0.2", "eta = 1e200"),
@@ -1456,6 +1467,8 @@ def test_exit_code_and_stderr_prefix(tmp_path, capsys, command, case):
         cfg = tmp_path / "absent.cfg"
     if case == "undecodable_config":
         cfg.write_bytes(b"[network]\nkind = ring\xff\n")
+    if case == "out_of_memory":
+        monkeypatch.setattr(datagen.SyntheticStream, "block", _refuse_allocation)
     out = tmp_path / "out"
     if case == "unwritable_output":
         (tmp_path / "plain").write_text("")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,13 +190,67 @@ def test_tile_rounds_covers_about_tile_samples():
     assert datagen.tile_rounds(10**6) == 1
 
 
-def test_block_tiles_internally(monkeypatch):
-    spec = SyntheticSpec(dim=3, beta=0.5, n=5, seed=4)
+@pytest.mark.parametrize("dim", [1, 2, 10])
+@pytest.mark.parametrize("tile_samples", [12, 35])
+def test_block_tiles_internally(monkeypatch, dim, tile_samples):
+    # 17 rounds of 5 nodes in tiles of 2 or 7 rounds: the last tile is short,
+    # a prefix of the block's reused tile buffers
+    spec = SyntheticSpec(dim=dim, beta=0.5, n=5, seed=4)
     whole = synthetic_block(spec, 3, 20)
-    monkeypatch.setattr(datagen, "TILE_SAMPLES", 12)  # 2 rounds per tile
+    monkeypatch.setattr(datagen, "TILE_SAMPLES", tile_samples)
+    assert 17 % datagen.tile_rounds(spec.n) != 0
     tiled = synthetic_block(spec, 3, 20)
     assert whole[0].tobytes() == tiled[0].tobytes()
     assert whole[1].tobytes() == tiled[1].tobytes()
+
+
+#: sha256 of synthetic_block's (features, labels) bytes for seed 2024 and
+#: beta 0.3, keyed by (n, dim, first, last): the benchmark's wide_sweep and
+#: desk_run blocks, and dim 1, 2 and 10 over several tiles, the last one
+#: short, from a first round > 1. Any change to the stream's bits must
+#: update them on purpose.
+PINNED_STREAM_DIGESTS = {
+    (500, 10, 1, 51): ("856a84e101e2330cfaff31546cecd37f4957e0245226825bc2ac94be8ecead03",
+                       "e3897a8b41f6303591b8743da30328e27a71f7fb659beaaf173ef580789407f1"),
+    (50, 10, 1, 41): ("c0106ae849a0f79fdf9a7bb46d62d04d413ad0d4f7ff0a67b6f89e60cd7e66f2",
+                      "8cf061fa6496b31583e1e2d3ddd6c1e5dfe0c8f2b7b2115e9750ea253e5a4036"),
+    (300, 1, 3, 60): ("305614f9a0f22be8225557fdeb1666abe30c79bd64b7f97c7e6391fea590c72d",
+                      "195290f5d22934b939fb9a3a487701529b26cea0686920dc4b40662493bc970e"),
+    (200, 2, 7, 90): ("1d8db9a9f1a949da1da33a5ff1ae50c6eeb375b49f4dbec8b617081d37ca7af0",
+                      "b5911493dc1f14ec8ab39c526d4940305af741d7e185b5a1aa4c45e2e32e940b"),
+    (50, 10, 5, 300): ("2a1bdc11b417142dcc87f544b0f11b871801b71e1372ee96bd862beb02fccf55",
+                       "e0f401d306ddeeed2d80e68e7875ff230f26d08a21d0c132c5c5ececb4d9a6f9"),
+}
+
+
+def test_stream_bytes_are_pinned():
+    digests = {}
+    for n, dim, first, last in PINNED_STREAM_DIGESTS:
+        features, labels = synthetic_block(SyntheticSpec(dim=dim, beta=0.3, n=n, seed=2024), first, last)
+        digests[n, dim, first, last] = (hashlib.sha256(features.tobytes()).hexdigest(),
+                                        hashlib.sha256(labels.tobytes()).hexdigest())
+    assert digests == PINNED_STREAM_DIGESTS
+
+
+#: synthetic_block's scratch, in tile feature bytes: 2.4 for the words
+#: (dim 10 takes 24 of them per sample), 1 for the normals, about 0.3 for
+#: one round's words and the labels' temporaries; measured 3.7 at both
+#: shapes, with 10% headroom.
+SCRATCH_TILES = 4.1
+
+
+@pytest.mark.parametrize("n, T", [(500, 50), (50, 2000)])
+def test_block_scratch_is_bounded(n, T):
+    spec = SyntheticSpec(dim=10, beta=0.3, n=n, seed=5)
+    synthetic_block(spec, 1, 3)  # first calls may allocate caches of their own
+    tracemalloc.start()
+    try:
+        features, labels = synthetic_block(spec, 1, T + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = min(datagen.tile_rounds(n), T) * n * spec.dim * features.itemsize
+    assert (peak - features.nbytes - labels.nbytes) / tile <= SCRATCH_TILES
 
 
 def test_seed_outside_uint64_is_rejected():
