@@ -16,18 +16,27 @@ them once for every run that reads it, and ``NodeStreams`` fancy-indexes
 them out of its dataset. That block is the run's record of its samples,
 for the comparator and the regret.
 
-A round computes only what the next model needs: the margins of all nodes
-at their round-start models, one call of the logistic kernel
-``softplus_sigmoid``, the gradients, the step, the projection and a
-finiteness check, so a divergence raises in the round it happens. It keeps
-its round-start models and gradients in buffers of one tile of
-``datagen.tile_rounds(n)`` rounds, about 4,096 node-rounds: at most
-2 * tile_rounds(n) * n * dim * 8 bytes of scratch (655 kB at dim = 10 and
-n <= 4096), whatever T is. After each tile its rows of the metric columns
-are filled in bulk: the loss regularizer, ``metrics.consensus_error`` on
-the stack of models and the gradient norms, each reduced over the same
-axes in the same order as one call per round, so every column holds the
-same bits as when it was filled round by round.
+A round computes only the next model. Its buffers hold one tile of
+``datagen.tile_rounds(n)`` rounds, about 4,096 node-rounds, and every call
+writes into them through ``out=``: the negated margins z = -y a.x of all
+nodes at their round-start models, e = exp(-|z|) and the sigmoid from the
+kernel's first half ``losses.exp_sigmoid``, the gradients, and the step,
+which writes the next model straight into the tile's next model row; then
+the projection, in place. dog's gossip runs scipy's compiled CSR routine
+on W's arrays (``MixingMatrix.gossip``), so no Python-level sparse
+dispatch runs per round.
+
+After each tile, in bulk: the finiteness check, which raises
+``DivergenceDetected`` naming the first round whose model is not finite,
+the round a per-round check would name; the loss values, the kernel's
+second half ``losses.softplus`` on the stored z and e plus the
+regularizer; ``metrics.consensus_error`` on the stack of models; and the
+gradient norms. Each is elementwise or reduced over the same axes in the
+same order as one call per round, so every column holds the same bits as
+when it was filled round by round. With t = tile_rounds(n), the buffers
+take ((2t + 1) * dim + 2t) * n * 8 bytes and the bulk fill briefly adds
+one more tile of models: at most (3t + 1) * n * (dim + 4) * 8 bytes of
+scratch (1.4 MB at n = 50, dim = 10), whatever T is.
 
 A ``RunConfig`` holds each run fact once: n, dim and the seed belong to its
 data source, rho to its mixing matrix, and ``eta`` is the step size the run
@@ -45,7 +54,7 @@ import numpy as np
 from .datagen import SyntheticStream, tile_rounds
 from .errors import DivergenceDetected
 from .ingest import NodeStreams
-from .losses import LossSpec, softplus_sigmoid
+from .losses import LossSpec, exp_sigmoid, softplus
 from .metrics import consensus_error
 from .mixing import MixingMatrix
 
@@ -134,15 +143,22 @@ class RunResult:
 
 
 def _step(
-    algorithm: str, x: np.ndarray, mixing: MixingMatrix | None, grads: np.ndarray, eta: float
+    algorithm: str,
+    x: np.ndarray,
+    mixing: MixingMatrix | None,
+    grads: np.ndarray,
+    eta: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Advance round-start models x (one row for cog) by their gradients;
-    only dog reads `mixing`."""
+    """Advance round-start models x (one row for cog) by their gradients,
+    into `out`, a buffer shaped like x, if given; only dog reads `mixing`."""
     if algorithm == DOG:
-        return mixing.gossip(x) - eta * grads
+        out = mixing.gossip(x, out)
+        out -= eta * grads
+        return out
     if algorithm == LOCAL_OGD:
-        return x - eta * grads
-    return x - eta * grads.mean(axis=0, keepdims=True)
+        return np.subtract(x, eta * grads, out=out)
+    return np.subtract(x, eta * grads.mean(axis=0, keepdims=True), out=out)
 
 
 def auto_learning_rate(
@@ -176,45 +192,56 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         DivergenceDetected: a model entry became non-finite, named by round.
     """
     n, dim, T = cfg.n, cfg.dim, cfg.T
-    gamma = cfg.loss_spec.gamma
-    x = np.zeros((1 if cfg.algorithm == COG else n, dim))
-
+    gamma, radius = cfg.loss_spec.gamma, cfg.project_radius
     feats, labels = cfg.data.block(1, T + 1)
     losses = np.empty((T, n))
     ce = np.zeros(T)
     grad_norms = np.empty((T, n))
-    tile = tile_rounds(n)
-    models = np.empty((min(tile, T),) + x.shape)  # round-start models of one tile
-    grads = np.empty((min(tile, T), n, dim))  # and their gradients
+    tile = min(tile_rounds(n), T)
+    # One tile's round-start models and the model after them, then the
+    # tile's gradients, negated margins z = -y a.x and e = exp(-|z|).
+    models = np.zeros((tile + 1, 1 if cfg.algorithm == COG else n, dim))
+    grads = np.empty((tile, n, dim))
+    margins = np.empty((tile, n))
+    exps = np.empty((tile, n))
+    sig = np.empty(n)
+    column = sig[:, None]
 
     # A diverging run overflows on its way to the non-finite model that
-    # DivergenceDetected reports; numpy's warnings would only repeat it.
+    # DivergenceDetected reports, and runs on to the end of its tile; numpy's
+    # warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, T, tile):
-            hi = min(lo + tile, T)
-            neg_labels = -labels[lo:hi]
-            for t in range(lo, hi):
-                models[t - lo] = x
-                g, neg_y = grads[t - lo], neg_labels[t - lo]
-                losses[t], sig = softplus_sigmoid(neg_y * (feats[t] * x).sum(axis=1))
-                np.multiply((neg_y * sig)[:, None], feats[t], out=g)
+            k = min(tile, T - lo)
+            rounds = zip(models[:k], models[1:k + 1], grads, margins, exps,
+                         feats[lo:lo + k], -labels[lo:lo + k])
+            for x, nxt, g, z, e, a, neg_y in rounds:
+                np.multiply(a, x, out=g)
+                g.sum(axis=1, out=z)
+                z *= neg_y
+                exp_sigmoid(z, e, sig)
+                sig *= neg_y
+                np.multiply(column, a, out=g)
                 g += gamma * x
-                x = _step(cfg.algorithm, x, cfg.mixing, g, cfg.eta)
-                if cfg.project_radius is not None:
-                    x = _project_rows(x, cfg.project_radius)
-                if not np.isfinite(x).all():
-                    raise DivergenceDetected(t + 1)
-            k = hi - lo
-            losses[lo:hi] += 0.5 * gamma * (models[:k] * models[:k]).sum(axis=2)
+                _step(cfg.algorithm, x, cfg.mixing, g, cfg.eta, out=nxt)
+                if radius is not None:
+                    _project_rows(nxt, radius)
+            finite = np.isfinite(models[1:k + 1]).all(axis=(1, 2))
+            if not finite.all():
+                raise DivergenceDetected(lo + int(finite.argmin()) + 1)
+            start = models[:k]
+            reg = 0.5 * gamma * (start * start).sum(axis=2)
+            losses[lo:lo + k] = softplus(margins[:k], exps[:k]) + reg
             if cfg.algorithm != COG:
-                ce[lo:hi] = consensus_error(models[:k])
-            grad_norms[lo:hi] = np.sqrt((grads[:k] * grads[:k]).sum(axis=2))
+                ce[lo:lo + k] = consensus_error(start)
+            grad_norms[lo:lo + k] = np.sqrt((grads[:k] * grads[:k]).sum(axis=2))
+            models[0] = models[k]
 
     return RunResult(
         avg_loss=losses.mean(axis=1),
         consensus_error=ce,
         cum_loss=np.cumsum(losses.sum(axis=1)),
-        final_models=x,
+        final_models=models[0].copy(),
         grad_norms=grad_norms,
         loss_spec=cfg.loss_spec,
         sample_features=feats,
@@ -223,9 +250,9 @@ def run_experiment(cfg: RunConfig) -> RunResult:
 
 
 def _project_rows(x: np.ndarray, radius: float) -> np.ndarray:
+    """Project each row of x onto the ball of `radius`, in place; returns x."""
     norms = np.sqrt((x * x).sum(axis=1))
     over = norms > radius
     if over.any():
-        x = x.copy()
         x[over] *= (radius / norms[over])[:, None]
     return x

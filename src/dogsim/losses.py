@@ -8,9 +8,13 @@ evaluated through softplus/sigmoid forms that stay finite for any margin
 (naive exp overflows past |margin| ~ 700).
 
 All evaluation funnels through one elementwise kernel, `softplus_sigmoid`:
-the online rounds, the offline comparator and the regret use it alike. Its
-outputs depend only on their own element, so scalar and batched calls
-produce bitwise identical numbers.
+the offline comparator and the regret call it whole. It is the composition
+of two halves, which the online rounds call apart: `exp_sigmoid` writes
+e = exp(-|z|) and the sigmoid into caller buffers once per round, since
+the next model needs the sigmoid, and `softplus` turns a tile's stored
+margins and e into its loss values once per tile. Every output depends
+only on its own element, so scalar, batched and split calls produce
+bitwise identical numbers.
 """
 
 from __future__ import annotations
@@ -42,10 +46,26 @@ def softplus_sigmoid(z: np.ndarray) -> tuple:
     exp(-|z|) serves both, which keeps them finite for any z: sigmoid(z) is
     1 / (1 + e) for z >= 0 and e / (1 + e) below.
     """
-    e = np.exp(-np.abs(z))
-    values = np.maximum(z, 0.0) + np.log1p(e)
-    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return values, sig
+    z = np.asarray(z, dtype=float)
+    e, sig = np.empty_like(z), np.empty_like(z)
+    exp_sigmoid(z, e, sig)
+    return softplus(z, e), sig
+
+
+def exp_sigmoid(z: np.ndarray, e: np.ndarray, sig: np.ndarray) -> None:
+    """The kernel's first half: e = exp(-|z|) and sig = sigmoid(z), written
+    into the caller's float arrays `e` and `sig`, shaped like z."""
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=sig)
+    np.divide(np.maximum(e, z >= 0), sig, out=sig)  # e <= 1: 1 where z >= 0, e elsewhere
+
+
+def softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The kernel's second half: softplus(z) = max(z, 0) + log1p(e), from z
+    and its e = exp(-|z|)."""
+    return np.maximum(z, 0.0) + np.log1p(e)
 
 
 def smoothness_bound(features: np.ndarray, gamma: float) -> float:

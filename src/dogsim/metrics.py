@@ -48,7 +48,8 @@ def consensus_error(x_rows: np.ndarray) -> float | np.ndarray:
     for bit those of one call per slice."""
     x_rows = np.asarray(x_rows, dtype=float)
     centered = x_rows - x_rows.mean(axis=-2, keepdims=True)
-    errors = (centered * centered).sum(axis=(-2, -1)) / x_rows.shape[-2]
+    centered *= centered
+    errors = centered.sum(axis=(-2, -1)) / x_rows.shape[-2]
     return errors if errors.ndim else float(errors)
 
 

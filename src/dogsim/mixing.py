@@ -8,7 +8,10 @@ gossip rule: the complete graph (n >= 2 nodes, n(n-1)/2 edges) keeps only
 n, its diagonal and `off` and gossips by a closed form; any other graph
 keeps W's nonzeros in CSR row order and gossips by a CSR product. Neither
 rule calls BLAS, so gossip's bits do not depend on the BLAS kernel or
-thread count.
+thread count. Both write into a buffer the caller may reuse every round;
+the CSR rule calls scipy's compiled `csr_matvecs` on W's stored arrays
+directly, so a round pays for the product, not for `csr_array @ x`'s
+Python-level dispatch around it.
 
 The contraction rate of gossip averaging is rho = ||W - 11^T/n||_2, for a
 symmetric W the largest eigenvalue magnitude of W - 11^T/n; the smaller
@@ -64,8 +67,9 @@ class MixingMatrix:
     def rho(self) -> float:
         return round(spectral_gap(self.entries), 12)
 
-    def gossip(self, x: np.ndarray) -> np.ndarray:
-        """W @ x for an (n, d) stack of models, by one of two rules.
+    def gossip(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """W @ x for an (n, d) stack of models, by one of two rules, written
+        into `out`, a float (n, d) array, if given, else into a new one.
 
         complete graph, W = (w_ii - off) I + off 11^T:
             (w_ii - off) * x + off * x.sum(axis=0), in O(nd);
@@ -73,20 +77,35 @@ class MixingMatrix:
             a CSR product over W's nonzeros: each row sums its w_ij * x_j
             terms from 0, one multiply and one add at a time, in ascending j.
 
-        Neither calls BLAS. The second rule imports scipy.sparse and builds
-        its sparse array on the first call.
+        Neither calls BLAS. The CSR product is scipy's compiled
+        `csr_matvecs`, called on W's stored arrays: the routine that
+        `csr_array @ x` runs after zeroing its result, without the
+        Python-level dispatch around it. The first CSR gossip imports it.
         """
-        return self._gossip(x)
+        return self._gossip(x, np.empty(x.shape) if out is None else out)
 
     @cached_property
     def _gossip(self):
         if self.csr is None:
             scale, off = self.diagonal[0] - self.off, self.off
-            return lambda x: scale * x + off * x.sum(axis=0)
-        from scipy.sparse import csr_array
 
-        sparse = csr_array(self.csr, shape=(self.n, self.n))
-        return lambda x: sparse @ x
+            def closed_form(x, out):
+                np.multiply(scale, x, out=out)
+                out += off * x.sum(axis=0)
+                return out
+
+            return closed_form
+        from scipy.sparse._sparsetools import csr_matvecs
+
+        n = self.n
+        data, indices, indptr = self.csr
+
+        def product(x, out):
+            out.fill(0.0)
+            csr_matvecs(n, n, x.shape[1], indptr, indices, data, x, out)
+            return out
+
+        return product
 
 
 @dataclass(frozen=True)

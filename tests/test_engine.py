@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,11 +305,86 @@ def test_consensus_error_within_dissensus_bound_on_runs():
         assert total <= bound + 1e-8
 
 
-def test_divergence_detected_names_round():
-    cfg = _synthetic_cfg("dog", n=4, T=50, eta=1e200, mixing=_mix("ring", 4))
-    with np.errstate(over="ignore"), pytest.raises(DivergenceDetected) as err:
+def _first_non_finite_round(cfg):
+    """The round whose model, after its step and projection, is the first
+    with a non-finite entry, from one batched kernel call per round."""
+    feats, labels = cfg.data.block(1, cfg.T + 1)
+    x = np.zeros((1 if cfg.algorithm == COG else cfg.n, cfg.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.T):
+            grads = _grads(np.broadcast_to(x, feats[t].shape), feats[t], labels[t])
+            x = _step(cfg.algorithm, x, cfg.mixing, grads, cfg.eta)
+            if cfg.project_radius is not None:
+                x = _project_rows(x, cfg.project_radius)
+            if not np.isfinite(x).all():
+                return t + 1
+    return None
+
+
+@pytest.mark.parametrize("project_radius", [None, 0.5])
+@pytest.mark.parametrize("algorithm", ["dog", "local_ogd", "cog"])
+def test_divergence_detected_names_the_exact_round(algorithm, project_radius):
+    # Feature 1 is 0 everywhere but in node 3's sample of round 151, two
+    # tiles in, where it is 1e308: the models' coordinate 1 is still 0
+    # there, so that sample's sigmoid is 1/2 and eta times its gradient
+    # overflows. The run checks its models once per tile, yet must name the
+    # round a per-round check names, and let no numpy warning escape
+    # (pyproject turns them into errors).
+    n, rounds, T = 40, 200, 180
+    rng = np.random.default_rng(8)
+    features = rng.standard_normal((n * rounds, 3))
+    features[:, 1] = 0.0
+    features[3 * rounds + 150] = [0.0, 1e308, 0.0]
+    dataset = Dataset(features, np.where(rng.random(n * rounds) < 0.5, 1.0, -1.0))
+    streams = NodeStreams(dataset, np.arange(n * rounds).reshape(n, rounds))
+    cfg = RunConfig(algorithm=algorithm, T=T, eta=200.0, loss_spec=GAMMA, data=streams,
+                    mixing=_mix("ring", n), project_radius=project_radius)
+    expected = _first_non_finite_round(cfg)
+    assert expected is not None and tile_rounds(n) < expected <= T
+    with pytest.raises(DivergenceDetected) as err:
         run_experiment(cfg)
-    assert 1 <= err.value.round <= 50
+    assert err.value.round == expected
+
+
+def test_a_dog_run_never_dispatches_through_csr_array(monkeypatch):
+    # Gossip calls scipy's compiled CSR routine on W's arrays; the Python
+    # dispatch of `csr_array @ x` must stay off the per-round path.
+    from scipy.sparse import csr_array
+
+    def dispatch(*args):
+        raise AssertionError("csr_array.__matmul__ entered")
+
+    monkeypatch.setattr(csr_array, "__matmul__", dispatch)
+    res = run_experiment(_synthetic_cfg("dog", n=8, T=30, mixing=_mix("ring", 8)))
+    assert np.isfinite(res.final_models).all()
+
+
+@pytest.mark.parametrize("algorithm", ["dog", "cog"])
+@pytest.mark.parametrize("n", [50, 500])
+def test_round_loop_scratch_is_bounded(algorithm, n):
+    # The engine docstring's bound, with t = tile_rounds(n): the tile's
+    # buffers and the bulk fill's one tile of models stay within
+    # (3t + 1) * n * (dim + 4) * 8 bytes whatever T is. The stream's block
+    # is generated first, so the traced peak holds the loop's scratch and
+    # the run's per-round columns: two (T, n) arrays and four (T,) ones.
+    dim, tile = 10, tile_rounds(n)
+    extra = {}
+    for T in (tile, 4 * tile):
+        stream = SyntheticStream(SyntheticSpec(dim=dim, beta=0.3, n=n, seed=5))
+        cfg = RunConfig(algorithm=algorithm, T=T, eta=0.05, loss_spec=GAMMA,
+                        data=stream, mixing=_mix("ring", n))
+        run_experiment(cfg)  # generates the block and any first-call caches
+        tracemalloc.start()
+        try:
+            res = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra[T] = peak - 2 * res.grad_norms.nbytes - 4 * res.avg_loss.nbytes
+    assert max(extra.values()) <= (3 * tile + 1) * n * (dim + 4) * 8, extra
+    # a fixed amount, not one that grows with T: the two differ by less
+    # than one (tile, n) column
+    assert abs(extra[tile] - extra[4 * tile]) < tile * n * 8, extra
 
 
 def test_projection_keeps_models_inside_ball():

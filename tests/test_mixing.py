@@ -178,6 +178,34 @@ def test_gossip_sums_each_row_in_column_order(kind, scheme, n, data):
     assert m.gossip(x).tobytes() == _row_by_row(m.entries, x).tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["ring", "random_k", "watts_strogatz", "disconnected", "complete"]),
+    scheme=st.sampled_from([UNIFORM, MAX_DEGREE]),
+    n=st.integers(1, 60),
+    data=st.data(),
+)
+def test_gossip_into_a_reused_buffer_equals_the_csr_array_product(kind, scheme, n, data):
+    # Gossip calls scipy's private csr_matvecs on W's arrays; the public
+    # `csr_array @ x` must give the same bits, so a scipy change to the
+    # routine fails here instead of moving output bytes. d = 1 included:
+    # scipy multiplies an (n, 1) x by its single-vector routine.
+    from scipy.sparse import csr_array
+
+    k = data.draw(st.integers(0, n - 1), label="k")
+    p = data.draw(st.floats(0.0, 1.0), label="p")
+    m = build_mixing(build_topology(kind, n, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                                    k=k, p=p), scheme)
+    first = _models(n, data)
+    buf = np.full(first.shape, np.nan)
+    for x in (first, first[::-1].copy()):  # a dirty buffer, then the same one reused
+        want = m.gossip(x)
+        if m.csr is not None:
+            assert want.tobytes() == (csr_array(m.csr, shape=(n, n)) @ x).tobytes()
+        assert m.gossip(x, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(scheme=st.sampled_from([UNIFORM, MAX_DEGREE]), n=st.integers(2, 60), data=st.data())
 def test_gossip_on_the_complete_graph_is_its_closed_form(scheme, n, data):
