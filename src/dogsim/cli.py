@@ -333,10 +333,11 @@ def cmd_run(config_path, outdir) -> int:
         cfg = build_run(ef, {})[0]
         _warn_rho(cfg)
         result = engine.run_experiment(cfg)
-        summary = _summarize(result, cfg, ef)
+        avg_loss, cum_loss = metrics.loss_columns(result.losses)
+        summary = _summarize(result, avg_loss, cum_loss, cfg, ef)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_text(out / "metrics.csv", _metrics_csv(result))
+        _write_text(out / "metrics.csv", metrics.metrics_to_csv(avg_loss, result.consensus_error, cum_loss))
         _write_text(out / "resolved.cfg", render_resolved(ef, cfg.eta, cfg.mixing.rho))
         _write_text(out / "summary.txt", summary)
     except _REPORTED as exc:
@@ -344,19 +345,15 @@ def cmd_run(config_path, outdir) -> int:
     return 0
 
 
-def _metrics_csv(result: engine.RunResult) -> str:
-    return metrics.metrics_to_csv(result.avg_loss, result.consensus_error, result.cum_loss)
-
-
-def _summarize(result: engine.RunResult, cfg: engine.RunConfig, ef: ExperimentFile) -> str:
-    """summary.txt; with [bounds], the regret bound at R = max(R, ||x*||^2),
-    printed as regret_bound_R, so that it covers the static comparator x*."""
-    features, labels = result.pooled_samples()
+def _summarize(result, avg_loss, cum_loss, cfg: engine.RunConfig, ef: ExperimentFile) -> str:
+    """summary.txt from a run and its loss columns; with [bounds], the regret
+    bound at R = max(R, ||x*||^2) as regret_bound_R, covering the static comparator x*."""
+    features, labels = result.sample_features.reshape(-1, cfg.dim), result.sample_labels.reshape(-1)
     gamma = cfg.loss_spec.gamma
     comparator = metrics.offline_comparator(features, labels, gamma)
-    regret = metrics.static_regret(result.cum_loss, features, labels, gamma, comparator)
+    regret = metrics.static_regret(cum_loss, features, labels, gamma, comparator)
     lines = [
-        f"average_loss={fmt17(metrics.average_loss(result.avg_loss))}",
+        f"average_loss={fmt17(metrics.average_loss(avg_loss))}",
         f"final_consensus_error={fmt17(result.consensus_error[-1])}",
         f"static_regret={fmt17(regret)}",
     ]
@@ -452,8 +449,10 @@ def cmd_sweep(config_path, axis: str, values: list, outdir) -> int:
             result = engine.run_experiment(cfg)
             cell_dir = Path(outdir) / name
             cell_dir.mkdir(parents=True, exist_ok=True)
-            _write_text(cell_dir / "metrics.csv", _metrics_csv(result))
-            rows.append(f"{value},{cfg.algorithm},{fmt17(metrics.average_loss(result.avg_loss))}")
+            avg_loss, cum_loss = metrics.loss_columns(result.losses)
+            _write_text(cell_dir / "metrics.csv",
+                        metrics.metrics_to_csv(avg_loss, result.consensus_error, cum_loss))
+            rows.append(f"{value},{cfg.algorithm},{fmt17(metrics.average_loss(avg_loss))}")
             del result, cfg  # frees the cell's samples before the next cell runs
         prefix = ""
         _write_text(

@@ -28,11 +28,11 @@ dispatch runs per round.
 
 After each tile, in bulk: the finiteness check, which raises
 ``DivergenceDetected`` naming the first round whose model is not finite,
-the round a per-round check would name; the loss values, the kernel's
+the round a per-round check would name; each node's loss, the kernel's
 second half ``losses.softplus`` on the stored z and e plus the
 regularizer; ``metrics.consensus_error`` on the stack of models; and the
 gradient norms. Each is elementwise or reduced over the same axes in the
-same order as one call per round, so every column holds the same bits as
+same order as one call per round, so every entry holds the same bits as
 when it was filled round by round. With t = tile_rounds(n), the buffers
 take ((2t + 1) * dim + 2t) * n * 8 bytes and the bulk fill briefly adds
 one more tile of models: at most (3t + 1) * n * (dim + 4) * 8 bytes of
@@ -40,7 +40,9 @@ scratch (1.4 MB at n = 50, dim = 10), whatever T is.
 
 A ``RunConfig`` holds each run fact once: n, dim and the seed belong to its
 data source, rho to its mixing matrix, and ``eta`` is the step size the run
-uses. ``auto_learning_rate`` gives the paper's closed-form one.
+uses. ``auto_learning_rate`` gives the paper's closed-form one. A
+``RunResult`` holds what the loop measured, unreduced: the report's loss
+columns come from its (T, n) losses through ``metrics.loss_columns``.
 """
 
 from __future__ import annotations
@@ -121,25 +123,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Immutable artifact of one run; the per-round columns hold the values
-    before the update of rounds 1..T."""
+    """Immutable artifact of one run; row t of each per-round array holds
+    the values at the round-start models of round t + 1."""
 
-    avg_loss: np.ndarray  # (T,) mean loss over nodes
     consensus_error: np.ndarray  # (T,) 0 for cog
-    cum_loss: np.ndarray  # (T,) running total loss over nodes and rounds
     final_models: np.ndarray  # (n, d); (1, d) for cog
     grad_norms: np.ndarray  # (T, n)
     loss_spec: LossSpec
+    losses: np.ndarray  # (T, n) each node's loss
     sample_features: np.ndarray  # (T, n, d)
     sample_labels: np.ndarray  # (T, n)
-
-    def pooled_samples(self) -> tuple:
-        """Samples of every (round, node) as (T*n, d) features and (T*n,)
-        labels, round-major; views of the run's sample arrays."""
-        return (
-            self.sample_features.reshape(-1, self.sample_features.shape[-1]),
-            self.sample_labels.reshape(-1),
-        )
 
 
 def _step(
@@ -195,7 +188,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     gamma, radius = cfg.loss_spec.gamma, cfg.project_radius
     feats, labels = cfg.data.block(1, T + 1)
     losses = np.empty((T, n))
-    ce = np.zeros(T)
+    ce = np.empty(T)
     grad_norms = np.empty((T, n))
     tile = min(tile_rounds(n), T)
     # One tile's round-start models and the model after them, then the
@@ -232,26 +225,28 @@ def run_experiment(cfg: RunConfig) -> RunResult:
             start = models[:k]
             reg = 0.5 * gamma * (start * start).sum(axis=2)
             losses[lo:lo + k] = softplus(margins[:k], exps[:k]) + reg
-            if cfg.algorithm != COG:
-                ce[lo:lo + k] = consensus_error(start)
+            ce[lo:lo + k] = consensus_error(start)
             grad_norms[lo:lo + k] = np.sqrt((grads[:k] * grads[:k]).sum(axis=2))
             models[0] = models[k]
 
-    return RunResult(
-        avg_loss=losses.mean(axis=1),
-        consensus_error=ce,
-        cum_loss=np.cumsum(losses.sum(axis=1)),
-        final_models=models[0].copy(),
-        grad_norms=grad_norms,
-        loss_spec=cfg.loss_spec,
-        sample_features=feats,
-        sample_labels=labels,
-    )
+    return RunResult(consensus_error=ce, final_models=models[0].copy(), grad_norms=grad_norms,
+                     loss_spec=cfg.loss_spec, losses=losses, sample_features=feats,
+                     sample_labels=labels)
 
 
 def _project_rows(x: np.ndarray, radius: float) -> np.ndarray:
-    """Project each row of x onto the ball of `radius`, in place; returns x."""
+    """Project each row of x onto the ball of `radius`, in place; returns x.
+    A finite row whose squared norm overflows takes its norm from the row
+    divided by its largest magnitude, which cannot overflow."""
     norms = np.sqrt((x * x).sum(axis=1))
+    huge = np.isinf(norms)
+    if huge.any():
+        huge &= np.isfinite(x).all(axis=1)
+        peaks = np.abs(x[huge]).max(axis=1, keepdims=True)
+        units = x[huge] / peaks
+        lengths = np.sqrt((units * units).sum(axis=1, keepdims=True))
+        x[huge] = np.where(peaks * lengths > radius, units * (radius / lengths), x[huge])
+        norms[huge] = radius
     over = norms > radius
     if over.any():
         x[over] *= (radius / norms[over])[:, None]

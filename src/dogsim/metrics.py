@@ -1,6 +1,7 @@
 """Per-round measures, empirical bound constants, and the a-priori regret bound.
 
-The headline performance number is the average loss (1/nT) sum_{i,t}
+`loss_columns` derives every loss column from a run's (T, n) losses. The
+headline performance number is the average loss (1/nT) sum_{i,t}
 f_{i,t}(x_{i,t}); regret is reported against the best fixed model in
 hindsight, found by damped Newton on the pooled empirical loss over the
 run's recorded samples, passed as (T*n, d) features and (T*n,) labels.
@@ -33,6 +34,11 @@ _GRAD_TOL = 1e-8
 def fmt17(x: float) -> str:
     """Decimal rendering at 17 significant digits (float64 round-trips)."""
     return "%.17g" % x
+
+
+def loss_columns(losses: np.ndarray) -> tuple:
+    """(T,) avg_loss and cum_loss of (T, n) losses: row means, running total of row sums."""
+    return losses.mean(axis=1), np.cumsum(losses.sum(axis=1))
 
 
 def average_loss(avg_loss) -> float:
@@ -119,14 +125,15 @@ def offline_comparator(features, labels, gamma: float) -> np.ndarray:
     if gamma_total == 0.0 and _separable(features, labels):
         raise NonConvergence("separable data: no finite comparator", float(np.linalg.norm(grad)))
     slack = 16.0 * np.finfo(float).eps
+    diagonal, block = np.diag_indices(x.size), np.ix_(used, used)
     for _ in range(_MAX_NEWTON_STEPS):
         norm = float(np.linalg.norm(grad))
         if norm <= _GRAD_TOL:
             return x
         hess = (features * (sig * (1.0 - sig))[:, None]).T @ features
-        hess[np.diag_indices_from(hess)] += gamma_total
+        hess[diagonal] += gamma_total
         step = np.zeros_like(x)
-        step[used] = np.linalg.lstsq(hess[np.ix_(used, used)], grad[used], rcond=None)[0]
+        step[used] = np.linalg.lstsq(hess[block], grad[used], rcond=None)[0]
         decrease = 1e-4 * float(grad @ step)
         t = 1.0
         while True:
@@ -213,8 +220,6 @@ def regret_bound(*, n: int, T: int, eta: float, G: float, sigma: float, L: float
 def metrics_to_csv(avg_loss, consensus_error, cum_loss) -> str:
     """Render a run's (T,) columns in the fixed CSV schema, one row per round
     t = 1..T (17 significant digits, LF)."""
-    lines = [CSV_HEADER]
-    rows = zip(avg_loss, consensus_error, cum_loss, strict=True)
-    for t, (avg, ce, cum) in enumerate(rows, start=1):
-        lines.append(f"{t},{fmt17(avg)},{fmt17(ce)},{fmt17(cum)}")
-    return "\n".join(lines) + "\n"
+    rows = enumerate(zip(avg_loss, consensus_error, cum_loss, strict=True), start=1)
+    return CSV_HEADER + "\n" + "".join(
+        f"{t},{fmt17(avg)},{fmt17(ce)},{fmt17(cum)}\n" for t, (avg, ce, cum) in rows)

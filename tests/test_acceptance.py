@@ -18,6 +18,7 @@ from dogsim.datagen import SyntheticSpec, SyntheticStream
 from dogsim.engine import DOG, _step, run_experiment
 from dogsim.ingest import Dataset, NodeStreams
 from dogsim.losses import LossSpec
+from dogsim.metrics import loss_columns
 from dogsim.mixing import build_mixing
 from dogsim.topology import build_topology
 
@@ -53,7 +54,8 @@ def _trend_run(alg, kind, n, beta, seed, T=2000, p=0.0, eta=ETA):
 
 
 def _final_avg(alg, kind, n, beta, seed, p=0.0):
-    return dogsim.average_loss(_trend_run(alg, kind, n, beta, seed, p=p).avg_loss)
+    avg_loss = loss_columns(_trend_run(alg, kind, n, beta, seed, p=p).losses)[0]
+    return dogsim.average_loss(avg_loss)
 
 
 def _random_mixing(rng):
@@ -252,10 +254,11 @@ def test_criterion_09_regret_bound():
         cfg = dogsim.RunConfig(algorithm="dog", T=500, eta=eta,
                                loss_spec=GAMMA, data=data, mixing=mixing)
         res = run_experiment(cfg)
-        features, labels = res.pooled_samples()
+        features = res.sample_features.reshape(-1, res.sample_features.shape[-1])
+        labels = res.sample_labels.reshape(-1)
         comparator = dogsim.offline_comparator(features, labels, GAMMA.gamma)
-        regrets.append(dogsim.static_regret(res.cum_loss, features, labels, GAMMA.gamma,
-                                            comparator))
+        cum_loss = loss_columns(res.losses)[1]
+        regrets.append(dogsim.static_regret(cum_loss, features, labels, GAMMA.gamma, comparator))
         g_hat, s_hat = dogsim.estimate_gradient_bounds(res.grad_norms)
         lipschitz = dogsim.smoothness_bound(features, GAMMA.gamma)
         r_hat = max(r_pilot, float(comparator @ comparator))
@@ -294,7 +297,8 @@ def test_criterion_11_equivalences():
     local = run_experiment(dogsim.RunConfig(
         algorithm="local_ogd", T=200, eta=ETA, loss_spec=GAMMA, data=data))
     ok = float(np.abs(dog.final_models - local.final_models).max()) <= 1e-12
-    ok &= float(np.abs(dog.cum_loss - local.cum_loss).max()) <= 1e-12
+    cum_losses = [loss_columns(res.losses)[1] for res in (dog, local)]
+    ok &= float(np.abs(cum_losses[0] - cum_losses[1]).max()) <= 1e-12
 
     single = SyntheticStream(SyntheticSpec(dim=10, beta=0.5, n=1, seed=7))
     finals = {}

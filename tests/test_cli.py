@@ -1214,7 +1214,7 @@ def test_regret_bound_covers_the_static_comparator(tmp_path, monkeypatch, name, 
     ef = cli.parse_config(text)
     cfg, mix = cli.build_run(ef, {})
     result = engine.run_experiment(cfg)
-    features, labels = result.pooled_samples()
+    features, labels = result.sample_features.reshape(-1, cfg.dim), result.sample_labels.reshape(-1)
     star = metrics.offline_comparator(features, labels, ef.gamma)
     assert round(float(star @ star), 2) == norm_sq
     r_used = float(star @ star) if name == "dog" else ef.R

@@ -20,7 +20,7 @@ from dogsim.engine import (
 from dogsim.errors import DivergenceDetected
 from dogsim.ingest import Dataset, NodeStreams
 from dogsim.losses import LossSpec
-from dogsim.metrics import consensus_error, metrics_to_csv
+from dogsim.metrics import consensus_error, loss_columns, metrics_to_csv
 from dogsim.mixing import build_mixing
 from dogsim.topology import build_topology
 
@@ -47,7 +47,8 @@ def _synthetic_cfg(algorithm, n=6, T=50, eta=0.1, beta=0.5, seed=42, **kwargs):
 
 
 def _csv(res):
-    return metrics_to_csv(res.avg_loss, res.consensus_error, res.cum_loss)
+    avg_loss, cum_loss = loss_columns(res.losses)
+    return metrics_to_csv(avg_loss, res.consensus_error, cum_loss)
 
 
 def _grads(x_rows, features, labels):
@@ -151,7 +152,7 @@ def test_run_is_deterministic():
     assert _csv(a) == _csv(b)
     assert np.array_equal(a.final_models, b.final_models)
     # non-negative losses make the running total monotone
-    assert (np.diff(a.cum_loss) >= 0).all()
+    assert (np.diff(loss_columns(a.losses)[1]) >= 0).all()
 
 
 def _reference_run(algorithm, mixing, feats, labels, eta, radius):
@@ -160,11 +161,12 @@ def _reference_run(algorithm, mixing, feats, labels, eta, radius):
     dog gossips through `mixing.gossip`, whose bits are pinned in
     tests/test_mixing.py.
 
-    Returns the final models and, per round, the mean loss, the consensus
-    error (0.0 for cog) and the running total loss, as Python floats."""
+    Returns the final models, each round's (n,) node losses and, per round,
+    the mean loss, the consensus error (0.0 for cog) and the running total
+    loss, as Python floats."""
     T, n, dim = feats.shape
     x = np.zeros((1 if algorithm == "cog" else n, dim))
-    avg_loss, ce, cum_loss = [], [], []
+    node_losses, avg_loss, ce, cum_loss = [], [], [], []
     cum = 0.0
     for t in range(T):
         values = np.empty(n)
@@ -175,6 +177,7 @@ def _reference_run(algorithm, mixing, feats, labels, eta, radius):
                 row[None, :], feats[t, i][None, :], labels[t, i : i + 1], GAMMA.gamma
             )
             values[i], grads[i] = value[0], grad[0]
+        node_losses.append(values)
         avg_loss.append(float(values.mean()))
         ce.append(0.0 if algorithm == "cog" else consensus_error(x))
         cum += float(values.sum())
@@ -190,7 +193,7 @@ def _reference_run(algorithm, mixing, feats, labels, eta, radius):
                 norm = np.sqrt((x[i] * x[i]).sum())
                 if norm > radius:
                     x[i] = x[i] * (radius / norm)
-    return x, avg_loss, ce, cum_loss
+    return x, node_losses, avg_loss, ce, cum_loss
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,11 +211,15 @@ def test_run_matches_iterated_single_round_helpers_bitwise(algorithm, n, dim, T,
     cfg = RunConfig(algorithm=algorithm, T=T, eta=0.3, loss_spec=GAMMA,
                     data=SyntheticStream(spec), mixing=mixing, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
-    expected, *columns = _reference_run(algorithm, mixing, feats, labels, 0.3, project_radius)
+    expected, node_losses, *columns = _reference_run(
+        algorithm, mixing, feats, labels, 0.3, project_radius)
     res = run_experiment(cfg)
     assert res.final_models.shape == expected.shape
     assert res.final_models.tobytes() == expected.tobytes()
-    for got, want in zip((res.avg_loss, res.consensus_error, res.cum_loss), columns):
+    assert res.losses.shape == (T, n)
+    assert res.losses.tobytes() == np.array(node_losses).tobytes()
+    avg_loss, cum_loss = loss_columns(res.losses)
+    for got, want in zip((avg_loss, res.consensus_error, cum_loss), columns):
         assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
@@ -234,10 +241,14 @@ def test_run_matches_iterated_single_round_helpers_bitwise_across_tiles(
     cfg = RunConfig(algorithm=algorithm, T=T, eta=0.3, loss_spec=GAMMA,
                     data=SyntheticStream(spec), mixing=mixing, project_radius=project_radius)
     feats, labels = synthetic_block(spec, 1, T + 1)
-    expected, *columns = _reference_run(algorithm, mixing, feats, labels, 0.3, project_radius)
+    expected, node_losses, *columns = _reference_run(
+        algorithm, mixing, feats, labels, 0.3, project_radius)
     res = run_experiment(cfg)
     assert res.final_models.tobytes() == expected.tobytes()
-    for got, want in zip((res.avg_loss, res.consensus_error, res.cum_loss), columns):
+    assert res.losses.shape == (T, n)
+    assert res.losses.tobytes() == np.array(node_losses).tobytes()
+    avg_loss, cum_loss = loss_columns(res.losses)
+    for got, want in zip((avg_loss, res.consensus_error, cum_loss), columns):
         assert got.tobytes() == np.array(want, dtype=float).tobytes()
     assert res.grad_norms.tobytes() == _grad_norms_round_by_round(cfg, feats, labels).tobytes()
 
@@ -276,8 +287,9 @@ def test_dog_identity_mixing_equals_local_ogd_run():
     dog = run_experiment(_synthetic_cfg("dog", n=5, mixing=mixing))
     local = run_experiment(_synthetic_cfg("local_ogd", n=5, mixing=mixing))
     assert np.abs(dog.final_models - local.final_models).max() <= 1e-12
-    assert np.abs(dog.avg_loss - local.avg_loss).max() <= 1e-12
-    assert np.abs(dog.cum_loss - local.cum_loss).max() <= 1e-12
+    assert np.abs(dog.losses - local.losses).max() <= 1e-12
+    for got, want in zip(loss_columns(dog.losses), loss_columns(local.losses)):
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_single_node_all_algorithms_agree():
@@ -287,7 +299,8 @@ def test_single_node_all_algorithms_agree():
     for alg in ("cog", "local_ogd"):
         diff = np.abs(results["dog"].final_models - results[alg].final_models)
         assert diff.max() <= 1e-12
-        assert np.abs(results["dog"].cum_loss - results[alg].cum_loss).max() <= 1e-12
+        cum_losses = [loss_columns(results[name].losses)[1] for name in ("dog", alg)]
+        assert np.abs(cum_losses[0] - cum_losses[1]).max() <= 1e-12
 
 
 def test_consensus_error_within_dissensus_bound_on_runs():
@@ -366,7 +379,8 @@ def test_round_loop_scratch_is_bounded(algorithm, n):
     # buffers and the bulk fill's one tile of models stay within
     # (3t + 1) * n * (dim + 4) * 8 bytes whatever T is. The stream's block
     # is generated first, so the traced peak holds the loop's scratch and
-    # the run's per-round columns: two (T, n) arrays and four (T,) ones.
+    # the arrays the run allocates and returns: its (T, n) losses and
+    # gradient norms, its (T,) consensus errors and its final models.
     dim, tile = 10, tile_rounds(n)
     extra = {}
     for T in (tile, 4 * tile):
@@ -380,11 +394,26 @@ def test_round_loop_scratch_is_bounded(algorithm, n):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        extra[T] = peak - 2 * res.grad_norms.nbytes - 4 * res.avg_loss.nbytes
+        held = (res.losses, res.grad_norms, res.consensus_error, res.final_models)
+        extra[T] = peak - sum(array.nbytes for array in held)
     assert max(extra.values()) <= (3 * tile + 1) * n * (dim + 4) * 8, extra
     # a fixed amount, not one that grows with T: the two differ by less
     # than one (tile, n) column
     assert abs(extra[tile] - extra[4 * tile]) < tile * n * 8, extra
+
+
+def test_projection_scales_a_row_whose_squared_norm_overflows():
+    # (2e154)^2 overflows to inf; the row is still finite, so it must land
+    # on the ball, not at zero. The other row keeps its ordinary scaling.
+    x = np.array([[2e154, 0.0], [3.0, 4.0]])
+    with np.errstate(over="ignore"):
+        out = _project_rows(x.copy(), 1.0)
+    assert out[0].tolist() == [1.0, 0.0]
+    assert out[1].tobytes() == (x[1] * (1.0 / 5.0)).tobytes()
+    np.testing.assert_allclose(out[1], [0.6, 0.8], rtol=1e-15)
+    # A ball wide enough to hold the row leaves it as it is.
+    with np.errstate(over="ignore"):
+        assert _project_rows(x.copy(), 1e200).tobytes() == x.tobytes()
 
 
 def test_projection_keeps_models_inside_ball():
@@ -409,7 +438,7 @@ def test_node_streams_data_source():
                     data=streams, mixing=_mix("ring", 4))
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert a.avg_loss.shape == (20,)
+    assert a.losses.shape == (20, 4)
     assert _csv(a) == _csv(b)
 
 
@@ -421,8 +450,7 @@ def test_recorded_samples_match_pure_generator():
         spec = SyntheticSpec(dim=dim, beta=0.3, n=n, seed=21)
         cfg = RunConfig(algorithm="local_ogd", T=T, eta=0.1, loss_spec=GAMMA, data=SyntheticStream(spec))
         res = run_experiment(cfg)
-        features, labels = res.pooled_samples()
-        assert features.shape == (T * n, dim) and labels.shape == (T * n,)
+        assert res.sample_features.shape == (T, n, dim) and res.sample_labels.shape == (T, n)
         for t in range(T):
             for i in range(n):
                 features, label = synthetic_sample(spec, i, t + 1)

@@ -61,7 +61,8 @@ def test_every_raise_names_an_argument_error_or_an_exit_code_type():
 
 
 def test_the_logistic_kernel_has_one_home():
-    # The round loop reaches exp and log1p only through losses.softplus_sigmoid.
+    # The round loop reaches exp and log1p only through the kernel's two
+    # halves, losses.exp_sigmoid and losses.softplus.
     engine = Path(dogsim.__file__).parent / "engine.py"
     calls = {
         node.attr for node in ast.walk(ast.parse(engine.read_text()))
@@ -109,3 +110,21 @@ def test_every_run_config_field_is_read_by_the_run():
     }
     fields = {field.name for field in dataclasses.fields(dogsim.RunConfig)}
     assert fields - read == set()
+
+
+def test_a_run_result_holds_what_the_loop_measured_unreduced():
+    # RunResult keeps the (T, n) losses, and one function in metrics turns
+    # them into the loss columns: it is the only running total of floats.
+    # ingest and mixing call cumsum only for integer offsets into their
+    # arrays (the parsed lines' first tokens and W's CSR row pointers).
+    fields = {field.name for field in dataclasses.fields(dogsim.RunResult)}
+    assert "losses" in fields
+    assert {"avg_loss", "cum_loss", "pooled_samples"} & (fields | set(vars(dogsim.RunResult))) == set()
+    callers = set()
+    for path in Path(dogsim.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Attribute) and node.attr == "cumsum" for node in ast.walk(func)
+            ):
+                callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"metrics.loss_columns", "ingest._parse_chunk", "mixing.build_mixing"}
