@@ -57,6 +57,8 @@ STREAM_TAG = 0x646F6773
 TILE_SAMPLES = 4096
 
 _U53 = 2.0 ** -53
+#: 2^-53 (1 - 2^-53), exact: the stochastic part's two scalings in one.
+_GAUSS_SCALE = _U53 - _U53 * _U53
 _SHIFT = np.uint64(11)
 
 
@@ -125,6 +127,11 @@ def synthetic_block(spec: SyntheticSpec, first: int, last: int) -> tuple:
     reused (rounds, n, dim) buffer, and every later step writes through
     ``out=``. Each step keeps the scalar path's operands and grouping, so
     each entry keeps its bits: IEEE + and * commute but do not associate.
+    One step does not: the stochastic part's words w < 2^53 are scaled by
+    the exact constant 2^-53 (1 - 2^-53) in one multiply, where the scalar
+    path takes (w * 2^-53) * (1 - 2^-53). w * 2^-53 is exact, a power-of-two
+    scaling of an integer below 2^53, so both round the same exact product
+    once and give the same bits.
     """
     if first < 1:
         raise ValueError(f"first round must be >= 1, got {first}")
@@ -162,8 +169,7 @@ def synthetic_block(spec: SyntheticSpec, first: int, last: int) -> tuple:
         np.add(node_center, x, out=x)
         np.multiply(spec.beta, x, out=x)
         # (1 - beta) * ((y + 0.5 sin(t)) + ndtri(u * (1 - 2^-53) + 2^-54)), added to them
-        np.multiply(shifted[..., dim + 1 : 2 * dim + 1], _U53, out=tile_gauss)
-        np.multiply(tile_gauss, 1.0 - _U53, out=tile_gauss)
+        np.multiply(shifted[..., dim + 1 : 2 * dim + 1], _GAUSS_SCALE, out=tile_gauss)
         np.add(tile_gauss, 0.5 * _U53, out=tile_gauss)
         ndtri(tile_gauss, out=tile_gauss)
         round_shift = np.array([0.5 * math.sin(t) for t in range(lo, lo + k)])

@@ -38,6 +38,15 @@ take ((2t + 1) * dim + 2t) * n * 8 bytes and the bulk fill briefly adds
 one more tile of models: at most (3t + 1) * n * (dim + 4) * 8 bytes of
 scratch (1.4 MB at n = 50, dim = 10), whatever T is.
 
+Every sum over the feature axis, the margins and the projection's norms
+each round and the squared norms each tile, goes through
+``reduce.row_sums``, which gives numpy's pairwise order: a row shorter
+than 8 in index order, a longer one in eight running sums, and the total
+added to +0.0, so no sum is -0.0. The array's shape picks how: from
+whole-column slices at 2 <= dim < 16 with at least 32 dim rows (a tile's
+models and gradients at dim 10, and the margins from n = 320), by
+numpy's own per-row loop otherwise. The bits are the same either way.
+
 A ``RunConfig`` holds each run fact once: n, dim and the seed belong to its
 data source, rho to its mixing matrix, and ``eta`` is the step size the run
 uses. ``auto_learning_rate`` gives the paper's closed-form one. A
@@ -59,6 +68,7 @@ from .ingest import NodeStreams
 from .losses import LossSpec, exp_sigmoid, softplus
 from .metrics import consensus_error
 from .mixing import MixingMatrix
+from .reduce import row_sums
 
 DOG = "dog"
 COG = "cog"
@@ -210,7 +220,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
                          feats[lo:lo + k], -labels[lo:lo + k])
             for x, nxt, g, z, e, a, neg_y in rounds:
                 np.multiply(a, x, out=g)
-                g.sum(axis=1, out=z)
+                row_sums(g, out=z)
                 z *= neg_y
                 exp_sigmoid(z, e, sig)
                 sig *= neg_y
@@ -223,10 +233,10 @@ def run_experiment(cfg: RunConfig) -> RunResult:
             if not finite.all():
                 raise DivergenceDetected(lo + int(finite.argmin()) + 1)
             start = models[:k]
-            reg = 0.5 * gamma * (start * start).sum(axis=2)
+            reg = 0.5 * gamma * row_sums(start * start)
             losses[lo:lo + k] = softplus(margins[:k], exps[:k]) + reg
             ce[lo:lo + k] = consensus_error(start)
-            grad_norms[lo:lo + k] = np.sqrt((grads[:k] * grads[:k]).sum(axis=2))
+            grad_norms[lo:lo + k] = np.sqrt(row_sums(grads[:k] * grads[:k]))
             models[0] = models[k]
 
     return RunResult(consensus_error=ce, final_models=models[0].copy(), grad_norms=grad_norms,
@@ -238,13 +248,13 @@ def _project_rows(x: np.ndarray, radius: float) -> np.ndarray:
     """Project each row of x onto the ball of `radius`, in place; returns x.
     A finite row whose squared norm overflows takes its norm from the row
     divided by its largest magnitude, which cannot overflow."""
-    norms = np.sqrt((x * x).sum(axis=1))
+    norms = np.sqrt(row_sums(x * x))
     huge = np.isinf(norms)
     if huge.any():
         huge &= np.isfinite(x).all(axis=1)
         peaks = np.abs(x[huge]).max(axis=1, keepdims=True)
         units = x[huge] / peaks
-        lengths = np.sqrt((units * units).sum(axis=1, keepdims=True))
+        lengths = np.sqrt(row_sums(units * units))[:, None]
         x[huge] = np.where(peaks * lengths > radius, units * (radius / lengths), x[huge])
         norms[huge] = radius
     over = norms > radius

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reduce import row_sums
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -55,8 +57,7 @@ def softplus_sigmoid(z: np.ndarray) -> tuple:
 def exp_sigmoid(z: np.ndarray, e: np.ndarray, sig: np.ndarray) -> None:
     """The kernel's first half: e = exp(-|z|) and sig = sigmoid(z), written
     into the caller's float arrays `e` and `sig`, shaped like z."""
-    np.abs(z, out=e)
-    np.negative(e, out=e)
+    np.copysign(z, -1.0, out=e)  # -|z|, a NaN's sign included
     np.exp(e, out=e)
     np.add(1.0, e, out=sig)
     np.divide(np.maximum(e, z >= 0), sig, out=sig)  # e <= 1: 1 where z >= 0, e elsewhere
@@ -77,4 +78,4 @@ def smoothness_bound(features: np.ndarray, gamma: float) -> float:
     features = np.asarray(features, dtype=float)
     if features.size == 0:
         raise ValueError("smoothness bound needs at least one sample")
-    return 0.25 * float((features * features).sum(axis=1).max()) + gamma
+    return 0.25 * float(row_sums(features * features).max()) + gamma

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import NonConvergence
 from .losses import softplus_sigmoid
+from .reduce import node_sums
 
 CSV_HEADER = "t,avg_loss,consensus_error,cum_loss"
 
@@ -51,11 +52,18 @@ def average_loss(avg_loss) -> float:
 def consensus_error(x_rows: np.ndarray) -> float | np.ndarray:
     """(1/n) sum_i ||x_i - mean||^2 of (n, d) rows, a float; zero iff all
     rows agree. A (k, n, d) stack gives the (k,) errors of its slices, bit
-    for bit those of one call per slice."""
+    for bit those of one call per slice.
+
+    The mean is ``reduce.node_sums`` over n, numpy's ``mean(axis=-2)`` bit
+    for bit: for d >= 2 numpy adds the nodes in index order from +0.0,
+    and one einsum call gives that order on a stack of 64 rows or more;
+    at d = 1 numpy sums pairwise, and that sum, like the one of a single
+    node or a short stack, stays numpy's own."""
     x_rows = np.asarray(x_rows, dtype=float)
-    centered = x_rows - x_rows.mean(axis=-2, keepdims=True)
+    n = x_rows.shape[-2]
+    centered = x_rows - (node_sums(x_rows) / n)[..., None, :]
     centered *= centered
-    errors = centered.sum(axis=(-2, -1)) / x_rows.shape[-2]
+    errors = centered.sum(axis=(-2, -1)) / n
     return errors if errors.ndim else float(errors)
 
 

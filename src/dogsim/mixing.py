@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .reduce import node_sums
 from .topology import Graph
 
 UNIFORM = "uniform"
@@ -72,7 +73,8 @@ class MixingMatrix:
         into `out`, a float (n, d) array, if given, else into a new one.
 
         complete graph, W = (w_ii - off) I + off 11^T:
-            (w_ii - off) * x + off * x.sum(axis=0), in O(nd);
+            (w_ii - off) * x + off * x.sum(axis=0), in O(nd), the sum by
+            ``reduce.node_sums`` (numpy's bits, pairwise at d = 1);
         any other W:
             a CSR product over W's nonzeros: each row sums its w_ij * x_j
             terms from 0, one multiply and one add at a time, in ascending j.
@@ -91,7 +93,7 @@ class MixingMatrix:
 
             def closed_form(x, out):
                 np.multiply(scale, x, out=out)
-                out += off * x.sum(axis=0)
+                out += off * node_sums(x)
                 return out
 
             return closed_form

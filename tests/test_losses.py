@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dogsim.losses import LossSpec, smoothness_bound, softplus_sigmoid
+from dogsim.losses import LossSpec, exp_sigmoid, smoothness_bound, softplus_sigmoid
 
 
 def _loss_and_gradient(x, a, y, gamma=0.0):
@@ -166,7 +166,7 @@ def _two_branch_softplus_sigmoid(z):
     return values, sig
 
 
-_SPECIAL_MARGINS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+_SPECIAL_MARGINS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
                     709.8, -709.8, 745.2, -745.2, 1e300, -1e300, 37.0, -37.0]
 
 
@@ -178,6 +178,10 @@ def test_one_exp_kernel_matches_two_branch_formula_bitwise(margins):
     with np.errstate(over="ignore", invalid="ignore"):
         want_values, want_sig = _two_branch_softplus_sigmoid(z)
     assert values.tobytes() == want_values.tobytes()
+    # e = exp(-|z|) keeps every bit, a NaN's sign included.
+    e = np.empty_like(z)
+    exp_sigmoid(z, e, np.empty_like(z))
+    assert e.tobytes() == np.exp(-np.abs(z)).tobytes()
     # IEEE 754 gives a NaN no meaningful sign: a NaN margin only has to
     # stay NaN. Every other element matches bit for bit, its sign included.
     nan = np.isnan(z)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -39,13 +39,23 @@ def test_consensus_error_values():
     assert consensus_error(shifted) == pytest.approx(consensus_error(x), abs=1e-9)
 
 
+def _numpy_consensus_error(x_rows):
+    """consensus_error as numpy's own reductions give it, node mean included."""
+    centered = x_rows - x_rows.mean(axis=-2, keepdims=True)
+    return (centered * centered).sum(axis=(-2, -1)) / x_rows.shape[-2]
+
+
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(1, 5), n=st.integers(1, 300), dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(k=5, n=1, dim=10, seed=1)  # cog's one-row stack
+@example(k=5, n=300, dim=1, seed=2)  # numpy sums one column pairwise
+@example(k=5, n=50, dim=10, seed=3)  # a desk tile's stack
 def test_consensus_error_of_a_stack_is_its_slices_bitwise(k, n, dim, seed):
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((k, n, dim)) * 10.0 ** rng.uniform(-3, 3, (k, n, 1))
     errors = consensus_error(stack)
     assert errors.shape == (k,)
+    assert errors.tobytes() == _numpy_consensus_error(stack).tobytes()
     for i in range(k):
         one = consensus_error(stack[i])
         assert type(one) is float

@@ -128,3 +128,22 @@ def test_a_run_result_holds_what_the_loop_measured_unreduced():
             ):
                 callers.add(f"{path.stem}.{func.name}")
     assert callers == {"metrics.loss_columns", "ingest._parse_chunk", "mixing.build_mixing"}
+
+
+def test_the_summation_order_has_one_home():
+    # The round loop sums through dogsim.reduce, which alone calls einsum,
+    # so numpy's summation order is rebuilt in one place.
+    src = Path(dogsim.__file__).parent
+    engine = ast.parse((src / "engine.py").read_text())
+    assert not any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "sum"
+        for node in ast.walk(engine)
+    )
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if named == "einsum":
+                callers.add(path.stem)
+    assert callers == {"reduce"}
