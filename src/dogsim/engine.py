@@ -161,7 +161,10 @@ def _step(
         return out
     if algorithm == LOCAL_OGD:
         return np.subtract(x, eta * grads, out=out)
-    return np.subtract(x, eta * grads.mean(axis=0, keepdims=True), out=out)
+    step = np.add.reduce(grads, axis=0, keepdims=True)
+    step /= len(grads)  # numpy's mean: this sum, then one division by n
+    step *= eta
+    return np.subtract(x, step, out=out)
 
 
 def auto_learning_rate(

@@ -8,11 +8,18 @@ fraction: the stochastic share is dealt uniformly at random, the remainder
 is sorted along one seeded direction and cut into one slab per node (the
 per-node "adversarial" share). The streams are an (n, T) array of row
 indices into the one dataset, so a block of rounds is one fancy index.
+
+The values of LIBSVM text are read with the C library's correctly rounded
+`strtold`, a chunk of lines at a time, then rounded to float64. Two
+roundings give `float`'s double unless the first lands exactly halfway
+between two doubles (Figueroa, "When is double rounding innocuous?", SIGNUM
+1995); only those values are read again with `float`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +81,15 @@ class NodeStreams:
 
 
 #: Lines per chunk of `parse_libsvm`. Each chunk's tokens are converted in
-#: bulk, so the parse holds one chunk's token strings at a time, not the
+#: bulk, so the parse holds one chunk's text and numbers at a time, not the
 #: whole file's, which would raise its peak memory.
 _PARSE_CHUNK = 512
-#: Every byte but ' ' and ':'. UTF-8 writes no other character with either
-#: byte, so deleting these from a chunk's encoded tokens leaves its separators.
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" :")))
+#: Stored significand bits of numpy's long double. The bulk parse runs where
+#: it is binary64, whose strtold is strtod, or x87 80-bit or binary128, which
+#: hold every midpoint between two doubles exactly; not where it is another
+#: format, such as IBM double-double.
+_LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
+_BINARY_NMANTS = (52, 63, 112)
 
 
 def parse_libsvm(text: str) -> Dataset:
@@ -88,12 +98,16 @@ def parse_libsvm(text: str) -> Dataset:
     lines and lines starting with '#' are skipped; d is the largest index.
     Malformed text raises ValueError, its message prefixed "line N: " (1-based).
 
-    The lines are read in chunks of `_PARSE_CHUNK`. `_parse_chunk` converts
-    a chunk's tokens in bulk and checks the grammar with numpy; a chunk it
-    cannot certify goes through `_parse_lines`, the per-line reference and
-    the only code that writes "line N: " errors. Either way a chunk gives
-    the same arrays, so the result and the first error do not depend on the
-    chunk size.
+    The lines are read in chunks of `_PARSE_CHUNK`. `_parse_chunk` reads
+    all of a chunk's indices and values in one pass of the C library's
+    `strtold` into numpy's long double, rounds each value to float64, and
+    reads again with `float` only a value whose long double lies halfway
+    between two doubles; then it checks the grammar with numpy. A chunk it
+    cannot certify, and every chunk where long double is not binary64, x87
+    80-bit or binary128, goes through `_parse_lines`, the per-line reference
+    and the only code that writes "line N: " errors. Either way a chunk
+    gives the same arrays, so the result and the first error do not depend
+    on the chunk size or the machine's long double.
     """
     lines = text.splitlines()
     chunks = []
@@ -114,17 +128,26 @@ def parse_libsvm(text: str) -> Dataset:
 
 def _parse_chunk(lines):
     """The rows of `lines` as (labels, entries per row, columns, values, d),
-    or None when the bulk checks cannot certify every line.
+    or None when the bulk checks cannot certify every line, or when numpy's
+    long double is not one of the binary formats the conversion needs.
 
-    Each line is split once. The chunk's feature tokens are joined by
-    spaces; each has exactly one ':' when the joined text's separators read
-    ": : ... :". Their colons are then made spaces and the text split again,
-    so indices and values alternate. `int` runs once per distinct index
-    string and `float` over the values and labels, the calls `_parse_lines`
-    makes. Numpy then checks that the labels are 1, -1 or 0, that the
-    indices are >= 1 and strictly ascending within a line, and that the
+    Each line is split once and the chunk's feature tokens joined by spaces.
+    The joined text is ASCII, and with its digits deleted it reads ":X :X
+    ... :X", each X made of ".+-eE" only: every token is an index of
+    digits, one ':', and a value's characters. One `np.fromstring` call
+    then reads every index and value with the C library's correctly
+    rounded `strtold`; it reads the text to its end and gives two numbers a
+    token, or the chunk is not certified. Indices below 2**62 (2**53 where
+    long double is binary64) are exact. Each value is rounded once more, to
+    float64, which is `float`'s result unless the long double lies exactly
+    halfway between two doubles (Figueroa, SIGNUM 1995); those ties are
+    read again with `float`. Labels go through `float`, as in
+    `_parse_lines`. Numpy then checks that the labels are 1, -1 or 0, that
+    the indices are >= 1 and strictly ascending within a line, and that the
     values are finite.
     """
+    if _LONGDOUBLE_NMANT not in _BINARY_NMANTS:
+        return None
     labels, counts, tokens = [], [], []
     for line in lines:
         parts = line.split()
@@ -132,29 +155,42 @@ def _parse_chunk(lines):
             labels.append(parts[0])
             counts.append(len(parts) - 1)
             tokens += parts[1:]
-    joined = " ".join(tokens)
-    separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-    if separators != (b": " * len(tokens))[:-1]:
-        return None  # some token has no ':', or more than one
-    pieces = joined.replace(":", " ").split(" ") if tokens else []
-    index_s = pieces[0::2]
     try:
-        raw = np.fromiter(map(float, labels), float, len(labels))
-        ints = {s: int(s) for s in set(index_s)}
-        index = np.fromiter(map(ints.__getitem__, index_s), np.intp, len(index_s))
-        vals = np.fromiter(map(float, pieces[1::2]), float, len(index_s))
-    except (ValueError, OverflowError):  # "1:x", or an index outside intp
+        text = " ".join(tokens).encode("ascii")
+    except UnicodeEncodeError:
         return None
+    rest = text.translate(None, b"0123456789")
+    if rest.translate(None, b".+-eE") != (b": " * len(tokens))[:-1] or (
+        (b" " + rest).count(b" :") != len(tokens)  # an index with a sign, dot or exponent
+    ):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns on a short read
+        try:
+            numbers = np.fromstring(text.replace(b":", b" "), np.longdouble, sep=" ")
+            raw = np.fromiter(map(float, labels), float, len(labels))
+        except (ValueError, DeprecationWarning):  # "1:5e", "1:.", a label "what"
+            return None
+    if len(numbers) != 2 * len(tokens):  # "1:", ":5": an empty side
+        return None
+    indices, exact = numbers[0::2], numbers[1::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = exact.astype(float)
+        # The double next to each value on its long double's side: from an
+        # overflow to inf, the largest double, so float() decides that too.
+        toward = np.nextafter(vals, np.where(exact > vals, np.inf, -np.inf))
+        ties = np.flatnonzero((exact - vals) * 2 == toward - vals)
+    for i in ties.tolist():
+        vals[i] = float(tokens[i].partition(":")[2])
+    if (indices >= 2.0 ** min(62, _LONGDOUBLE_NMANT + 1)).any() or not np.isfinite(vals).all():
+        return None
+    index = indices.astype(np.intp)
     counts = np.array(counts, dtype=np.intp)
     prev = np.zeros_like(index)  # the line's previous index, 0 at its first
     prev[1:] = index[:-1]
     starts = np.cumsum(counts) - counts
     prev[starts[counts > 0]] = 0
-    if not (
-        ((raw == 1.0) | (raw == -1.0) | (raw == 0.0)).all()
-        and (index > prev).all()
-        and np.isfinite(vals).all()
-    ):
+    if not (((raw == 1.0) | (raw == -1.0) | (raw == 0.0)).all() and (index > prev).all()):
         return None
     return np.where(raw == 1.0, 1.0, -1.0), counts, index - 1, vals, int(index.max(initial=0))
 
@@ -242,8 +278,9 @@ def normalize(d: Dataset) -> Dataset:
         first = int(np.argmin(finite)) + 1
         raise ValueError(f"cannot normalize feature {first}: it holds a non-finite value")
     scaled = np.divide(d.features, peak, out=np.zeros_like(d.features), where=peak > 0)
-    std = scaled.std(axis=0)  # population (ddof=0)
     centered = scaled - scaled.mean(axis=0)
+    # the population std (ddof=0) as numpy's `std` computes it, from this mean
+    std = np.sqrt(np.add.reduce(centered * centered, axis=0) / len(d))
     centered /= np.where(std > 0, std, 1.0)
     return Dataset(centered, d.labels)
 

@@ -56,9 +56,9 @@ def consensus_error(x_rows: np.ndarray) -> float | np.ndarray:
 
     The mean is ``reduce.node_sums`` over n, numpy's ``mean(axis=-2)`` bit
     for bit: for d >= 2 numpy adds the nodes in index order from +0.0,
-    and one einsum call gives that order on a stack of 64 rows or more;
-    at d = 1 numpy sums pairwise, and that sum, like the one of a single
-    node or a short stack, stays numpy's own."""
+    and one einsum call gives that order on a stack of at least
+    ``reduce._EINSUM_ROWS`` rows; at d = 1 numpy sums pairwise, and that
+    sum, like the one of a single node or a short stack, stays numpy's own."""
     x_rows = np.asarray(x_rows, dtype=float)
     n = x_rows.shape[-2]
     centered = x_rows - (node_sums(x_rows) / n)[..., None, :]

@@ -1,5 +1,8 @@
+import decimal
 import hashlib
 import itertools
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -119,6 +122,82 @@ def test_parse_rejects_tokens_that_pair_up_once_split(line, token):
         parse_libsvm(f"+1 1:1\n{line}\n")
 
 
+@pytest.mark.parametrize("token", ["1:5e", "1:1.2.3", "1:--1", "1:.", "1:1e5e5", "+3:1"])
+def test_parse_leaves_tokens_outside_the_bulk_grammar_to_the_reference(token):
+    # strtold reads a prefix of each value; int() takes the signed index
+    lines = ["+1 1:1", f"-1 {token}"]
+    assert ingest._parse_chunk(lines) is None
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(ingest, "_parse_chunk", return_value=None):
+        reference = _parse_outcome(text)
+    assert _parse_outcome(text) == reference
+    if token == "+3:1":
+        assert reference == _parse_outcome("+1 1:1\n-1 3:1\n")
+    else:
+        assert reference == f"line 2: malformed token {token!r}"
+
+
+def test_parse_chunk_refuses_a_short_read_that_only_warns():
+    # numpy < 2 warns and returns the numbers read so far where numpy 2 raises
+    def short_read(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.0, 1.2], dtype)
+
+    with mock.patch.object(np, "fromstring", short_read), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert ingest._parse_chunk(["+1 1:1.2.3"]) is None
+    assert not caught
+
+
+_EXACT = decimal.Context(prec=2000)
+
+
+def _midpoint(v, toward):
+    """The exact decimal halfway between v and the next double toward
+    `toward`; past the largest double that is 2**1024, where float() overflows."""
+    neighbour = math.nextafter(v, toward)
+    if math.isinf(neighbour):
+        neighbour = int(math.copysign(1, neighbour)) * 2**1024
+    return _EXACT.divide(_EXACT.add(decimal.Decimal(v), decimal.Decimal(neighbour)), 2)
+
+
+@st.composite
+def _decimal_value(draw):
+    """A decimal string float() reads as a finite double, or one just past
+    its range: random digits, exact ties between two doubles (subnormal and
+    below a power of two too) and ties nudged a digit above or below."""
+    kind = draw(st.sampled_from(["digits", "tie", "tie", "power", "subnormal", "fixed"]))
+    if kind == "fixed":
+        return draw(st.sampled_from([
+            "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
+            "1.7976931348623159e308", "1e-400", "-0", "0", "1.", ".5", "-.5e-3", "+1E+5", "007",
+            "0.99999999999999994448884876874217"]))  # just below 1 - 2**-54, a tie under 1
+    if kind == "digits":
+        digits = draw(st.text("0123456789", min_size=1, max_size=25))
+        point = draw(st.integers(0, len(digits)))
+        exponent = draw(st.sampled_from(["", "e{:+d}", "E{:d}"])).format(draw(st.integers(-340, 320)))
+        return draw(st.sampled_from(["", "-", "+"])) + digits[:point] + "." + digits[point:] + exponent
+    if kind == "tie":
+        mid = _midpoint(draw(_finite), draw(st.sampled_from([np.inf, -np.inf])))
+    elif kind == "power":  # the neighbour toward 0 is half as far as the one away
+        mid = _midpoint(draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(st.integers(-1073, 1023)), 0.0)
+    else:
+        mid = _midpoint(draw(st.integers(-4, 4)) * 5e-324, draw(st.sampled_from([np.inf, -np.inf])))
+    nudge = draw(st.sampled_from([0, 1, -1]))  # the 40th significant digit, up or down
+    return str(_EXACT.fma(mid, decimal.Decimal(nudge).scaleb(-40), mid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_decimal_value(), min_size=1, max_size=40))
+def test_parse_chunk_reads_every_value_as_float_does(values):
+    expected = np.array([float(value) for value in values])
+    chunk = ingest._parse_chunk(["+1 " + " ".join(f"{j}:{value}" for j, value in enumerate(values, 1))])
+    if not np.isfinite(expected).all():
+        assert chunk is None  # the reference writes the error
+    else:
+        assert chunk[3].tobytes() == expected.tobytes()
+
+
 def _bench_scale_libsvm_text():
     """4000 lines of 18 features, the libsvm_sweep shape: rows around eight
     centers, a fifth of the entries zero and omitted, every label spelling."""
@@ -146,6 +225,15 @@ def test_parse_chunk_size_does_not_change_the_bytes(monkeypatch):
         assert per_line.call_count == 0  # the bulk path certified every chunk
         results.append((d.features.shape, d.features.tobytes(), d.labels.tobytes()))
     assert all(result == results[-1] for result in results)
+
+
+def test_parse_without_a_binary_long_double_reads_line_by_line(monkeypatch):
+    text = _bench_scale_libsvm_text()
+    bulk = _parse_outcome(text)
+    monkeypatch.setattr(ingest, "_LONGDOUBLE_NMANT", 105)  # IBM double-double
+    with mock.patch.object(ingest, "_parse_lines", wraps=ingest._parse_lines) as per_line:
+        assert _parse_outcome(text) == bulk
+    assert per_line.call_count == -(-4000 // ingest._PARSE_CHUNK)
 
 
 def test_ingest_bytes_are_pinned_at_bench_scale():
